@@ -69,11 +69,6 @@ def cmd_verify(args):
     return 0 if report.ok else 1
 
 
-def cmd_verify_half(args):
-    args.half = True
-    return cmd_verify(args)
-
-
 def cmd_dims(args):
     ring = _ring(args)
     if not ring.is_field():
@@ -106,17 +101,13 @@ def _based_pattern(n, r, basis, flavour):
         raise UsageError("decomposition patterns are emitted for the last block row only")
     if basis.startswith("row:"):
         i = int(basis[4:])
-        tau = list(range(1, n + 1))
-        tau[i - 1], tau[n - 1] = n, i
-        out = pt.transform_pattern(pattern, row_perm=tuple(tau))
+        out = pt.transform_pattern(pattern, row_perm=pt.swap_perm(n, i))
         return pt.FreePattern(n, r, "row:%d" % i, pattern.flavour, out.entries)
     if basis.startswith("col:"):
         j = int(basis[4:])
         out = pt.transform_pattern(pattern, transpose=True)
         if j != n:
-            tau = list(range(1, n + 1))
-            tau[j - 1], tau[n - 1] = n, j
-            out = pt.transform_pattern(out, col_perm=tuple(tau))
+            out = pt.transform_pattern(out, col_perm=pt.swap_perm(n, j))
         return pt.FreePattern(n, r, "col:%d" % j, pattern.flavour, out.entries)
     raise UsageError("unknown basis %r" % (basis,))
 
@@ -283,10 +274,6 @@ def build_parser():
     common(p)
     p.add_argument("--half", action="store_true")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("verify-half", help="half-algebra chain at (n, r + 1/2)")
-    common(p)
-    p.set_defaults(func=cmd_verify_half)
 
     p = sub.add_parser("dims", help="centraliser and span dimensions")
     common(p)

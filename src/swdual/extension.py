@@ -31,7 +31,7 @@ from .invariants import (
     theta,
     zero_rowcol_implies_special,
 )
-from .tensor import TensorMatrix, matmul, phi
+from .tensor import TensorMatrix, matrix_sum
 
 
 class ConstructionFailure(RuntimeError):
@@ -227,30 +227,23 @@ def _extend_recursive(b, f):
         labels[j] = lab
         for x in lab:
             owner[x] = j  # increasing j: the largest block owns the position
-    running = TensorMatrix.zeros(n, r, ring)
+    parts = []
     for j in range(1, n + 1):
         g = {}
         for x, y in labels[j].items():
             if owner[x] == j:
                 target = f.get(x, ring.zero)
-                g[y] = ring.sub(target, running.get(*x))
+                g[y] = ring.sub(target, ring.sum(part.get(*x) for part in parts))
             else:
                 g[y] = ring.zero
         c = eta(blocks[j - 1], n, j)
-        a_j = theta(extend(c, g, verify=False), n, j)
-        running = running.add(a_j)
-    return running
+        parts.append(theta(extend(c, g, verify=False), n, j))
+    return matrix_sum(parts)
 
 
 # ---------------------------------------------------------------------------
 # decompose
 # ---------------------------------------------------------------------------
-
-
-def _swap_perm(n, i):
-    tau = list(range(1, n + 1))
-    tau[i - 1], tau[n - 1] = n, i
-    return tuple(tau)
 
 
 def decompose(a, f=None, basis="last-row", verify=True):
@@ -268,19 +261,17 @@ def decompose(a, f=None, basis="last-row", verify=True):
         return _decompose_last_row(a, f, verify)
     if basis.startswith("row:"):
         i = int(basis[4:])
-        tau = _swap_perm(n, i)
-        conj = matmul(phi(tau, n, a.r, a.ring), matmul(a, phi(tau, n, a.r, a.ring)))
+        tau = pt.swap_perm(n, i)
         f2 = None
         if f:
             f2 = {
                 (tau[k - 1], ix.act_left(tau, p), ix.act_left(tau, q)): v
                 for (k, p, q), v in _as_value_map(a.ring, f).items()
             }
-        parts = _decompose_last_row(conj, f2, verify)
-        ptau = phi(tau, n, a.r, a.ring)
+        parts = _decompose_last_row(pt.relabel(a, tau), f2, verify)
         out = [None] * n
         for j, part in enumerate(parts, start=1):
-            out[tau[j - 1] - 1] = matmul(ptau, matmul(part, ptau))
+            out[tau[j - 1] - 1] = pt.relabel(part, tau)
         return out
     if basis.startswith("col:"):
         j = int(basis[4:])
@@ -342,10 +333,7 @@ def _decompose_last_row(a, f, verify):
 
 def _verify_decomposition(a, summands, f):
     n, r = a.n, a.r
-    total = summands[0]
-    for s in summands[1:]:
-        total = total.add(s)
-    if total != a:
+    if matrix_sum(summands) != a:
         raise ConstructionFailure("decomposition summands do not add up")
     for j, s in enumerate(summands, start=1):
         if not is_special(s, n, j):
@@ -453,7 +441,6 @@ def extend_with_prescription(b, prescribed, orientation="row", basis=None, verif
     construction is checked against the prescription afterwards; any
     mismatch means the prescription was not compatible.
     """
-    ring = b.ring
     n, r = b.n, b.r + 1
     if orientation == "col":
         bt = b.transpose()
@@ -462,17 +449,13 @@ def extend_with_prescription(b, prescribed, orientation="row", basis=None, verif
     if orientation != "row":
         raise ValueError("orientation must be 'row' or 'col'")
     if basis is not None and basis != n:
-        tau = _swap_perm(n, basis)
-        conj_b = matmul(phi(tau, n, b.r, ring), matmul(b, phi(tau, n, b.r, ring)))
+        tau = pt.swap_perm(n, basis)
         moved = {}
         for u, vector in prescribed.items():
             vector = [x.value if hasattr(x, "value") else x for x in vector]
-            moved[ix.act_left(tau, tuple(u))] = [
-                vector[ix.index_rank(n, ix.act_left(tau, v))]
-                for v in ix.all_indices(n, r)
-            ]
-        out = extend_with_prescription(conj_b, moved, "row", verify=verify)
-        return matmul(phi(tau, n, r, ring), matmul(out, phi(tau, n, r, ring)))
+            moved[ix.act_left(tau, tuple(u))] = pt.relabel_vector(vector, tau, r)
+        out = extend_with_prescription(pt.relabel(b, tau), moved, "row", verify=verify)
+        return pt.relabel(out, tau)
     pattern = pt.build_f(n, r)
     cols_by_row = {}
     for (u, v) in pattern.entries:
@@ -540,10 +523,16 @@ def _read_off(a):
 
 
 def _check_reconstruction(a, coeffs):
-    total = TensorMatrix.zeros(a.n, a.r, a.ring)
+    """Rebuild the sum of x_w phi(w) entry by entry: phi(w) holds a one at
+    (w.j, j) for each column j."""
+    ring, size = a.ring, a.size
+    add = ring.add
+    total = [ring.zero] * (size * size)
     for w, x in coeffs.items():
-        total = total.add(phi(w, a.n, a.r, a.ring).scale(x))
-    if total != a:
+        for rj, ri in enumerate(ix.act_ranks(w, a.r)):
+            pos = ri * size + rj
+            total[pos] = add(total[pos], x)
+    if total != a.data:
         raise NotInSpanError("matrix is not the claimed permutation combination")
 
 

@@ -85,6 +85,26 @@ def act_left(w, idx):
     return tuple(w[v - 1] for v in idx)
 
 
+def map_ranks(images, n, r):
+    """Rank in I(n,r) of (images[i_1 - 1], ..., images[i_r - 1]) for each
+    multi-index i of I(len(images), r), in lexicographic order.
+
+    ``images`` lists the 1-based values in {1..n} that 1, 2, ... map to.
+    Built place by place, so the cost is linear in the table length.
+    """
+    ranks = [0]
+    shifted = [v - 1 for v in images]
+    for _ in range(r):
+        ranks = [base * n + t for base in ranks for t in shifted]
+    return ranks
+
+
+def act_ranks(w, r):
+    """Rank of w(j_1) ... w(j_r) for each j of I(n,r) in lexicographic
+    order, n = len(w): the left action as a table of flat ranks."""
+    return map_ranks(w, len(w), r)
+
+
 def act_right(idx, sigma):
     """Place permutation: the value at place a moves to place sigma(a)."""
     r = len(idx)
@@ -154,10 +174,6 @@ def alpha_slices(n, r):
 
 def drop_place(idx, alpha):
     return idx[: alpha - 1] + idx[alpha:]
-
-
-def replace_place(idx, alpha, v):
-    return idx[: alpha - 1] + (v,) + idx[alpha:]
 
 
 # -- orbits of the simultaneous place-permutation action ---------------------

@@ -7,14 +7,26 @@ constancy on simultaneous place-permutation orbits (S).  This module
 implements those predicates, the restriction map to degree r-1, the block
 view, special invariants, and the mutually inverse excision/inflation maps
 between special invariants and one rank lower.
+
+Rank layout.  A multi-index i of I(n,r) has the lexicographic rank
+sum over places alpha of (i_alpha - 1) * n^(r-alpha), so place alpha has
+stride n^(r-alpha), and the entry (i, j) of a matrix sits at
+``data[rank(i) * n^r + rank(j)]``.  Inserting the value t at place alpha of
+a context p in I(n,r-1) gives the rank ``base + (t-1) * stride``, where
+``base`` is the rank with value 1 inserted; the n rows of an (alpha, p, q)
+slice minor are therefore strided runs of ``data``.  The G check, the
+restriction's common slice sums, and the excision, inflation and
+specialness maps all work on such precomputed rank tables instead of
+tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import indices as ix
-from .tensor import TensorMatrix, matmul
+from .tensor import TensorMatrix, gather, matmul, matrix_sum
 
 
 class NotInvariantError(ValueError):
@@ -95,9 +107,10 @@ def _vt_ids(n, r):
 def check_membership(a, stop_early=False):
     """Evaluate the three centraliser predicates on a matrix.
 
-    The first failing witness (if any) is recorded: for G the offending
-    (alpha, p, q) with both disagreeing sums, for H the nonzero entry at a
-    value-type mismatch, for S the orbit with two different values.
+    The first failing witness (if any) is recorded: for G the first
+    (alpha, p, q), in that order, whose slice sums disagree, for H the
+    nonzero entry at a value-type mismatch, for S the orbit with two
+    different values.  G is evaluated at every place alpha.
     """
     n, r, ring = a.n, a.r, a.ring
     report = MembershipReport(True, True, True)
@@ -149,41 +162,22 @@ def check_membership(a, stop_early=False):
         if not report.in_S:
             break
 
-    # G: all slice sums for a context pair agree
-    lower = ix.all_indices(n, r - 1) if r >= 1 else []
+    # G: all slice sums for a context pair agree, at every place
     for alpha in range(1, r + 1):
-        for p in lower:
-            for q in lower:
-                sums = []
-                for i in range(1, n + 1):
-                    row_idx = ix.replace_place(p, alpha, i)
-                    sums.append(
-                        ring.sum(
-                            a.get(row_idx, ix.replace_place(q, alpha, j))
-                            for j in range(1, n + 1)
-                        )
-                    )
-                for j in range(1, n + 1):
-                    col_idx = ix.replace_place(q, alpha, j)
-                    sums.append(
-                        ring.sum(
-                            a.get(ix.replace_place(p, alpha, i), col_idx)
-                            for i in range(1, n + 1)
-                        )
-                    )
-                if any(s != sums[0] for s in sums[1:]):
+        bases = _context_bases(n, r, alpha)
+        for pi, bp in enumerate(bases):
+            for qi, bq in enumerate(bases):
+                sums = _slice_sums(a, alpha, bp, bq)
+                if sums.count(sums[0]) != len(sums):
                     report.in_G = False
                     if report.first_violation is None:
                         report.first_violation = {
                             "kind": "G",
                             "alpha": alpha,
-                            "p": ix.format_index(p),
-                            "q": ix.format_index(q),
+                            "p": ix.format_index(ix.index_from_rank(n, r - 1, pi)),
+                            "q": ix.format_index(ix.index_from_rank(n, r - 1, qi)),
                         }
-                    if stop_early:
-                        return report
-        if not report.in_G:
-            break
+                    return report
     return report
 
 
@@ -196,34 +190,35 @@ def is_invariant(a):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One n-vector of entries: place alpha runs over 1..n on the starred
-    side while the other side keeps a fixed index."""
-
-    alpha: int
-    row_context: tuple
-    col_context: tuple
-    orientation: str  # "row-star" or "col-star"
-    fixed: int  # the non-starred value at place alpha
-
-
-def slice_entries(a, sl):
-    if sl.orientation == "row-star":
-        col = ix.replace_place(sl.col_context, sl.alpha, sl.fixed)
-        return [
-            a.get(ix.replace_place(sl.row_context, sl.alpha, i), col)
-            for i in range(1, a.n + 1)
-        ]
-    row = ix.replace_place(sl.row_context, sl.alpha, sl.fixed)
-    return [
-        a.get(row, ix.replace_place(sl.col_context, sl.alpha, j))
-        for j in range(1, a.n + 1)
-    ]
+@lru_cache(maxsize=None)
+def _context_bases(n, r, alpha):
+    """Rank in I(n,r) of each context p of I(n,r-1), in lexicographic order,
+    with the value 1 inserted at place alpha."""
+    stride = n ** (r - alpha)
+    return tuple(
+        head * stride * n + tail
+        for head in range(n ** (alpha - 1))
+        for tail in range(stride)
+    )
 
 
-def slice_sum(a, sl):
-    return a.ring.sum(slice_entries(a, sl))
+def _slice_sums(a, alpha, bp, bq):
+    """The n row sums, then the n column sums, of the (alpha, p, q) minor.
+
+    ``bp`` and ``bq`` are the context ranks from :func:`_context_bases`;
+    the minor's rows are strided runs of ``a.data`` and its columns are
+    read across them.
+    """
+    n, size, data = a.n, a.size, a.data
+    stride = n ** (a.r - alpha)
+    step = stride * size
+    start = bp * size + bq
+    span = n * stride
+    rows = [data[k : k + span : stride] for k in range(start, start + n * step, step)]
+    total = a.ring.sum
+    sums = list(map(total, rows))
+    sums.extend(map(total, zip(*rows)))
+    return sums
 
 
 def common_b(a, p, q):
@@ -232,14 +227,9 @@ def common_b(a, p, q):
     All 2n slice sums attached to the contexts (p, q) at the last place are
     computed and compared; disagreement raises ``NotInvariantError``.
     """
-    r = a.r
-    alpha = r
-    sums = []
-    for i in range(1, a.n + 1):
-        sums.append(slice_sum(a, Slice(alpha, p, q, "col-star", i)))
-    for j in range(1, a.n + 1):
-        sums.append(slice_sum(a, Slice(alpha, p, q, "row-star", j)))
-    if any(s != sums[0] for s in sums[1:]):
+    n, alpha = a.n, a.r
+    sums = _slice_sums(a, alpha, ix.index_rank(n, p) * n, ix.index_rank(n, q) * n)
+    if sums.count(sums[0]) != len(sums):
         raise NotInvariantError(
             "slice sums disagree at alpha=%d p=%s q=%s"
             % (alpha, ix.format_index(p), ix.format_index(q))
@@ -274,29 +264,16 @@ def restrict(a, validate=True):
     row and a block column are summed independently and compared, so a
     non-invariant input is rejected instead of silently restricted.
     """
-    n, r, ring = a.n, a.r, a.ring
+    n, r = a.n, a.r
     if r < 1:
         raise ValueError("cannot restrict a degree-zero matrix")
-    out = block(a, 1, 1)
-    for j in range(2, n + 1):
-        out = out.add(block(a, 1, j))
+    out = matrix_sum([block(a, 1, j) for j in range(1, n + 1)])
     if validate:
-        second = block(a, n, 1)
-        for j in range(2, n + 1):
-            second = second.add(block(a, n, j))
-        colsum = block(a, 1, 1)
-        for i in range(2, n + 1):
-            colsum = colsum.add(block(a, i, 1))
+        second = matrix_sum([block(a, n, j) for j in range(1, n + 1)])
+        colsum = matrix_sum([block(a, i, 1) for i in range(1, n + 1)])
         if second != out or colsum != out:
             raise NotInvariantError("input not invariant: block sums disagree")
     return out
-
-
-def restrict_tower(a, k, validate=False):
-    """Iterated restriction rho^k."""
-    for _ in range(k):
-        a = restrict(a, validate=validate)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +281,32 @@ def restrict_tower(a, k, validate=False):
 # ---------------------------------------------------------------------------
 
 
+def _split_ranks(n, r, v):
+    """For each u of I(n,r), in lexicographic order: the bitmask of the
+    places holding v (first place highest), and the rank in I(n-1, r-k),
+    k the number of those places, of u with them dropped and the remaining
+    values renumbered order-preservingly avoiding v."""
+    codes = [(0, 0)]
+    for _ in range(r):
+        codes = [
+            (mask << 1 | 1, rank) if t == v
+            else (mask << 1, rank * (n - 1) + t - (t > v) - 1)
+            for mask, rank in codes
+            for t in range(1, n + 1)
+        ]
+    return codes
+
+
 def is_special(a, i, j):
     """True when every nonzero entry matches the places of value i in its
     row with the places of value j in its column."""
     zero = a.ring.zero
-    size = a.size
-    idxs = ix.all_indices(a.n, a.r)
-    for ri, row_idx in enumerate(idxs):
-        lam_i = ix.places_of(row_idx, i)
-        base = ri * size
-        for rj, col_idx in enumerate(idxs):
-            if a.data[base + rj] != zero and lam_i != ix.places_of(col_idx, j):
+    size, data = a.size, a.data
+    col_masks = [mask for mask, _ in _split_ranks(a.n, a.r, j)]
+    for ri, (mask, _) in enumerate(_split_ranks(a.n, a.r, i)):
+        row = data[ri * size : (ri + 1) * size]
+        for value, col_mask in zip(row, col_masks):
+            if col_mask != mask and value != zero:
                 return False
     return True
 
@@ -342,14 +334,36 @@ def zero_rowcol_implies_special(a, i, j):
 def eta(a, p, q):
     """Excise rows containing p and columns containing q, renumbering the
     surviving values order-preservingly onto {1..n-1}."""
-    n, r, ring = a.n, a.r, a.ring
-    out = TensorMatrix(n - 1, r, ring)
-    size = out.size
-    for bi, row_idx in enumerate(ix.all_indices(n - 1, r)):
-        src_row = ix.embed_index(row_idx, p)
-        for bj, col_idx in enumerate(ix.all_indices(n - 1, r)):
-            out.data[bi * size + bj] = a.get(src_row, ix.embed_index(col_idx, q))
-    return out
+    n, r = a.n, a.r
+    rows = ix.map_ranks([ix.embed_avoiding(t, p) for t in range(1, n)], n, r)
+    cols = ix.map_ranks([ix.embed_avoiding(t, q) for t in range(1, n)], n, r)
+    return gather(a, n - 1, rows, cols)
+
+
+@lru_cache(maxsize=64)
+def _theta_rows(n, r, p, q):
+    """Gather tables of the inflation with tag (p, q) into I(n,r).
+
+    One entry per row u, in lexicographic order: ``(k, start, width,
+    columns)``.  The row of u is read from the window ``[zero] +
+    rho^k(c).data[start : start + width]`` (the row of u-bar in the k-th
+    restriction), and ``columns[v]`` is 1 + the rank of v-bar when v holds
+    q at exactly the places where u holds p, else 0 (the leading zero).
+    Column tables are shared between rows with the same place mask.
+    """
+    n1 = n - 1
+    q_codes = _split_ranks(n, r, q)
+    columns = {}
+    rows = []
+    for mask, u_bar in _split_ranks(n, r, p):
+        if mask not in columns:
+            columns[mask] = tuple(
+                v_bar + 1 if q_mask == mask else 0 for q_mask, v_bar in q_codes
+            )
+        k = mask.bit_count()
+        width = n1 ** (r - k)
+        rows.append((k, u_bar * width, width, columns[mask]))
+    return tuple(rows)
 
 
 def theta(c, p, q):
@@ -357,35 +371,20 @@ def theta(c, p, q):
     (p, q) at rank n.
 
     The entry at (u, v) vanishes unless the places of p in u equal the
-    places of q in v; stripping those common places leaves a pair of
+    places of q in v; stripping those k common places leaves a pair of
     indices over the remaining values, looked up in the restriction tower
     rho^k(c) after renumbering.
     """
     n1, r, ring = c.n, c.r, c.ring
-    n = n1 + 1
     towers = [c]
     for _ in range(r):
         towers.append(restrict(towers[-1], validate=False))
-    out = TensorMatrix(n, r, ring)
-    size = out.size
-    idxs = ix.all_indices(n, r)
-    for ri, u in enumerate(idxs):
-        lam_p = ix.places_of(u, p)
-        base = ri * size
-        stripped_u = tuple(v for v in u if v != p)
-        k = len(lam_p)
-        if k:
-            u_bar = ix.collapse_index(stripped_u, p)
-        else:
-            u_bar = ix.collapse_index(u, p)
-        tower = towers[k]
-        for rj, v in enumerate(idxs):
-            if ix.places_of(v, q) != lam_p:
-                continue
-            stripped_v = tuple(x for x in v if x != q)
-            v_bar = ix.collapse_index(stripped_v, q)
-            out.data[base + rj] = tower.get(u_bar, v_bar)
-    return out
+    zero = [ring.zero]
+    data = []
+    for k, start, width, columns in _theta_rows(n1 + 1, r, p, q):
+        window = zero + towers[k].data[start : start + width]
+        data.extend(map(window.__getitem__, columns))
+    return TensorMatrix(n1 + 1, r, ring, data)
 
 
 def theta_rho_commute_check(c, p, q):

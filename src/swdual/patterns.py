@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import indices as ix
+from .tensor import gather
 
 
 @dataclass(frozen=True)
@@ -298,6 +299,31 @@ def transform_pattern(pattern, row_perm=None, col_perm=None, transpose=False):
 
 
 # ---------------------------------------------------------------------------
+# Relabelling to and from the last block row
+# ---------------------------------------------------------------------------
+
+
+def swap_perm(n, i):
+    """The transposition of i and n, which carries the block row (or
+    column) i to the last one and back."""
+    tau = list(range(1, n + 1))
+    tau[i - 1], tau[n - 1] = n, i
+    return tuple(tau)
+
+
+def relabel_vector(vector, w, r):
+    """The vector over I(n,r) whose entry at w.j is ``vector[j]``."""
+    return [vector[k] for k in ix.act_ranks(ix.perm_inverse(w), r)]
+
+
+def relabel(a, w):
+    """phi(w) a phi(w)^-1 by index relabelling: the entry of ``a`` at
+    (i, j) moves to (w.i, w.j)."""
+    sources = ix.act_ranks(ix.perm_inverse(w), a.r)
+    return gather(a, a.n, sources, sources)
+
+
+# ---------------------------------------------------------------------------
 # Optional on-disk cache (SWD_CACHE_DIR)
 # ---------------------------------------------------------------------------
 
@@ -396,13 +422,6 @@ def render_decomposition_pattern(pattern, columns="used"):
             _grid(rows, cols, marks, lambda m, r_, c: "x" if (r_, c) in m else ".")
         )
     return "\n".join(sections)
-
-
-def render_star_table(n, r, starred):
-    """Star/blank grid over all of I(n,r), for the reference general-form
-    displays of invariants (starred entries may be nonzero)."""
-    idxs = ix.all_indices(n, r)
-    return _grid(idxs, idxs, set(starred), lambda m, r_, c: "*" if (r_, c) in m else ".")
 
 
 def render_colouring(colouring):

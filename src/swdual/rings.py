@@ -21,18 +21,36 @@ class RingMismatchError(ValueError):
     pass
 
 
+# the first twelve primes; as Miller-Rabin bases they decide primality
+# exactly below 3.3 * 10**24 (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(m):
+    """Miller-Rabin with the first twelve prime bases.
+
+    Exact for m < 3.3 * 10**24; above that bound a composite that is a
+    strong pseudoprime to all twelve bases would be taken for a prime.
+    """
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -45,7 +63,7 @@ class Ring:
     terms with positive denominator).
     """
 
-    __slots__ = ("kind", "modulus")
+    __slots__ = ("kind", "modulus", "_field")
 
     def __init__(self, kind, modulus=None):
         if kind not in ("z", "q", "mod"):
@@ -57,6 +75,8 @@ class Ring:
             raise ValueError("modulus only allowed for modular rings")
         self.kind = kind
         self.modulus = modulus
+        # decided once: inv() consults it on every pivot
+        self._field = kind == "q" or (kind == "mod" and _is_prime(modulus))
 
     # -- constructors ------------------------------------------------------
 
@@ -106,11 +126,7 @@ class Ring:
         return self.kind
 
     def is_field(self):
-        if self.kind == "q":
-            return True
-        if self.kind == "mod":
-            return _is_prime(self.modulus)
-        return False
+        return self._field
 
     # -- raw-value arithmetic ----------------------------------------------
 
@@ -159,10 +175,11 @@ class Ring:
         return a == self.zero
 
     def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
+        if self.kind == "mod":
+            return sum(values) % self.modulus
+        if self.kind == "q":
+            return sum(values, Fraction(0))
+        return sum(values)
 
     # -- element serialisation ----------------------------------------------
 

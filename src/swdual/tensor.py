@@ -181,6 +181,27 @@ def matmul(a, b):
     return TensorMatrix(a.n, a.r, ring, out)
 
 
+def gather(a, n, rows, cols):
+    """The matrix over I(n, a.r) whose entry at ranks (i, j) is the entry
+    of ``a`` at ranks (rows[i], cols[j])."""
+    size, data = a.size, a.data
+    out = []
+    for ri in rows:
+        row = data[ri * size : (ri + 1) * size]
+        out.extend([row[rj] for rj in cols])
+    return TensorMatrix(n, a.r, a.ring, out)
+
+
+def matrix_sum(matrices):
+    """Entrywise sum of same-shape matrices, one ring reduction per entry."""
+    first = matrices[0]
+    for m in matrices[1:]:
+        first._check_same_shape(m)
+    total = first.ring.sum
+    data = list(map(total, zip(*(m.data for m in matrices))))
+    return TensorMatrix(first.n, first.r, first.ring, data)
+
+
 def kronecker(a, b):
     """Kronecker product; the tensor degrees add."""
     if a.ring != b.ring or a.n != b.n:
@@ -268,8 +289,7 @@ def phi(w, n, r, ring):
     m = TensorMatrix(n, r, ring)
     one = ring.one
     size = m.size
-    for rj, j in enumerate(ix.all_indices(n, r)):
-        ri = ix.index_rank(n, ix.act_left(w, j))
+    for rj, ri in enumerate(ix.act_ranks(w, r)):
         m.data[ri * size + rj] = one
     return m
 

@@ -122,48 +122,50 @@ def _live_orbits(n, r, special_tag=None):
 
 
 def _slice_equations(n, r, orbit_of, live):
-    """Deduplicated slice-sum difference equations on live orbit variables."""
+    """Deduplicated slice-sum difference equations on live orbit variables.
+
+    Only the last place is walked.  The unknowns are S_r-orbit variables,
+    and a place permutation carrying place alpha to place r maps the
+    (alpha, p, q) equations onto (r, p', q') equations over the same
+    variables, so the last place alone already yields every equation.
+    Inserting at the last place turns the context rank p into the n
+    consecutive ranks p*n, ..., p*n + n - 1.
+    """
     size = n**r
     rows = set()
-    lower = ix.all_indices(n, r - 1)
-    for alpha in range(1, r + 1):
-        for p in lower:
-            row_ranks = [
-                ix.index_rank(n, ix.replace_place(p, alpha, i)) for i in range(1, n + 1)
-            ]
-            for q in lower:
-                col_ranks = [
-                    ix.index_rank(n, ix.replace_place(q, alpha, j))
-                    for j in range(1, n + 1)
-                ]
-                sums = []
-                for j in range(n):  # column sums of the (alpha, p, q) minor
-                    vec = {}
-                    for i in range(n):
-                        oid = orbit_of[row_ranks[i] * size + col_ranks[j]]
-                        var = live.get(oid)
-                        if var is not None:
-                            vec[var] = vec.get(var, 0) + 1
-                    sums.append(vec)
-                for i in range(n):  # row sums
-                    vec = {}
-                    for j in range(n):
-                        oid = orbit_of[row_ranks[i] * size + col_ranks[j]]
-                        var = live.get(oid)
-                        if var is not None:
-                            vec[var] = vec.get(var, 0) + 1
-                    sums.append(vec)
-                ref = sums[0]
-                for vec in sums[1:]:
-                    diff = dict(ref)
-                    for var, c in vec.items():
-                        nc = diff.get(var, 0) - c
-                        if nc:
-                            diff[var] = nc
-                        else:
-                            diff.pop(var, None)
-                    if diff:
-                        rows.add(tuple(sorted(diff.items())))
+    lower = n ** (r - 1)
+    for p in range(lower):
+        row_ranks = range(p * n, p * n + n)
+        for q in range(lower):
+            col_ranks = range(q * n, q * n + n)
+            sums = []
+            for j in range(n):  # column sums of the (r, p, q) minor
+                vec = {}
+                for i in range(n):
+                    oid = orbit_of[row_ranks[i] * size + col_ranks[j]]
+                    var = live.get(oid)
+                    if var is not None:
+                        vec[var] = vec.get(var, 0) + 1
+                sums.append(vec)
+            for i in range(n):  # row sums
+                vec = {}
+                for j in range(n):
+                    oid = orbit_of[row_ranks[i] * size + col_ranks[j]]
+                    var = live.get(oid)
+                    if var is not None:
+                        vec[var] = vec.get(var, 0) + 1
+                sums.append(vec)
+            ref = sums[0]
+            for vec in sums[1:]:
+                diff = dict(ref)
+                for var, c in vec.items():
+                    nc = diff.get(var, 0) - c
+                    if nc:
+                        diff[var] = nc
+                    else:
+                        diff.pop(var, None)
+                if diff:
+                    rows.add(tuple(sorted(diff.items())))
     return [dict(row) for row in sorted(rows)]
 
 

@@ -1,0 +1,177 @@
+"""Tuple-level reference versions of the rank-table kernels.
+
+Each function here walks multi-indices as tuples, the way the package did
+before its construction path moved onto flat rank tables, and is kept as
+an independent oracle for the differential tests: nothing in this file
+calls a rank table of swdual.
+"""
+
+import itertools
+
+from swdual import indices as ix
+from swdual.tensor import TensorMatrix
+
+
+def total(ring, values):
+    """Left fold with ring addition (independent of ``Ring.sum``)."""
+    acc = ring.zero
+    for v in values:
+        acc = ring.add(acc, v)
+    return acc
+
+
+def get(a, i, j):
+    return a.data[ix.index_rank(a.n, i) * a.size + ix.index_rank(a.n, j)]
+
+
+def phi(w, n, r, ring):
+    """The r-th Kronecker power of P(w): a one at (w.j, j) for every j."""
+    m = TensorMatrix(n, r, ring)
+    for j in ix.all_indices(n, r):
+        m.data[ix.index_rank(n, ix.act_left(w, j)) * m.size + ix.index_rank(n, j)] = ring.one
+    return m
+
+
+def matmul(a, b):
+    size, ring = a.size, a.ring
+    data = []
+    for i in range(size):
+        for j in range(size):
+            data.append(total(ring, (
+                ring.mul(a.data[i * size + k], b.data[k * size + j]) for k in range(size)
+            )))
+    return TensorMatrix(a.n, a.r, ring, data)
+
+
+def conjugate(a, w):
+    """phi(w) a phi(w)^-1 by two matrix products."""
+    n, r, ring = a.n, a.r, a.ring
+    return matmul(phi(w, n, r, ring), matmul(a, phi(ix.perm_inverse(w), n, r, ring)))
+
+
+def reconstruct(n, r, ring, coeffs):
+    """Sum of x_w phi(w) for a coefficient map, as full matrices."""
+    data = [ring.zero] * (n ** (2 * r))
+    for w, x in coeffs.items():
+        m = phi(w, n, r, ring)
+        data = [ring.add(t, ring.mul(x, y)) for t, y in zip(data, m.data)]
+    return TensorMatrix(n, r, ring, data)
+
+
+def restrict(a):
+    """Sum of the first block row, entry by entry."""
+    n, r, ring = a.n, a.r, a.ring
+    out = TensorMatrix(n, r - 1, ring)
+    for p in ix.all_indices(n, r - 1):
+        for q in ix.all_indices(n, r - 1):
+            value = total(ring, (get(a, (1,) + p, (j,) + q) for j in range(1, n + 1)))
+            out.data[ix.index_rank(n, p) * out.size + ix.index_rank(n, q)] = value
+    return out
+
+
+def is_special(a, i, j):
+    idxs = ix.all_indices(a.n, a.r)
+    for u in idxs:
+        for v in idxs:
+            if get(a, u, v) != a.ring.zero and ix.places_of(u, i) != ix.places_of(v, j):
+                return False
+    return True
+
+
+def eta(a, p, q):
+    n, r = a.n, a.r
+    out = TensorMatrix(n - 1, r, a.ring)
+    for bi, u in enumerate(ix.all_indices(n - 1, r)):
+        for bj, v in enumerate(ix.all_indices(n - 1, r)):
+            out.data[bi * out.size + bj] = get(a, ix.embed_index(u, p), ix.embed_index(v, q))
+    return out
+
+
+def theta(c, p, q):
+    n1, r, ring = c.n, c.r, c.ring
+    n = n1 + 1
+    towers = [c]
+    for _ in range(r):
+        towers.append(restrict(towers[-1]))
+    out = TensorMatrix(n, r, ring)
+    idxs = ix.all_indices(n, r)
+    for ri, u in enumerate(idxs):
+        lam_p = ix.places_of(u, p)
+        u_bar = ix.collapse_index(tuple(x for x in u if x != p), p)
+        for rj, v in enumerate(idxs):
+            if ix.places_of(v, q) != lam_p:
+                continue
+            v_bar = ix.collapse_index(tuple(x for x in v if x != q), q)
+            out.data[ri * out.size + rj] = get(towers[len(lam_p)], u_bar, v_bar)
+    return out
+
+
+def _insert(ctx, alpha, t):
+    return ctx[: alpha - 1] + (t,) + ctx[alpha - 1 :]
+
+
+def membership(a):
+    """(in_G, in_H, in_S, first bad G slice as (alpha, p, q) or None)."""
+    n, r, ring = a.n, a.r, a.ring
+    idxs = ix.all_indices(n, r)
+    in_h = all(
+        get(a, u, v) == ring.zero
+        for u in idxs
+        for v in idxs
+        if ix.value_type(u) != ix.value_type(v)
+    )
+    sigmas = list(itertools.permutations(range(1, r + 1)))
+    in_s = all(
+        get(a, ix.act_right(u, s), ix.act_right(v, s)) == get(a, u, v)
+        for u in idxs
+        for v in idxs
+        for s in sigmas
+    )
+    first_g = None
+    lower = ix.all_indices(n, r - 1)
+    for alpha in range(1, r + 1):
+        for p in lower:
+            for q in lower:
+                sums = [
+                    total(ring, (get(a, _insert(p, alpha, i), _insert(q, alpha, j))
+                                 for j in range(1, n + 1)))
+                    for i in range(1, n + 1)
+                ] + [
+                    total(ring, (get(a, _insert(p, alpha, i), _insert(q, alpha, j))
+                                 for i in range(1, n + 1)))
+                    for j in range(1, n + 1)
+                ]
+                if first_g is None and len(set(sums)) > 1:
+                    first_g = (alpha, p, q)
+    return first_g is None, in_h, in_s, first_g
+
+
+def slice_equations_all_places(n, r, orbit_of, live):
+    """Sorted, deduplicated slice-sum difference equations over live orbit
+    variables, built at every place by inserting into the contexts."""
+    size = n**r
+    rows = set()
+    lower = ix.all_indices(n, r - 1)
+
+    def vector(entries):
+        vec = {}
+        for u, v in entries:
+            var = live.get(orbit_of[ix.index_rank(n, u) * size + ix.index_rank(n, v)])
+            if var is not None:
+                vec[var] = vec.get(var, 0) + 1
+        return vec
+
+    for alpha in range(1, r + 1):
+        for p in lower:
+            for q in lower:
+                cells = [[(_insert(p, alpha, i), _insert(q, alpha, j))
+                          for j in range(1, n + 1)] for i in range(1, n + 1)]
+                sums = [vector(col) for col in zip(*cells)] + [vector(row) for row in cells]
+                for vec in sums[1:]:
+                    diff = dict(sums[0])
+                    for var, c in vec.items():
+                        diff[var] = diff.get(var, 0) - c
+                    diff = {var: c for var, c in diff.items() if c}
+                    if diff:
+                        rows.add(tuple(sorted(diff.items())))
+    return [dict(row) for row in sorted(rows)]

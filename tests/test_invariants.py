@@ -96,6 +96,17 @@ def test_membership_violations_reported():
     assert set(doc) == {"in_G", "in_H", "in_S", "in_E", "first_violation"}
 
 
+def test_g_check_inserts_at_every_place():
+    # M (x) I has the alpha=1 slice sums 1 and 0 at the contexts (1, 1)
+    m = tn.TensorMatrix(2, 1, Z, [1, 0, 0, 0])
+    a = tn.kronecker(m, tn.TensorMatrix.identity(2, 1, Z))
+    assert iv.check_membership(a).in_G is False
+    # symmetrised, H and S hold and the witness names the first bad slice
+    report = iv.check_membership(a.add(tn.kronecker(tn.TensorMatrix.identity(2, 1, Z), m)))
+    assert report.in_H and report.in_S and not report.in_G
+    assert report.first_violation == {"kind": "G", "alpha": 1, "p": "1", "q": "1"}
+
+
 # -- slices, common_b, restriction --------------------------------------------
 
 

@@ -37,6 +37,29 @@ def test_descriptor_basics():
         Ring.parse("gf(7)")
 
 
+def test_field_decided_by_miller_rabin():
+    big = Ring.modular(2**61 - 1)  # a Mersenne prime, far beyond trial division
+    assert big.is_field()
+    x = big.from_int(123456789)
+    assert big.mul(x, big.inv(x)) == big.one
+    # a Carmichael number, and strong pseudoprimes to base 2 and to 2, 3, 5, 7
+    for m in (561, 2047, 3215031751, 6, 4):
+        assert not Ring.modular(m).is_field()
+        with pytest.raises(ValueError, match="requires a field"):
+            Ring.modular(m).inv(1)
+    for m in range(2, 2000):
+        trial = all(m % d for d in range(2, int(m**0.5) + 1))
+        assert Ring.modular(m).is_field() == trial
+
+
+def test_sum_reduces_once():
+    assert Z6.sum([5, 4, 3]) == 0 and Z6.sum([]) == 0
+    assert Z.sum([5, -7]) == -2
+    total = Q.sum([Fraction(1, 2), Fraction(1, 3)])
+    assert total == Fraction(5, 6) and isinstance(total, Fraction)
+    assert isinstance(Q.sum([]), Fraction)
+
+
 def test_spec_arithmetic_examples():
     assert Z6.add(Z6.from_int(4), Z6.from_int(5)) == 3
     assert Q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
