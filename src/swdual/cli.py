@@ -19,7 +19,7 @@ from . import verify as vf
 from .diagrams import enumerate_diagrams
 from .invariants import check_membership
 from .rings import Ring
-from .tensor import matrix_from_json, matrix_to_json
+from .tensor import CapExceeded, matrix_from_json, matrix_to_json
 
 SCHEMA = "swd/1"
 
@@ -180,9 +180,18 @@ def _load_doc(args):
         return json.load(fh)
 
 
+def _load_matrix(args, doc):
+    """The input matrix; one over the row cap without --unsafe-large is a
+    usage error."""
+    try:
+        return matrix_from_json(doc, unsafe_large=args.unsafe_large)
+    except CapExceeded as e:
+        raise UsageError("%s; pass --unsafe-large to override" % e)
+
+
 def cmd_check_membership(args):
     doc = _load_doc(args)
-    matrix = matrix_from_json(doc["matrix"] if "matrix" in doc else doc)
+    matrix = _load_matrix(args, doc["matrix"] if "matrix" in doc else doc)
     report = check_membership(matrix)
     out = {"schema": SCHEMA, **report.to_json()}
     _emit(args, out, _report_lines(out))
@@ -213,7 +222,7 @@ def _parse_assignment(ring, values, decomposition=False):
 
 def cmd_extend(args):
     doc = _load_doc(args)
-    b = matrix_from_json(doc["matrix"])
+    b = _load_matrix(args, doc["matrix"])
     f = _parse_assignment(b.ring, doc.get("values"))
     a = ext.extend(b, f)
     _emit(args, {"schema": SCHEMA, "matrix": matrix_to_json(a)})
@@ -222,7 +231,7 @@ def cmd_extend(args):
 
 def cmd_decompose(args):
     doc = _load_doc(args)
-    a = matrix_from_json(doc["matrix"])
+    a = _load_matrix(args, doc["matrix"])
     f = _parse_assignment(a.ring, doc.get("values"), decomposition=True)
     basis = args.basis
     summands = ext.decompose(a, f, basis=basis)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class RingMismatchError(ValueError):
@@ -245,87 +246,210 @@ class RingElement:
 
 
 # ---------------------------------------------------------------------------
-# Field-only linear algebra (exact, deterministic leftmost-pivot rule)
+# Field-only linear algebra: one sparse exact elimination engine
 # ---------------------------------------------------------------------------
+#
+# Rows are sparse dicts var -> integer coefficient, and the pivot of a row is
+# its leftmost nonzero entry, rows taken in order.  An echelon form is a dict
+# pivot var -> (lead, tail): the pivot entry and the rest of the row, whose
+# vars all lie right of the pivot.  Over Z/p the coefficients are residues
+# and every lead is 1.  Over Q elimination is fraction-free (Bareiss 1968):
+# a row becomes a*row - b*pivot, with a/b the ratio of the two leads in
+# lowest terms.  Pivot rows are primitive with a positive lead, and a
+# working row's content is divided out after every step that scales it
+# (a != 1); steps with a == 1 only add, so entries grow additively there.
+# Fractions appear only on entry, where each row's denominators are cleared,
+# and when reduced entries are read off.
 
 
-def _raw_rows(ring, rows):
+def _integer_rows(ring, rows):
+    """Fresh sparse integer rows: residues over Z/p, over Q each row times
+    the lcm of its denominators."""
     out = []
+    if ring.kind == "mod":
+        p = ring.modulus
+        for row in rows:
+            out.append({v: x for v, c in row.items() if (x := c % p)})
+        return out
     for row in rows:
-        raw = []
-        for v in row:
-            raw.append(v.value if isinstance(v, RingElement) else v)
-        out.append(raw)
+        den = lcm(*(c.denominator for c in row.values()))
+        out.append({v: c.numerator * (den // c.denominator)
+                    for v, c in row.items() if c})
     return out
 
 
-def _echelonise(ring, rows):
-    """Row-reduce in place over a field; returns the pivot column list.
+def _step_mod(p, row, f, tail):
+    """row -= f * tail over Z/p, in place."""
+    get = row.get
+    for v, x in tail.items():
+        x = (get(v, 0) - f * x) % p
+        if x:
+            row[v] = x
+        else:
+            del row[v]
 
-    Pivot selection is the leftmost nonzero entry scanning rows top-down,
-    so results are reproducible.
-    """
-    zero = ring.zero
-    pivots = []
-    piv_r = 0
-    n_cols = len(rows[0]) if rows else 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(piv_r, len(rows)):
-            if rows[r][col] != zero:
-                pivot_row = r
+
+def _step_q(row, c, lead, tail):
+    """Replace row by a*row - b*(lead, tail) in place, where c was the
+    row's entry at the pivot (already removed) and a/b = lead/c in lowest
+    terms; returns a."""
+    g = gcd(c, lead)
+    a, b = lead // g, c // g
+    if a != 1:
+        for v in row:
+            row[v] *= a
+    get = row.get
+    for v, x in tail.items():
+        x = get(v, 0) - b * x
+        if x:
+            row[v] = x
+        else:
+            del row[v]
+    return a
+
+
+def _divide_content(row, lead=0):
+    """Divide row in place by the gcd of its entries and ``lead``; returns
+    that gcd (1 when there is nothing to divide)."""
+    g = gcd(lead, *row.values())
+    if g > 1:
+        for v in row:
+            row[v] //= g
+        return g
+    return 1
+
+
+def sparse_echelon(ring, rows):
+    """Echelon form ``{pivot var: (lead, tail)}`` of sparse rows over a
+    field; the input rows are not modified."""
+    if not ring.is_field():
+        raise ValueError("elimination requires a field")
+    pivots = {}
+    if ring.kind == "mod":
+        p = ring.modulus
+        for row in _integer_rows(ring, rows):
+            while row:
+                var = min(row)
+                f = row.pop(var)
+                piv = pivots.get(var)
+                if piv is None:
+                    if f != 1:
+                        inv = pow(f, -1, p)
+                        row = {v: x * inv % p for v, x in row.items()}
+                    pivots[var] = (1, row)
+                    break
+                _step_mod(p, row, f, piv[1])
+        return pivots
+    for row in _integer_rows(ring, rows):
+        while row:
+            var = min(row)
+            c = row.pop(var)
+            piv = pivots.get(var)
+            if piv is None:
+                g = _divide_content(row, c)
+                if c < 0:
+                    g = -g
+                    for v in row:
+                        row[v] = -row[v]
+                pivots[var] = (c // g, row)
                 break
-        if pivot_row is None:
-            continue
-        rows[piv_r], rows[pivot_row] = rows[pivot_row], rows[piv_r]
-        inv = ring.inv(rows[piv_r][col])
-        rows[piv_r] = [ring.mul(inv, x) for x in rows[piv_r]]
-        for r in range(len(rows)):
-            if r != piv_r and rows[r][col] != zero:
-                factor = rows[r][col]
-                rows[r] = [
-                    ring.sub(x, ring.mul(factor, y))
-                    for x, y in zip(rows[r], rows[piv_r])
-                ]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == len(rows):
-            break
+            if _step_q(row, c, *piv) != 1 and row:
+                _divide_content(row)
     return pivots
+
+
+def sparse_rank(ring, rows):
+    """Rank of sparse rows (dicts var -> coefficient) over a field."""
+    return len(sparse_echelon(ring, rows))
+
+
+def _back_substitute(ring, pivots):
+    """Bring an echelon form to reduced form in place: every tail becomes
+    zero at every pivot var."""
+    p = ring.modulus if ring.kind == "mod" else None
+    for var in sorted(pivots, reverse=True):
+        lead, row = pivots[var]
+        hits = [v for v in row if v in pivots]
+        if not hits:
+            continue
+        # the tails right of var are reduced already, so no elimination
+        # brings a pivot var back
+        for v2 in hits:
+            c = row.pop(v2)
+            if p is None:
+                lead *= _step_q(row, c, *pivots[v2])
+            else:
+                _step_mod(p, row, c, pivots[v2][1])
+        if p is None:
+            lead //= _divide_content(row, lead)
+        pivots[var] = (lead, row)
+
+
+def _reduced_value(ring, x, lead):
+    """The entry x / lead of a reduced echelon row as a ring value."""
+    if ring.kind == "q":
+        return Fraction(x, lead)
+    return x
+
+
+def _nullspace_basis(ring, pivots, n_vars):
+    """One vector per free var below n_vars, in increasing order: 1 at its
+    free var, 0 at the other free vars, minus the reduced echelon column
+    at the pivots.  ``pivots`` must be in reduced form."""
+    columns = {}
+    for pv, (lead, tail) in pivots.items():
+        for fv, x in tail.items():
+            columns.setdefault(fv, []).append((pv, _reduced_value(ring, x, lead)))
+    basis = []
+    for fv in range(n_vars):
+        if fv in pivots:
+            continue
+        vec = [ring.zero] * n_vars
+        vec[fv] = ring.one
+        for pv, value in columns.get(fv, ()):
+            vec[pv] = ring.neg(value)
+        basis.append(vec)
+    return basis
+
+
+def sparse_nullspace(ring, rows, n_vars):
+    """Reduced basis of the right nullspace of sparse rows over a field,
+    one dense vector per free variable."""
+    pivots = sparse_echelon(ring, rows)
+    _back_substitute(ring, pivots)
+    return _nullspace_basis(ring, pivots, n_vars)
+
+
+def _sparse_rows(rows):
+    """Dense rows of raw values or RingElements as sparse dicts."""
+    out = []
+    for row in rows:
+        vec = {}
+        for col, v in enumerate(row):
+            if isinstance(v, RingElement):
+                v = v.value
+            if v:
+                vec[col] = v
+        out.append(vec)
+    return out
 
 
 def rank_over_field(ring, rows):
     """Rank of the row span of ``rows`` over a field ring."""
     if not ring.is_field():
         raise ValueError("rank requires a field")
-    rows = _raw_rows(ring, rows)
-    if not rows:
-        return 0
-    return len(_echelonise(ring, rows))
+    return len(sparse_echelon(ring, _sparse_rows(rows)))
 
 
 def nullspace_over_field(ring, rows, n_cols=None):
     """Deterministic basis of the right nullspace of the row system."""
     if not ring.is_field():
         raise ValueError("nullspace requires a field")
-    rows = _raw_rows(ring, rows)
     if n_cols is None:
         if not rows:
             raise ValueError("empty system needs explicit n_cols")
         n_cols = len(rows[0])
-    if not rows:
-        rows = [[ring.zero] * n_cols]
-    pivots = _echelonise(ring, rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [ring.zero] * n_cols
-        vec[free] = ring.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = ring.neg(rows[r][free])
-        basis.append(vec)
-    return basis
+    return sparse_nullspace(ring, _sparse_rows(rows), n_cols)
 
 
 def solve_linear_system_over_field(ring, a_rows, b):
@@ -337,29 +461,22 @@ def solve_linear_system_over_field(ring, a_rows, b):
     """
     if not ring.is_field():
         raise ValueError("solve requires a field")
-    a_rows = _raw_rows(ring, a_rows)
-    b = [v.value if isinstance(v, RingElement) else v for v in b]
     if len(a_rows) != len(b):
         raise ValueError("dimension mismatch")
     if not a_rows:
         raise ValueError("empty system")
     n_cols = len(a_rows[0])
-    aug = [row[:] + [rhs] for row, rhs in zip(a_rows, b)]
-    pivots = _echelonise(ring, aug)
-    if pivots and pivots[-1] == n_cols:
+    aug = _sparse_rows([list(row) + [rhs] for row, rhs in zip(a_rows, b)])
+    pivots = sparse_echelon(ring, aug)
+    if n_cols in pivots:
         return None  # pivot in the augmented column
-    pivots = [c for c in pivots if c < n_cols]
+    _back_substitute(ring, pivots)
     particular = [ring.zero] * n_cols
-    for r, pc in enumerate(pivots):
-        particular[pc] = aug[r][n_cols]
-    # consistency of rows below the pivot block
-    for r in range(len(pivots), len(aug)):
-        if aug[r][n_cols] != ring.zero:
-            return None
-    coeff = [row[:n_cols] for row in aug[: len(pivots)]]
-    basis = nullspace_over_field(ring, coeff, n_cols) if pivots else \
-        nullspace_over_field(ring, [[ring.zero] * n_cols], n_cols)
-    return particular, basis
+    for pc, (lead, tail) in pivots.items():
+        x = tail.get(n_cols)
+        if x is not None:
+            particular[pc] = _reduced_value(ring, x, lead)
+    return particular, _nullspace_basis(ring, pivots, n_cols)
 
 
 def determinant(ring, rows):

@@ -21,7 +21,15 @@ from . import indices as ix
 from .rings import Ring, RingElement
 
 
+# matrices with more rows are refused unless the caller opts in
+DEFAULT_SIZE_CAP = 1024
+
+
 class ShapeMismatchError(ValueError):
+    pass
+
+
+class CapExceeded(ValueError):
     pass
 
 
@@ -332,12 +340,32 @@ def matrix_to_json(m):
     return {"n": m.n, "r": m.r, "ring": m.ring.name, "rows": rows}
 
 
-def matrix_from_json(doc):
+def matrix_from_json(doc, unsafe_large=False):
+    """The matrix of a JSON document; more than DEFAULT_SIZE_CAP rows are
+    refused with CapExceeded unless ``unsafe_large`` is set."""
+    rows = doc["rows"]
+    if len(rows) > DEFAULT_SIZE_CAP and not unsafe_large:
+        raise CapExceeded(
+            "matrix has %d rows, more than the default cap %d"
+            % (len(rows), DEFAULT_SIZE_CAP)
+        )
     ring = Ring.parse(doc["ring"])
     n, r = doc["n"], doc["r"]
-    size = n**r
-    rows = doc["rows"]
-    if len(rows) != size or any(len(row) != size for row in rows):
+    if not _is_power(len(rows), n, r) or any(len(row) != len(rows) for row in rows):
         raise ShapeMismatchError("row data does not match n^r")
     data = [ring.parse_value(v) for row in rows for v in row]
     return TensorMatrix(n, r, ring, data)
+
+
+def _is_power(size, n, r):
+    """size == n**r, without building n**r when r is large."""
+    if not (isinstance(n, int) and isinstance(r, int) and n >= 1 and r >= 0):
+        return False
+    if n == 1:
+        return size == 1
+    power = 1
+    for _ in range(r):
+        power *= n
+        if power > size:
+            return False
+    return power == size

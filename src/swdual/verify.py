@@ -7,11 +7,15 @@ value-type preservation kills the mismatched orbits, and the slice-sum
 conditions become the remaining linear equations.  The span dimension is
 the rank of the orbit-compressed Kronecker powers of the permutation
 matrices.  Over a field the two numbers must coincide; over non-field
-rings the membership-and-reconstruction route is exercised instead.
+rings the membership-and-reconstruction route is exercised instead.  The
+psi side works on one representative pair per diagonal W_n orbit, and
+closed forms for both dimensions give a third, elimination-free derivation
+in characteristic 0.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -21,12 +25,9 @@ from . import indices as ix
 from . import diagrams as dg
 from . import tensor as tn
 from .invariants import check_membership, eta
-
-DEFAULT_SIZE_CAP = 1024
-
-
-class CapExceeded(ValueError):
-    pass
+from .rings import sparse_nullspace
+from .rings import sparse_rank as _sparse_rank
+from .tensor import DEFAULT_SIZE_CAP, CapExceeded
 
 
 def _check_cap(n, r, unsafe_large):
@@ -35,69 +36,6 @@ def _check_cap(n, r, unsafe_large):
             "n^r = %d exceeds the default cap %d; pass unsafe_large to override"
             % (n**r, DEFAULT_SIZE_CAP)
         )
-
-
-# ---------------------------------------------------------------------------
-# Sparse exact elimination over a field
-# ---------------------------------------------------------------------------
-
-
-def _sparse_rank(ring, rows, pivots=None):
-    """Rank of sparse rows (dicts var -> coeff) with leftmost-pivot rule."""
-    if pivots is None:
-        pivots = {}
-    zero = ring.zero
-    for row in rows:
-        row = dict(row)
-        while row:
-            var = min(row)
-            if var in pivots:
-                factor = row.pop(var)
-                for v2, c2 in pivots[var].items():
-                    if v2 == var:
-                        continue
-                    nv = ring.sub(row.get(v2, zero), ring.mul(factor, c2))
-                    if nv == zero:
-                        row.pop(v2, None)
-                    else:
-                        row[v2] = nv
-            else:
-                inv = ring.inv(row[var])
-                pivots[var] = {v2: ring.mul(inv, c2) for v2, c2 in row.items()}
-                break
-    return len(pivots)
-
-
-def _sparse_nullspace(ring, rows, n_vars):
-    """Reduced nullspace basis (one vector per free variable)."""
-    pivots = {}
-    _sparse_rank(ring, rows, pivots)
-    # back-substitute to reduced echelon form
-    for var in sorted(pivots, reverse=True):
-        row = pivots[var]
-        for var2 in sorted(pivots):
-            if var2 <= var or var2 not in row:
-                continue
-            factor = row.pop(var2)
-            for v3, c3 in pivots[var2].items():
-                if v3 == var2:
-                    continue
-                nv = ring.sub(row.get(v3, ring.zero), ring.mul(factor, c3))
-                if nv == ring.zero:
-                    row.pop(v3, None)
-                else:
-                    row[v3] = nv
-    free = [v for v in range(n_vars) if v not in pivots]
-    basis = []
-    for fv in free:
-        vec = [ring.zero] * n_vars
-        vec[fv] = ring.one
-        for pv, row in pivots.items():
-            c = row.get(fv)
-            if c is not None:
-                vec[pv] = ring.neg(c)
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +121,10 @@ def centraliser_dimension(n, r, ring, with_basis=False, unsafe_large=False):
         return 1
     _check_cap(n, r, unsafe_large)
     orbit_of, reps, live = _live_orbits(n, r)
-    raw_rows = _slice_equations(n, r, orbit_of, live)
-    rows = [
-        {v: ring.from_int(c) for v, c in row.items() if ring.from_int(c) != ring.zero}
-        for row in raw_rows
-    ]
-    rows = [row for row in rows if row]
-    dim = len(live) - _sparse_rank(ring, rows)
+    rows = _slice_equations(n, r, orbit_of, live)
     if not with_basis:
-        return dim
-    basis_vecs = _sparse_nullspace(ring, rows, len(live))
-    var_to_oid = {var: oid for oid, var in live.items()}
+        return len(live) - _sparse_rank(ring, rows)
+    basis_vecs = sparse_nullspace(ring, rows, len(live))
     size = n**r
     basis = []
     for vec in basis_vecs:
@@ -203,7 +134,7 @@ def centraliser_dimension(n, r, ring, with_basis=False, unsafe_large=False):
             if var is not None and vec[var] != ring.zero:
                 m.data[pos] = vec[var]
         basis.append(m)
-    return dim, basis
+    return len(basis), basis
 
 
 def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
@@ -217,12 +148,7 @@ def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
         return 1
     _check_cap(n, r, unsafe_large)
     orbit_of, reps, live = _live_orbits(n, r, special_tag=tag)
-    raw_rows = _slice_equations(n, r, orbit_of, live)
-    rows = [
-        {v: ring.from_int(c) for v, c in row.items() if ring.from_int(c) != ring.zero}
-        for row in raw_rows
-    ]
-    rows = [row for row in rows if row]
+    rows = _slice_equations(n, r, orbit_of, live)
     return len(live) - _sparse_rank(ring, rows)
 
 
@@ -234,23 +160,26 @@ def span_dimension_w(n, r, ring, subgroup="w_n", unsafe_large=False):
     if r == 0:
         return 1
     _check_cap(n, r, unsafe_large)
-    orbit_of, reps, live = _live_orbits(n, r)
     if subgroup == "w_n":
         perms = ix.all_permutations(n)
     elif subgroup == "w_n_minus_1":
         perms = [w for w in ix.all_permutations(n) if w[n - 1] == n]
     else:
         raise ValueError("unknown subgroup %r" % (subgroup,))
+    orbit_of, reps, live = _live_orbits(n, r)
+    return _sparse_rank(ring, _span_rows(n, r, perms, orbit_of, live))
+
+
+def _span_rows(n, r, perms, orbit_of, live):
+    """The row of phi(w) on the live orbit variables for each w: its
+    nonzero entries sit at the ranks (w.j, j), and w.j has the value type
+    of j, so every such orbit is live."""
+    size = n**r
     rows = []
-    one = ring.one
     for w in perms:
-        vec = {}
-        for oid, var in live.items():
-            i, j = reps[oid]
-            if ix.act_left(w, j) == i:
-                vec[var] = one
-        rows.append(vec)
-    return _sparse_rank(ring, rows)
+        act = ix.act_ranks(w, r)
+        rows.append({live[orbit_of[act[j] * size + j]]: 1 for j in range(size)})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +189,12 @@ def span_dimension_w(n, r, ring, subgroup="w_n", unsafe_large=False):
 
 def _wn_orbit_classes(n, r):
     """Canonical labels for the diagonal W_n orbits on I(n,r) x I(n,r):
-    the pattern of first appearances of values along the concatenation,
-    which has at most n distinct values."""
+    the pattern of first appearances of values along the concatenation
+    i + j, which has at most n distinct values.  Returns the class of every
+    pair of ranks and one representative word i + j per class."""
     classes = {}
-    pairs = []
+    class_of = []
+    reps = []
     for i in ix.all_indices(n, r):
         for j in ix.all_indices(n, r):
             word = i + j
@@ -271,8 +202,28 @@ def _wn_orbit_classes(n, r):
             for v in word:
                 relabel.setdefault(v, len(relabel) + 1)
             key = tuple(relabel[v] for v in word)
-            pairs.append(classes.setdefault(key, len(classes)))
-    return pairs, len(classes)
+            if key not in classes:
+                classes[key] = len(reps)
+                reps.append(word)
+            class_of.append(classes[key])
+    return class_of, reps
+
+
+def _psi_rows(r, reps):
+    """The row of psi(d) on the W_n classes for each diagram d of rank r.
+
+    Entry (i, j) of psi(d) is 1 exactly when the word i + j is constant on
+    every block of d (vertex v reads letter v), and psi(d) commutes with
+    W_n, so its value at one representative pair decides the whole class.
+    """
+    rows = []
+    for d in dg.enumerate_diagrams(r):
+        links = [(v, block[0]) for block in d.blocks for v in block[1:]]
+        rows.append({
+            c: 1 for c, word in enumerate(reps)
+            if all(word[u] == word[v] for u, v in links)
+        })
+    return rows
 
 
 def psi_side_dimensions(n, r, ring, unsafe_large=False):
@@ -281,18 +232,53 @@ def psi_side_dimensions(n, r, ring, unsafe_large=False):
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    class_of, n_classes = _wn_orbit_classes(n, r)
-    size = n**r
-    rows = []
-    one = ring.one
-    for d in dg.enumerate_diagrams(r):
-        m = tn.psi(d, n, ring)
-        vec = {}
-        for pos in range(size * size):
-            if m.data[pos] != ring.zero:
-                vec[class_of[pos]] = one  # psi matrices are 0/1 valued
-        rows.append(vec)
-    return n_classes, _sparse_rank(ring, rows)
+    _, reps = _wn_orbit_classes(n, r)
+    return len(reps), _sparse_rank(ring, _psi_rows(r, reps))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms (characteristic 0; elimination-free third derivations)
+# ---------------------------------------------------------------------------
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples, parts at most ``largest``."""
+    if largest is None:
+        largest = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _hook_length_degree(shape):
+    """f^shape, the number of standard Young tableaux, by the hook-length
+    formula."""
+    heights = [sum(1 for part in shape if part > c) for c in range(shape[0])]
+    hooks = 1
+    for row, part in enumerate(shape):
+        for c in range(part):
+            hooks *= (part - c) + (heights[c] - row) - 1
+    return math.factorial(sum(shape)) // hooks
+
+
+def closed_form_centraliser_dimension(n, r):
+    """dim E(n,r) = sum of (f^lambda)^2 over partitions lambda of n with
+    n - lambda_1 <= r (Halverson-Ram)."""
+    return sum(_hook_length_degree(shape) ** 2
+               for shape in _partitions(n) if n - shape[0] <= r)
+
+
+def wn_end_dimension(n, r):
+    """dim End_{W_n}(V^{(x)r}) = sum over k <= n of the Stirling numbers
+    S(2r, k): set partitions of 2r points into at most n blocks."""
+    row = [1]  # S(m, k) for k = 0..m, starting at m = 0
+    for m in range(1, 2 * r + 1):
+        row = [0] + [k * row[k] + row[k - 1] if k < m else row[k - 1]
+                     for k in range(1, m + 1)]
+    return sum(row[: n + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +362,9 @@ def verify_duality(n, r, ring, seed=0, samples=5, unsafe_large=False):
                 {"kind": "dimension-mismatch", "span": report.dim_span_w,
                  "centraliser": report.dim_centraliser}
             )
+        psi_start = time.time()
         psi_dim, psi_rank = psi_side_dimensions(n, r, ring, unsafe_large=unsafe_large)
+        report.timings["psi"] = time.time() - psi_start
         report.psi_side = {
             "dim_end_wn": psi_dim,
             "rank_diagram_span": psi_rank,
@@ -467,12 +455,7 @@ def half_commutant_dimension(n, r, ring, unsafe_large=False):
                 vec = {v: c for v, c in vec.items() if c}
                 if vec:
                     rows.add(tuple(sorted(vec.items())))
-    ring_rows = []
-    for row in sorted(rows):
-        vec = {v: ring.from_int(c) for v, c in row if ring.from_int(c) != ring.zero}
-        if vec:
-            ring_rows.append(vec)
-    return len(live) - _sparse_rank(ring, ring_rows)
+    return len(live) - _sparse_rank(ring, [dict(row) for row in sorted(rows)])
 
 
 def _live_orbits_no_filter(n, r):

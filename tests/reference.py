@@ -3,12 +3,16 @@
 Each function here walks multi-indices as tuples, the way the package did
 before its construction path moved onto flat rank tables, and is kept as
 an independent oracle for the differential tests: nothing in this file
-calls a rank table of swdual.
+calls a rank table of swdual.  The duality oracles' rows are kept the same
+way: psi rows by scanning every entry of the full psi matrices, span rows
+by testing w.j == i on the orbit representatives.
 """
 
 import itertools
 
+from swdual import diagrams as dg
 from swdual import indices as ix
+from swdual import tensor as tn
 from swdual.tensor import TensorMatrix
 
 
@@ -175,3 +179,40 @@ def slice_equations_all_places(n, r, orbit_of, live):
                     if diff:
                         rows.add(tuple(sorted(diff.items())))
     return [dict(row) for row in sorted(rows)]
+
+
+def wn_orbit_classes(n, r):
+    """Class of every pair of ranks under the diagonal W_n action, labelled
+    by the first-appearance pattern of values along i + j, in first-seen
+    order."""
+    classes = {}
+    class_of = []
+    for i in ix.all_indices(n, r):
+        for j in ix.all_indices(n, r):
+            relabel = {}
+            for v in i + j:
+                relabel.setdefault(v, len(relabel) + 1)
+            key = tuple(relabel[v] for v in i + j)
+            class_of.append(classes.setdefault(key, len(classes)))
+    return class_of
+
+
+def psi_rows_dense(n, r, ring):
+    """The classes hit by each full psi matrix, by scanning all of its
+    entries, one row per diagram."""
+    class_of = wn_orbit_classes(n, r)
+    rows = []
+    for d in dg.enumerate_diagrams(r):
+        m = tn.psi(d, n, ring)
+        rows.append({class_of[pos]: 1 for pos, v in enumerate(m.data) if v != ring.zero})
+    return rows
+
+
+def span_rows_act_left(n, r, perms, reps, live):
+    """The live orbits (i, j) with w.j == i for each w, read off the orbit
+    representatives."""
+    rows = []
+    for w in perms:
+        rows.append({var: 1 for oid, var in live.items()
+                     if ix.act_left(w, reps[oid][1]) == reps[oid][0]})
+    return rows

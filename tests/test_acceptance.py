@@ -77,11 +77,19 @@ def test_criterion_02_duality_grid():
             cent = vf.centraliser_dimension(n, r, ring)
             if span != cent:
                 failures.append((n, r, ring.name, span, cent))
+            if ring is Q:
+                # the closed forms, a derivation without elimination
+                closed = vf.closed_form_centraliser_dimension(n, r)
+                wn = vf.wn_end_dimension(n, r)
+                psi = vf.psi_side_dimensions(n, r, Q)
+                if cent != closed or psi != (wn, wn):
+                    failures.append((n, r, "closed form", cent, closed, psi, wn))
     elapsed = time.time() - start
     report(
         2,
         not failures,
-        "span = centraliser dimension over Q, F2, F3 on all %d grid cells "
+        "span = centraliser dimension over Q, F2, F3 on all %d grid cells, "
+        "and over Q both sides equal their closed forms "
         "(%.1fs)" % (len(DUALITY_GRID) * 3, elapsed)
         if not failures
         else "mismatches: %r" % failures,
@@ -152,11 +160,16 @@ def test_criterion_05_pattern_dimension_identity():
             failures.append((n, r, diff, len(pt.build_f(n, r))))
     assert len(pt.build_f(4, 2)) == 13
     assert len(pt.build_f(5, 3)) == 41
+    # beyond the elimination grid: the closed form against build_f alone
+    closed = vf.closed_form_centraliser_dimension
+    for (n, r, size) in [(6, 3, 381), (7, 3, 1821), (6, 4, 131)]:
+        if not len(pt.build_f(n, r)) == size == closed(n, r) - closed(n, r - 1):
+            failures.append((n, r, size, len(pt.build_f(n, r))))
     report(
         5,
         not failures,
-        "|F(n,r)| = dim E(n,r) - dim E(n,r-1) on the full grid; "
-        "|F(4,2)| = 13, |F(5,3)| = 41"
+        "|F(n,r)| = dim E(n,r) - dim E(n,r-1) on the full grid and, by the "
+        "closed form, at (6,3), (7,3), (6,4); |F(4,2)| = 13, |F(5,3)| = 41"
         if not failures
         else "mismatches: %r" % failures,
     )

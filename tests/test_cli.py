@@ -158,3 +158,31 @@ def test_cap_guard_reported_as_usage_error():
     result = run_swd("dims", "--n", "5", "--r", "5", "--ring", "q")
     assert result.returncode == 2
     assert "cap" in result.stderr
+
+
+def test_json_input_over_the_cap_is_a_usage_error(tmp_path):
+    rows = [[]] * (tn.DEFAULT_SIZE_CAP + 1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"matrix": {"n": 2, "r": 10**9, "ring": "q", "rows": rows}}))
+    for command in ("check-membership", "extend", "decompose"):
+        result = run_swd(command, "--in", str(path))
+        assert result.returncode == 2
+        assert "cap" in result.stderr and "--unsafe-large" in result.stderr
+
+
+def test_unsafe_large_reaches_the_json_boundary(tmp_path, monkeypatch, capsys):
+    from swdual import cli
+
+    monkeypatch.setattr(tn, "DEFAULT_SIZE_CAP", 2)
+    cases = [
+        ("check-membership", tn.phi((2, 1, 3), 3, 2, Q)),
+        ("extend", tn.phi((2, 3, 1), 3, 1, Q)),
+        ("decompose", tn.phi((2, 3, 1), 3, 2, Q)),
+    ]
+    for command, m in cases:
+        path = tmp_path / ("%s.json" % command)
+        path.write_text(json.dumps({"matrix": tn.matrix_to_json(m)}))
+        assert cli.main([command, "--in", str(path)]) == 2
+        assert "--unsafe-large" in capsys.readouterr().err
+        assert cli.main([command, "--in", str(path), "--unsafe-large"]) == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == "swd/1"

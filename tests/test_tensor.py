@@ -175,3 +175,28 @@ def test_json_golden_file():
     m = tn.psi(dg.generator_p(2, 1), 2, Q)
     assert tn.matrix_to_json(m) == doc["matrix"]
     assert tn.matrix_from_json(doc["matrix"]) == m
+
+
+def test_json_rows_over_the_cap_are_refused_before_the_shape_check():
+    # the cap is checked on the row count first, so a huge r is never
+    # raised to a power
+    doc = {"n": 3, "r": 10**12, "ring": "q", "rows": [[]] * (tn.DEFAULT_SIZE_CAP + 1)}
+    with pytest.raises(tn.CapExceeded):
+        tn.matrix_from_json(doc)
+    with pytest.raises(tn.ShapeMismatchError):
+        tn.matrix_from_json(doc, unsafe_large=True)
+    small = {"n": 3, "r": 10**12, "ring": "q", "rows": [["1"] * 3] * 3}
+    with pytest.raises(tn.ShapeMismatchError):
+        tn.matrix_from_json(small)
+    for n, r in [(1, 10**12), (0, 1), (2, -1), ("2", 1)]:
+        with pytest.raises(tn.ShapeMismatchError):
+            tn.matrix_from_json({"n": n, "r": r, "ring": "q", "rows": [["1"] * 2] * 2})
+
+
+def test_json_cap_is_overridable(monkeypatch):
+    m = tn.TensorMatrix.identity(3, 1, Q)
+    doc = tn.matrix_to_json(m)
+    monkeypatch.setattr(tn, "DEFAULT_SIZE_CAP", 2)
+    with pytest.raises(tn.CapExceeded):
+        tn.matrix_from_json(doc)
+    assert tn.matrix_from_json(doc, unsafe_large=True) == m

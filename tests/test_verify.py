@@ -120,3 +120,25 @@ def test_random_invariant_is_invariant():
     rng = random.Random(2)
     m = vf.random_invariant(3, 2, Z6, rng)
     assert check_membership(m).in_E
+
+
+def test_closed_form_values():
+    # rank one: (n-1)^2 + 1; beyond the grid the hook-length sum is 588 at
+    # (6,3), the value of the Z/3 elimination
+    assert [vf.closed_form_centraliser_dimension(n, 1) for n in range(1, 7)] == [
+        1, 2, 5, 10, 17, 26]
+    assert vf.closed_form_centraliser_dimension(6, 3) == 588
+    assert vf.closed_form_centraliser_dimension(3, 0) == 1
+    # Bell numbers B(2r) once n >= 2r
+    assert [vf.wn_end_dimension(2 * r, r) for r in range(4)] == [1, 2, 15, 203]
+    assert vf.wn_end_dimension(1, 3) == 1
+
+
+def test_timings_cover_every_stage_and_stay_out_of_json():
+    report = vf.verify_duality(3, 2, Q)
+    assert set(report.timings) == {"span", "centraliser", "psi", "total"}
+    assert all(t >= 0 for t in report.timings.values())
+    doc = report.to_json()
+    assert "timings" not in doc
+    assert not set(report.timings) & set(doc)
+    assert set(vf.verify_duality(2, 1, Z6, samples=1).timings) == {"total"}
