@@ -90,30 +90,12 @@ def cmd_dims(args):
     return 0
 
 
-def _based_pattern(n, r, basis, flavour):
-    if flavour == "decomposition":
-        pattern = pt.build_d(n, r)
-    else:
-        pattern = pt.build_f(n, r)
-    if basis in ("last-row", "row:%d" % n):
-        return pattern
-    if flavour == "decomposition":
-        raise UsageError("decomposition patterns are emitted for the last block row only")
-    if basis.startswith("row:"):
-        i = int(basis[4:])
-        out = pt.transform_pattern(pattern, row_perm=pt.swap_perm(n, i))
-        return pt.FreePattern(n, r, "row:%d" % i, pattern.flavour, out.entries)
-    if basis.startswith("col:"):
-        j = int(basis[4:])
-        out = pt.transform_pattern(pattern, transpose=True)
-        if j != n:
-            out = pt.transform_pattern(out, col_perm=pt.swap_perm(n, j))
-        return pt.FreePattern(n, r, "col:%d" % j, pattern.flavour, out.entries)
-    raise UsageError("unknown basis %r" % (basis,))
-
-
 def cmd_free_pattern(args):
-    pattern = _based_pattern(args.n, args.r, args.basis, args.flavour)
+    if args.flavour == "decomposition":
+        pattern = pt.build_d(args.n, args.r)
+    else:
+        pattern = pt.build_f(args.n, args.r)
+    pattern = pt.parse_basis(args.basis, args.n).pattern(pattern)
     doc = {"schema": SCHEMA, **pattern.to_json()}
     if pattern.flavour == "decomposition":
         text = pt.render_decomposition_pattern(pattern, columns=args.columns)
@@ -233,22 +215,14 @@ def cmd_decompose(args):
     doc = _load_doc(args)
     a = _load_matrix(args, doc["matrix"])
     f = _parse_assignment(a.ring, doc.get("values"), decomposition=True)
-    basis = args.basis
-    summands = ext.decompose(a, f, basis=basis)
-    if basis in ("last-row",):
-        basis = "row:%d" % a.n
-    if basis.startswith("row:"):
-        i = int(basis[4:])
-        tags = [{"i": i, "j": j} for j in range(1, a.n + 1)]
-    else:
-        j = int(basis[4:])
-        tags = [{"i": i, "j": j} for i in range(1, a.n + 1)]
+    based = pt.parse_basis(args.basis, a.n)
+    summands = ext.decompose(a, f, basis=based.name)
     out = {
         "schema": SCHEMA,
-        "basis": basis,
+        "basis": based.name,
         "summands": [
-            {"tag": tag, "matrix": matrix_to_json(s)}
-            for tag, s in zip(tags, summands)
+            {"tag": {"i": i, "j": j}, "matrix": matrix_to_json(s)}
+            for (i, j), s in zip(based.tags(), summands)
         ],
     }
     _emit(args, out)
@@ -267,68 +241,77 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n=True, r=True, ring=True):
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        if r:
-            p.add_argument("--r", type=int, required=True)
-        if ring:
-            p.add_argument("--ring", default="q", help="z, q, or z/M")
-        p.add_argument("--format", choices=["json", "table"], default="json")
-        p.add_argument("--seed", type=int, default=0)
+    # options of more than one subcommand; each takes only those it reads
+    shared = {
+        "n": (("--n",), {"type": int, "required": True}),
+        "r": (("--r",), {"type": int, "required": True}),
+        "ring": (("--ring",), {"default": "q", "help": "z, q, or z/M"}),
+        "format": (("--format",), {"choices": ["json", "table"], "default": "json"}),
+        "unsafe-large": (
+            ("--unsafe-large",), {"dest": "unsafe_large", "action": "store_true"}
+        ),
+        "in": (("--in",), {"dest": "infile", "default": None}),
+        "basis": (("--basis",), {"default": "last-row", "help": "last-row, row:i or col:j"}),
+    }
+
+    def command(name, func, help, *options):
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            flags, kwargs = shared[option]
+            p.add_argument(*flags, **kwargs)
         p.add_argument("--out", default=None)
-        p.add_argument("--unsafe-large", dest="unsafe_large", action="store_true")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="duality report for one (n, r, ring) cell")
-    common(p)
+    p = command(
+        "verify", cmd_verify, "duality report for one (n, r, ring) cell",
+        "n", "r", "ring", "format", "unsafe-large",
+    )
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--half", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("dims", help="centraliser and span dimensions")
-    common(p)
-    p.set_defaults(func=cmd_dims)
+    command(
+        "dims", cmd_dims, "centraliser and span dimensions",
+        "n", "r", "ring", "format", "unsafe-large",
+    )
 
-    p = sub.add_parser("free-pattern", help="free extension/decomposition pattern")
-    common(p, ring=False)
-    p.add_argument("--basis", default="last-row")
+    p = command(
+        "free-pattern", cmd_free_pattern, "free extension/decomposition pattern",
+        "n", "r", "format", "basis",
+    )
     p.add_argument(
         "--flavour", choices=["extension", "decomposition"], default="extension"
     )
     p.add_argument("--columns", choices=["used", "all"], default="used")
-    p.set_defaults(func=cmd_free_pattern)
 
-    p = sub.add_parser("colouring", help="slice colouring of the injective indices")
-    common(p, ring=False)
+    p = command(
+        "colouring", cmd_colouring, "slice colouring of the injective indices",
+        "n", "r", "format",
+    )
     p.add_argument("--policy", choices=["largest", "smallest"], default="largest")
     p.add_argument("--block-j", dest="block_j", type=int, default=None)
     p.add_argument(
         "--no-l-closure", dest="zero_l_closure", action="store_false", default=True
     )
-    p.set_defaults(func=cmd_colouring)
 
-    p = sub.add_parser("gibson", help="Gibson basis of the GDS matrices")
-    common(p, r=False)
-    p.set_defaults(func=cmd_gibson)
-
-    p = sub.add_parser("enumerate-diagrams", help="all diagrams of one rank")
-    common(p, n=False, ring=False)
-    p.set_defaults(func=cmd_enumerate_diagrams)
-
-    p = sub.add_parser("check-membership", help="centraliser membership report")
-    common(p, n=False, r=False, ring=False)
-    p.add_argument("--in", dest="infile", default=None)
-    p.set_defaults(func=cmd_check_membership)
-
-    p = sub.add_parser("extend", help="extend an invariant one degree up")
-    common(p, n=False, r=False, ring=False)
-    p.add_argument("--in", dest="infile", default=None)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("decompose", help="split an invariant into specials")
-    common(p, n=False, r=False, ring=False)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--basis", default="last-row")
-    p.set_defaults(func=cmd_decompose)
+    command(
+        "gibson", cmd_gibson, "Gibson basis of the GDS matrices", "n", "ring", "format"
+    )
+    command(
+        "enumerate-diagrams", cmd_enumerate_diagrams, "all diagrams of one rank",
+        "r", "format",
+    )
+    command(
+        "check-membership", cmd_check_membership, "centraliser membership report",
+        "format", "unsafe-large", "in",
+    )
+    command(
+        "extend", cmd_extend, "extend an invariant one degree up", "unsafe-large", "in"
+    )
+    command(
+        "decompose", cmd_decompose, "split an invariant into specials",
+        "unsafe-large", "in", "basis",
+    )
 
     return parser
 

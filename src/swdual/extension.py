@@ -46,9 +46,6 @@ class Assignment:
     pattern: pt.FreePattern
     values: dict
 
-    def as_dict(self):
-        return dict(self.values)
-
 
 def _as_value_map(ring, f):
     if f is None:
@@ -254,40 +251,17 @@ def decompose(a, f=None, basis="last-row", verify=True):
     are (i, j), and with ``basis="col:j"`` the k-th summand is special with
     tag (k, j).  The summands sum to ``a``, restrict blockwise to the
     blocks of ``a``, and agree with ``f`` on the free decomposition
-    pattern (relabelled accordingly for non-default bases).
+    pattern carried to the basis by :class:`patterns.Basis`.
     """
-    n = a.n
-    if basis in ("last-row", "row:%d" % n):
-        return _decompose_last_row(a, f, verify)
-    if basis.startswith("row:"):
-        i = int(basis[4:])
-        tau = pt.swap_perm(n, i)
-        f2 = None
-        if f:
-            f2 = {
-                (tau[k - 1], ix.act_left(tau, p), ix.act_left(tau, q)): v
-                for (k, p, q), v in _as_value_map(a.ring, f).items()
-            }
-        parts = _decompose_last_row(pt.relabel(a, tau), f2, verify)
-        out = [None] * n
-        for j, part in enumerate(parts, start=1):
-            out[tau[j - 1] - 1] = pt.relabel(part, tau)
-        return out
-    if basis.startswith("col:"):
-        j = int(basis[4:])
-        f2 = None
-        if f:
-            f2 = {(k, q, p): v for (k, p, q), v in _as_value_map(a.ring, f).items()}
-        parts = decompose(a.transpose(), f2, basis="row:%d" % j, verify=verify)
-        return [part.transpose() for part in parts]
-    raise ValueError("unknown basis %r" % (basis,))
+    based = pt.parse_basis(basis, a.n)
+    f = {based.key(key): v for key, v in _as_value_map(a.ring, f).items()}
+    return based.summands(_decompose_last_row(based.matrix(a), f, verify))
 
 
 def _decompose_last_row(a, f, verify):
     n, r, ring = a.n, a.r, a.ring
     if r < 1:
         raise ValueError("decomposition needs degree >= 1")
-    f = _as_value_map(ring, f)
     d_pattern = pt.build_d(n, r)
     allowed = set(d_pattern.entries)
     for key in f:
@@ -430,32 +404,19 @@ class IncompatiblePrescription(ValueError):
     pass
 
 
-def extend_with_prescription(b, prescribed, orientation="row", basis=None, verify=True):
+def extend_with_prescription(b, prescribed, basis="last-row", verify=True):
     """Some extension agreeing with fully prescribed lines.
 
     ``prescribed`` maps full row indices inside the basis block row
     (default the last one) to complete row vectors over I(n,r); with
-    ``orientation="col"`` it maps column indices to column vectors.  The
-    free pattern entries lying inside the prescribed lines are read off
-    verbatim, the remaining free entries default to zero, and the
-    construction is checked against the prescription afterwards; any
-    mismatch means the prescription was not compatible.
+    ``basis="col:j"`` it maps column indices inside block column j to
+    column vectors.  The free pattern entries lying inside the prescribed
+    lines are read off verbatim, the remaining free entries default to
+    zero, and the construction is checked against the prescription
+    afterwards; any mismatch means the prescription was not compatible.
     """
     n, r = b.n, b.r + 1
-    if orientation == "col":
-        bt = b.transpose()
-        at = extend_with_prescription(bt, prescribed, "row", basis=basis, verify=verify)
-        return at.transpose()
-    if orientation != "row":
-        raise ValueError("orientation must be 'row' or 'col'")
-    if basis is not None and basis != n:
-        tau = pt.swap_perm(n, basis)
-        moved = {}
-        for u, vector in prescribed.items():
-            vector = [x.value if hasattr(x, "value") else x for x in vector]
-            moved[ix.act_left(tau, tuple(u))] = pt.relabel_vector(vector, tau, r)
-        out = extend_with_prescription(pt.relabel(b, tau), moved, "row", verify=verify)
-        return pt.relabel(out, tau)
+    based = pt.parse_basis(basis, n)
     pattern = pt.build_f(n, r)
     cols_by_row = {}
     for (u, v) in pattern.entries:
@@ -463,16 +424,17 @@ def extend_with_prescription(b, prescribed, orientation="row", basis=None, verif
     f = {}
     norm = {}
     for u, vector in prescribed.items():
-        u = tuple(u)
+        u = based.index(tuple(u))
         if u[0] != n:
             raise ValueError("prescribed rows must lie in the basis block row")
         vector = [x.value if hasattr(x, "value") else x for x in vector]
         if len(vector) != n**r:
             raise ValueError("prescribed row has wrong length")
+        vector = based.vector(vector, r)
         norm[u] = vector
         for v in cols_by_row.get(u, ()):
             f[(u, v)] = vector[ix.index_rank(n, v)]
-    a = extend(b, f, verify=verify)
+    a = extend(based.matrix(b), f, verify=verify)
     for u, vector in norm.items():
         got = a.row(u)
         if got != vector:
@@ -486,7 +448,7 @@ def extend_with_prescription(b, prescribed, orientation="row", basis=None, verif
                     ix.format_index(ix.index_from_rank(n, r, bad)),
                 )
             )
-    return a
+    return based.matrix(a)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ Free patterns are built by the mutual recursion
 
 bottoming out at F(n,1) = {(i,j): 2 <= i,j <= n} and at empty patterns when
 extensions are unique.  All patterns here are based on the last block row;
-other bases arise by relabelling or transposition.
+:class:`Basis` carries them, and the matrices, lines and keys that go with
+them, to any other block row or column.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -222,9 +222,6 @@ def build_d(n, r):
     blocks j = r+1..2 contribute the entries surviving the modified
     colouring; block 1 is the forced remainder and contributes nothing.
     """
-    cached = _disk_cache_get("D", n, r)
-    if cached is not None:
-        return cached
     if n <= r + 1:
         return FreePattern(n, r, "row:%d" % n, "decomposition", ())
     entries = []
@@ -236,19 +233,12 @@ def build_d(n, r):
             free_cols = set(modified_colouring(n, r, j).ones)
             chosen = [pair for pair in per_block if pair[1] in free_cols]
         entries.extend((j,) + pair for pair in chosen)
-    pattern = FreePattern(
-        n, r, "row:%d" % n, "decomposition", tuple(sorted(entries))
-    )
-    _disk_cache_put("D", n, r, pattern)
-    return pattern
+    return FreePattern(n, r, "row:%d" % n, "decomposition", tuple(sorted(entries)))
 
 
 @lru_cache(maxsize=None)
 def build_f(n, r):
     """The free extension pattern F(n,r) for the last block row."""
-    cached = _disk_cache_get("F", n, r)
-    if cached is not None:
-        return cached
     if n <= r:
         return FreePattern(n, r, "row:%d" % n, "extension", ())
     if r == 1:
@@ -256,9 +246,7 @@ def build_f(n, r):
     entries = set(f_prime_entries(n, r))
     for j in range(1, n + 1):
         entries.update(per_block_entries(n, r, n, j))
-    pattern = FreePattern(n, r, "row:%d" % n, "extension", tuple(sorted(entries)))
-    _disk_cache_put("F", n, r, pattern)
-    return pattern
+    return FreePattern(n, r, "row:%d" % n, "extension", tuple(sorted(entries)))
 
 
 def f_prime_entries(n, r):
@@ -323,49 +311,90 @@ def relabel(a, w):
     return gather(a, a.n, sources, sources)
 
 
-# ---------------------------------------------------------------------------
-# Optional on-disk cache (SWD_CACHE_DIR)
-# ---------------------------------------------------------------------------
+_BASIS_NAME = re.compile(r"(row|col):([0-9]+)")
 
 
-def _cache_path(kind, n, r):
-    root = os.environ.get("SWD_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, "%s_%d_%d.json" % (kind, n, r))
+@dataclass(frozen=True)
+class Basis:
+    """A block row ``row:i`` or block column ``col:j`` of an invariant.
+
+    Extensions and decompositions are built along the last block row.
+    Conjugation by tau = (line n) and, for a block column, transposition
+    are commuting involutions, so each map below carries an object from
+    this basis to the last block row and also back.  For the last block
+    row no map relabels or copies a matrix, a line or a pattern.
+    """
+
+    n: int
+    line: int
+    transpose: bool  # a block column
+    tau: tuple | None  # the swap (line n); None when line == n
+
+    @property
+    def name(self):
+        return "%s:%d" % ("col" if self.transpose else "row", self.line)
+
+    def value(self, k):
+        return k if self.tau is None else self.tau[k - 1]
+
+    def index(self, u):
+        """A multi-index, such as that of a prescribed row or column."""
+        return u if self.tau is None else ix.act_left(self.tau, u)
+
+    def entry(self, pair):
+        """An entry key (u, v)."""
+        u, v = self.index(pair[0]), self.index(pair[1])
+        return (v, u) if self.transpose else (u, v)
+
+    def key(self, key):
+        """A decomposition key (k, p, q): summand k, entry (p, q)."""
+        return (self.value(key[0]),) + self.entry(key[1:])
+
+    def vector(self, vector, r):
+        """A prescribed line over I(n,r); transposition leaves it alone."""
+        return vector if self.tau is None else relabel_vector(vector, self.tau, r)
+
+    def matrix(self, a):
+        if self.tau is not None:
+            a = relabel(a, self.tau)
+        return a.transpose() if self.transpose else a
+
+    def summands(self, parts):
+        """The summands of a decomposition along the last block row,
+        carried to this basis and put in order: the k-th one is special
+        with tag ``tags()[k - 1]``."""
+        return [self.matrix(parts[self.value(k) - 1]) for k in range(1, self.n + 1)]
+
+    def tags(self):
+        return [
+            (k, self.line) if self.transpose else (self.line, k)
+            for k in range(1, self.n + 1)
+        ]
+
+    def pattern(self, pattern):
+        """An extension or decomposition pattern of the last block row."""
+        if self.tau is None and not self.transpose:
+            return pattern
+        move = self.key if pattern.flavour == "decomposition" else self.entry
+        entries = tuple(sorted(move(e) for e in pattern.entries))
+        return FreePattern(pattern.n, pattern.r, self.name, pattern.flavour, entries)
 
 
-def _disk_cache_get(kind, n, r):
-    path = _cache_path(kind, n, r)
-    if not path or not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != "swd/1":
-        return None
-    if kind == "D":
-        entries = tuple(
-            (int(j), ix.parse_index(p), ix.parse_index(q))
-            for j, p, q in doc["entries"]
-        )
-        flavour = "decomposition"
+def parse_basis(basis, n):
+    """The Basis named ``"last-row"``, ``"row:i"`` or ``"col:j"`` with
+    1 <= i, j <= n; any other name raises ValueError."""
+    if basis == "last-row":
+        transpose, line = False, n
     else:
-        entries = tuple(
-            (ix.parse_index(p), ix.parse_index(q)) for p, q in doc["entries"]
-        )
-        flavour = "extension"
-    return FreePattern(n, r, doc["basis"], flavour, entries)
-
-
-def _disk_cache_put(kind, n, r, pattern):
-    path = _cache_path(kind, n, r)
-    if not path:
-        return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    doc = {"schema": "swd/1", "basis": pattern.basis}
-    doc["entries"] = pattern.to_json()["entries"]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+        match = _BASIS_NAME.fullmatch(basis) if isinstance(basis, str) else None
+        if match is None:
+            raise ValueError(
+                "unknown basis %r: expected last-row, row:i or col:j" % (basis,)
+            )
+        transpose, line = match.group(1) == "col", int(match.group(2))
+        if not 1 <= line <= n:
+            raise ValueError("basis %r needs a line between 1 and %d" % (basis, n))
+    return Basis(n, line, transpose, None if line == n else swap_perm(n, line))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +434,9 @@ def render_pattern(pattern, columns="used"):
 
 
 def render_decomposition_pattern(pattern, columns="used"):
-    """Checkmark grids of a decomposition pattern, one block per j."""
+    """Checkmark grids of a decomposition pattern, one block per summand,
+    labelled j=<k> along a block row and i=<k> along a block column."""
+    label = "i=%d" if pattern.basis.startswith("col:") else "j=%d"
     by_j = {}
     for (j, p, q) in pattern.entries:
         by_j.setdefault(j, set()).add((p, q))
@@ -417,7 +448,7 @@ def render_decomposition_pattern(pattern, columns="used"):
             cols = ix.injective_indices(pattern.n, pattern.r)
         else:
             cols = sorted({c for (_, c) in marks})
-        sections.append("j=%d" % j)
+        sections.append(label % j)
         sections.append(
             _grid(rows, cols, marks, lambda m, r_, c: "x" if (r_, c) in m else ".")
         )

@@ -205,9 +205,6 @@ class Ring:
     def element(self, m):
         return RingElement(self, self.from_int(m))
 
-    def wrap(self, raw):
-        return RingElement(self, raw)
-
 
 @dataclass(frozen=True)
 class RingElement:

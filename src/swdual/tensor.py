@@ -86,12 +86,6 @@ class TensorMatrix:
     def get(self, i, j):
         return self.data[self.rank_of(i) * self.size + self.rank_of(j)]
 
-    def get_rc(self, ri, rj):
-        return self.data[ri * self.size + rj]
-
-    def entry(self, i, j):
-        return self.ring.wrap(self.get(i, j))
-
     def row(self, i):
         ri = self.rank_of(i)
         return self.data[ri * self.size : (ri + 1) * self.size]
@@ -361,11 +355,20 @@ def _is_power(size, n, r):
     """size == n**r, without building n**r when r is large."""
     if not (isinstance(n, int) and isinstance(r, int) and n >= 1 and r >= 0):
         return False
-    if n == 1:
-        return size == 1
+    return power_within(n, r, size) == size
+
+
+def power_within(n, r, bound):
+    """n**r if its absolute value is at most ``bound``, else None.
+
+    The power is built one factor at a time and abandoned as soon as it
+    passes ``bound``, so a huge exponent costs nothing.
+    """
+    if abs(n) <= 1:
+        return n**r
     power = 1
     for _ in range(r):
         power *= n
-        if power > size:
-            return False
-    return power == size
+        if abs(power) > bound:
+            return None
+    return power

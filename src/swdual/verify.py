@@ -31,10 +31,10 @@ from .tensor import DEFAULT_SIZE_CAP, CapExceeded
 
 
 def _check_cap(n, r, unsafe_large):
-    if n**r > DEFAULT_SIZE_CAP and not unsafe_large:
+    if not unsafe_large and tn.power_within(n, r, DEFAULT_SIZE_CAP) is None:
         raise CapExceeded(
-            "n^r = %d exceeds the default cap %d; pass unsafe_large to override"
-            % (n**r, DEFAULT_SIZE_CAP)
+            "n^r = %d^%d exceeds the default cap %d; pass unsafe_large to override"
+            % (n, r, DEFAULT_SIZE_CAP)
         )
 
 

@@ -8,12 +8,12 @@ from swdual.rings import Ring
 Q = Ring.rationals()
 
 
-def run_swd(*args, **kwargs):
+def run_swd(*args, timeout=300, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "swdual.cli", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
         **kwargs,
     )
 
@@ -186,3 +186,36 @@ def test_unsafe_large_reaches_the_json_boundary(tmp_path, monkeypatch, capsys):
         assert "--unsafe-large" in capsys.readouterr().err
         assert cli.main([command, "--in", str(path), "--unsafe-large"]) == 0
         assert json.loads(capsys.readouterr().out)["schema"] == "swd/1"
+
+
+def test_huge_r_hits_the_cap_at_once():
+    result = run_swd("dims", "--n", "3", "--r", "100000000", "--ring", "q", timeout=30)
+    assert result.returncode == 2
+    assert "cap" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_options_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
+    from swdual import cli
+
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"matrix": tn.matrix_to_json(tn.phi((2, 3, 1), 3, 1, Q))}))
+    base = {
+        "dims": ["dims", "--n", "3", "--r", "1"],
+        "free-pattern": ["free-pattern", "--n", "3", "--r", "2"],
+        "colouring": ["colouring", "--n", "3", "--r", "2"],
+        "gibson": ["gibson", "--n", "3"],
+        "enumerate-diagrams": ["enumerate-diagrams", "--r", "1"],
+        "check-membership": ["check-membership", "--in", str(path)],
+        "extend": ["extend", "--in", str(path)],
+        "decompose": ["decompose", "--in", str(path)],
+    }
+    refused = [(name, ["--seed", "1"]) for name in base] + [
+        (name, ["--unsafe-large"])
+        for name in ("free-pattern", "colouring", "gibson", "enumerate-diagrams")
+    ] + [(name, ["--format", "table"]) for name in ("extend", "decompose")]
+    assert len(refused) == 14
+    for name, extra in refused:
+        assert cli.main(base[name] + extra) == 2, (name, extra)
+    capsys.readouterr()
+    for name, argv in base.items():
+        assert cli.main(argv) == 0, name

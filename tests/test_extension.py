@@ -204,7 +204,7 @@ def test_prescribed_column_variant():
     b = tn.phi(w, n, r - 1, Q)
     target = tn.phi(w, n, r, Q)
     v = (3, 2)
-    a = ex.extend_with_prescription(b, {v: target.column(v)}, orientation="col")
+    a = ex.extend_with_prescription(b, {v: target.column(v)}, basis="col:3")
     assert a.column(v) == target.column(v)
     assert iv.restrict(a) == b
 
@@ -326,7 +326,7 @@ def test_prescription_in_another_block_row():
     b = tn.phi(w, n, r - 1, Q)
     target = tn.phi(w, n, r, Q)
     u = (2, 4)
-    a = ex.extend_with_prescription(b, {u: target.row(u)}, basis=2)
+    a = ex.extend_with_prescription(b, {u: target.row(u)}, basis="row:2")
     assert a.row(u) == target.row(u)
     assert iv.restrict(a) == b
 

@@ -247,17 +247,3 @@ def test_rendered_tables_match_fixtures():
         pt.build_d(5, 2), columns="used"
     ) == read_fixture("table_d52.txt")
 
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SWD_CACHE_DIR", str(tmp_path))
-    pt.build_f.cache_clear()
-    pt.build_d.cache_clear()
-    try:
-        first = pt.build_f(4, 2)
-        assert (tmp_path / "F_4_2.json").exists()
-        pt.build_f.cache_clear()
-        again = pt.build_f(4, 2)
-        assert again.entries == first.entries
-    finally:
-        pt.build_f.cache_clear()
-        pt.build_d.cache_clear()

@@ -200,3 +200,11 @@ def test_json_cap_is_overridable(monkeypatch):
     with pytest.raises(tn.CapExceeded):
         tn.matrix_from_json(doc)
     assert tn.matrix_from_json(doc, unsafe_large=True) == m
+
+
+def test_power_within_stops_at_the_bound():
+    assert tn.power_within(2, 10, 1024) == 1024
+    assert tn.power_within(2, 11, 1024) is None
+    assert tn.power_within(3, 10**12, 1024) is None  # returns at once
+    assert tn.power_within(1, 10**12, 5) == 1
+    assert tn.power_within(7, 0, 5) == 1
