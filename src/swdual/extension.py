@@ -12,11 +12,13 @@ last block row, one per block column, steered by an assignment on the free
 decomposition pattern.  Free values left unspecified default to zero.
 Every construction is verified before it is returned; a verification
 failure raises :class:`ConstructionFailure` and indicates a bug, not user
-error.
+error.  A non-invariant input is user error: the public entries refuse it
+with :class:`NotInvariantError` before anything is built.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from . import indices as ix
@@ -76,6 +78,17 @@ def _duplicate_place(idx):
     return None
 
 
+def _require_invariant(a):
+    """Raise NotInvariantError naming the first violation unless ``a`` is
+    an invariant."""
+    report = check_membership(a, stop_early=True)
+    if not report.in_E:
+        raise NotInvariantError(
+            "input is not an invariant; first violation: %s"
+            % json.dumps(report.first_violation, sort_keys=True)
+        )
+
+
 def initialise(b, validate=True):
     """Fill every entry of the degree r+1 matrix that the restriction pins.
 
@@ -85,8 +98,8 @@ def initialise(b, validate=True):
     must itself be an invariant (checked unless the caller has already
     verified it).
     """
-    if validate and not check_membership(b).in_E:
-        raise NotInvariantError("input to initialise is not an invariant")
+    if validate:
+        _require_invariant(b)
     n, r1, ring = b.n, b.r, b.ring
     r = r1 + 1
     size = n**r
@@ -118,7 +131,8 @@ def extend(b, f=None, verify=True):
     ``b`` lives in degree r-1; ``f`` maps entries of the free pattern for
     degree r (pairs of injective multi-indices) to ring values, defaulting
     to zero.  The result restricts to ``b`` and returns the pattern values
-    verbatim.
+    verbatim.  With ``verify`` set, a non-invariant ``b`` is refused with
+    :class:`NotInvariantError` before anything is built.
     """
     ring = b.ring
     n, r = b.n, b.r + 1
@@ -128,6 +142,8 @@ def extend(b, f=None, verify=True):
     for key in f:
         if key not in allowed:
             raise ValueError("assignment key %r is not a free-pattern entry" % (key,))
+    if verify:
+        _require_invariant(b)
 
     if n <= r:
         a = _extend_direct(b)
@@ -251,9 +267,13 @@ def decompose(a, f=None, basis="last-row", verify=True):
     are (i, j), and with ``basis="col:j"`` the k-th summand is special with
     tag (k, j).  The summands sum to ``a``, restrict blockwise to the
     blocks of ``a``, and agree with ``f`` on the free decomposition
-    pattern carried to the basis by :class:`patterns.Basis`.
+    pattern carried to the basis by :class:`patterns.Basis`.  With
+    ``verify`` set, a non-invariant ``a`` is refused with
+    :class:`NotInvariantError` before anything is built.
     """
     based = pt.parse_basis(basis, a.n)
+    if verify:
+        _require_invariant(a)
     f = {based.key(key): v for key, v in _as_value_map(a.ring, f).items()}
     return based.summands(_decompose_last_row(based.matrix(a), f, verify))
 

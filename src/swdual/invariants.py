@@ -13,20 +13,28 @@ sum over places alpha of (i_alpha - 1) * n^(r-alpha), so place alpha has
 stride n^(r-alpha), and the entry (i, j) of a matrix sits at
 ``data[rank(i) * n^r + rank(j)]``.  Inserting the value t at place alpha of
 a context p in I(n,r-1) gives the rank ``base + (t-1) * stride``, where
-``base`` is the rank with value 1 inserted; the n rows of an (alpha, p, q)
-slice minor are therefore strided runs of ``data``.  The G check, the
-restriction's common slice sums, and the excision, inflation and
-specialness maps all work on such precomputed rank tables instead of
-tuples.
+``base`` is the rank with value 1 inserted.  At the last place the stride
+is 1: the n rows of every (r, p, q) slice minor are the consecutive rows
+``p + (s,)`` of ``data``, and each row of the minor is n consecutive
+entries.  Membership runs on tables built once per (n, r), on the first
+check of that size, and on C-level list operations: H on a byte mask of
+the value-type mismatches, S on the position of each entry's orbit
+leader, and G on the one slice-sum kernel (:func:`_context_sums`), which
+reads a context's n rows against every q at once and also gives
+:func:`common_b` its value; another place alpha is read through a table
+that moves place alpha last.  The restriction sums the n column chunks of
+each row of the first block row, and the excision, inflation and
+specialness maps work on precomputed rank tables instead of tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 
 from . import indices as ix
-from .tensor import TensorMatrix, gather, matmul, matrix_sum
+from .tensor import TensorMatrix, gather, matmul
 
 
 class NotInvariantError(ValueError):
@@ -95,99 +103,22 @@ class MembershipReport:
         }
 
 
-def _vt_ids(n, r):
+@lru_cache(maxsize=None)
+def _h_mask(n, r):
+    """One byte per entry position of an I(n,r) matrix, row-major: 1 where
+    the row and column value types differ, so H asks for a zero there."""
     ids = {}
-    out = []
-    for idx in ix.all_indices(n, r):
-        vt = ix.value_type(idx)
-        out.append(ids.setdefault(vt, len(ids)))
-    return out
+    vt = [ids.setdefault(ix.value_type(idx), len(ids)) for idx in ix.all_indices(n, r)]
+    return b"".join(bytes([v != vi for v in vt]) for vi in vt)
 
 
-def check_membership(a, stop_early=False):
-    """Evaluate the three centraliser predicates on a matrix.
-
-    The first failing witness (if any) is recorded: for G the first
-    (alpha, p, q), in that order, whose slice sums disagree, for H the
-    nonzero entry at a value-type mismatch, for S the orbit with two
-    different values.  G is evaluated at every place alpha.
-    """
-    n, r, ring = a.n, a.r, a.ring
-    report = MembershipReport(True, True, True)
-    idxs = ix.all_indices(n, r)
-    size = a.size
-    vt = _vt_ids(n, r)
-
-    # H: value-type preservation
-    zero = ring.zero
-    for ri in range(size):
-        row = a.data[ri * size : (ri + 1) * size]
-        vti = vt[ri]
-        for rj in range(size):
-            if vt[rj] != vti and row[rj] != zero:
-                report.in_H = False
-                if report.first_violation is None:
-                    report.first_violation = {
-                        "kind": "H",
-                        "row": ix.format_index(idxs[ri]),
-                        "col": ix.format_index(idxs[rj]),
-                    }
-                if stop_early:
-                    return report
-                break
-        if not report.in_H:
-            break
-
-    # S: constancy on simultaneous place-permutation orbits
-    orbit_of, reps = ix.omega_orbits(n, r)
-    values = [None] * len(reps)
-    for ri in range(size):
-        base = ri * size
-        for rj in range(size):
-            oid = orbit_of[base + rj]
-            v = a.data[base + rj]
-            if values[oid] is None:
-                values[oid] = v
-            elif values[oid] != v:
-                report.in_S = False
-                if report.first_violation is None:
-                    report.first_violation = {
-                        "kind": "S",
-                        "row": ix.format_index(idxs[ri]),
-                        "col": ix.format_index(idxs[rj]),
-                    }
-                if stop_early:
-                    return report
-                break
-        if not report.in_S:
-            break
-
-    # G: all slice sums for a context pair agree, at every place
-    for alpha in range(1, r + 1):
-        bases = _context_bases(n, r, alpha)
-        for pi, bp in enumerate(bases):
-            for qi, bq in enumerate(bases):
-                sums = _slice_sums(a, alpha, bp, bq)
-                if sums.count(sums[0]) != len(sums):
-                    report.in_G = False
-                    if report.first_violation is None:
-                        report.first_violation = {
-                            "kind": "G",
-                            "alpha": alpha,
-                            "p": ix.format_index(ix.index_from_rank(n, r - 1, pi)),
-                            "q": ix.format_index(ix.index_from_rank(n, r - 1, qi)),
-                        }
-                    return report
-    return report
-
-
-def is_invariant(a):
-    return check_membership(a, stop_early=True).in_E
-
-
-# ---------------------------------------------------------------------------
-# Slices, restriction, blocks
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _orbit_leads(n, r):
+    """For each entry position, the position, in row-major order, where its
+    ``omega_orbits`` orbit first appears."""
+    orbit_of, _ = ix.omega_orbits(n, r)
+    first = {}
+    return tuple(first.setdefault(oid, pos) for pos, oid in enumerate(orbit_of))
 
 
 @lru_cache(maxsize=None)
@@ -202,23 +133,134 @@ def _context_bases(n, r, alpha):
     )
 
 
-def _slice_sums(a, alpha, bp, bq):
-    """The n row sums, then the n column sums, of the (alpha, p, q) minor.
+@lru_cache(maxsize=None)
+def _place_last(n, r, alpha):
+    """Gather table that moves place alpha last: entry k is the rank of the
+    multi-index that reads, with place alpha moved to the end, as the
+    multi-index of rank k."""
+    stride = n ** (r - alpha)
+    return tuple(
+        base + t * stride for base in _context_bases(n, r, alpha) for t in range(n)
+    )
 
-    ``bp`` and ``bq`` are the context ranks from :func:`_context_bases`;
-    the minor's rows are strided runs of ``a.data`` and its columns are
-    read across them.
+
+def _entry_witness(kind, n, r, pos):
+    ri, rj = divmod(pos, n**r)
+    return {
+        "kind": kind,
+        "row": ix.format_index(ix.index_from_rank(n, r, ri)),
+        "col": ix.format_index(ix.index_from_rank(n, r, rj)),
+    }
+
+
+def check_membership(a, stop_early=False):
+    """Evaluate the three centraliser predicates on a matrix.
+
+    The first failing witness (if any) is recorded: for H the first
+    nonzero entry, in row-major order, at a value-type mismatch; for S the
+    first entry that differs from the first entry of its orbit; for G the
+    first (alpha, p, q), in that order, whose slice sums disagree.  With
+    ``stop_early`` the report is returned at the first failing predicate.
+
+    H reads ``data`` through the cached byte mask of the mismatches (raw
+    zeros are the only falsy values), and S compares ``data`` with its
+    gather through the cached table of orbit leaders.  G runs one kernel
+    at the last place (:func:`_first_bad_minor`).  When S holds, the place
+    permutation moving place alpha to the end carries every entry of the
+    (alpha, p, q) minor to the equal entry of the (r, p, q) minor, so the
+    two minors have the same slice sums: place r decides G at every place,
+    and the first failing slice is (1, p, q) for the first bad (p, q) at
+    place r.  When S fails the kernel runs at every place, on the matrix
+    gathered through the table that moves place alpha last.
+    """
+    n, r, data = a.n, a.r, a.data
+    report = MembershipReport(True, True, True)
+
+    # H: value-type preservation
+    mask = _h_mask(n, r)
+    if any(compress(data, mask)):
+        report.in_H = False
+        pos = next(compress(compress(range(len(data)), mask), compress(data, mask)))
+        report.first_violation = _entry_witness("H", n, r, pos)
+        if stop_early:
+            return report
+
+    # S: constancy on simultaneous place-permutation orbits
+    led = list(map(data.__getitem__, _orbit_leads(n, r)))
+    if led != data:
+        report.in_S = False
+        if report.first_violation is None:
+            pos = next(k for k, (x, y) in enumerate(zip(led, data)) if x != y)
+            report.first_violation = _entry_witness("S", n, r, pos)
+        if stop_early:
+            return report
+
+    # G: all slice sums for a context pair agree, at every place; under S
+    # place r decides every place, and the first bad slice is at place 1
+    if r == 0:
+        return report
+    for alpha in (r,) if report.in_S else range(1, r + 1):
+        table = _place_last(n, r, alpha)
+        bad = _first_bad_minor(a if alpha == r else gather(a, n, table, table))
+        if bad is not None:
+            report.in_G = False
+            if report.first_violation is None:
+                report.first_violation = {
+                    "kind": "G",
+                    "alpha": 1 if report.in_S else alpha,
+                    "p": ix.format_index(ix.index_from_rank(n, r - 1, bad[0])),
+                    "q": ix.format_index(ix.index_from_rank(n, r - 1, bad[1])),
+                }
+            break
+    return report
+
+
+def is_invariant(a):
+    return check_membership(a, stop_early=True).in_E
+
+
+# ---------------------------------------------------------------------------
+# Slice sums, restriction, blocks
+# ---------------------------------------------------------------------------
+
+
+def _context_sums(a, p):
+    """The slice sums at the last place of the context p (a rank in
+    I(n,r-1)) against every context q at once.
+
+    The n rows ``p + (s,)`` are contiguous in ``a.data``; within a row the
+    n entries of each minor are consecutive, so the strided runs
+    ``row[u::n]`` zipped together give the row sums, and the rows zipped
+    together give the column sums.  Returns ``(rows, cols)`` with
+    ``rows[s][q]`` the s-th row sum and ``cols[q * n + t]`` the t-th column
+    sum of the (r, p, q) minor.
     """
     n, size, data = a.n, a.size, a.data
-    stride = n ** (a.r - alpha)
-    step = stride * size
-    start = bp * size + bq
-    span = n * stride
-    rows = [data[k : k + span : stride] for k in range(start, start + n * step, step)]
-    total = a.ring.sum
-    sums = list(map(total, rows))
-    sums.extend(map(total, zip(*rows)))
-    return sums
+    sums = a.ring.sums
+    start = p * n * size
+    rows = [data[k : k + size] for k in range(start, start + n * size, size)]
+    return [sums(zip(*[row[u::n] for u in range(n)])) for row in rows], sums(zip(*rows))
+
+
+def _minor_sums(rows, cols, q, n):
+    """The n row sums, then the n column sums, of one minor from
+    :func:`_context_sums`."""
+    return [row[q] for row in rows] + cols[q * n : q * n + n]
+
+
+def _first_bad_minor(a):
+    """Ranks (p, q), in that order, of the first minor at the last place
+    whose 2n slice sums disagree, or None."""
+    n = a.n
+    for p in range(a.size // n):
+        rows, cols = _context_sums(a, p)
+        first = rows[0]
+        if rows.count(first) == n and all(cols[t::n] == first for t in range(n)):
+            continue
+        for q, value in enumerate(first):
+            if _minor_sums(rows, cols, q, n).count(value) != 2 * n:
+                return p, q
+    return None
 
 
 def common_b(a, p, q):
@@ -227,12 +269,13 @@ def common_b(a, p, q):
     All 2n slice sums attached to the contexts (p, q) at the last place are
     computed and compared; disagreement raises ``NotInvariantError``.
     """
-    n, alpha = a.n, a.r
-    sums = _slice_sums(a, alpha, ix.index_rank(n, p) * n, ix.index_rank(n, q) * n)
+    n = a.n
+    rows, cols = _context_sums(a, ix.index_rank(n, p))
+    sums = _minor_sums(rows, cols, ix.index_rank(n, q), n)
     if sums.count(sums[0]) != len(sums):
         raise NotInvariantError(
             "slice sums disagree at alpha=%d p=%s q=%s"
-            % (alpha, ix.format_index(p), ix.format_index(q))
+            % (a.r, ix.format_index(p), ix.format_index(q))
         )
     return sums[0]
 
@@ -257,20 +300,36 @@ def block(a, i, j):
     return out
 
 
+def _block_sum(a, offsets):
+    """Entrywise sum, one degree lower, of the blocks whose top-left
+    entries sit at ``offsets`` in ``a.data``."""
+    n, size, data = a.n, a.size, a.data
+    width = size // n
+    sums = a.ring.sums
+    out = []
+    for k in range(0, width * size, size):
+        out.extend(sums(zip(*[data[k + o : k + o + width] for o in offsets])))
+    return TensorMatrix(n, a.r - 1, a.ring, out)
+
+
 def restrict(a, validate=True):
     """The restriction: the matrix of common slice sums, one degree lower.
 
-    Computed as a block row sum; when ``validate`` is set, a second block
-    row and a block column are summed independently and compared, so a
-    non-invariant input is rejected instead of silently restricted.
+    Computed as a block row sum, read straight from the n column chunks of
+    each row of the first block row; when ``validate`` is set, the last
+    block row and the first block column are summed independently and
+    compared, so a non-invariant input is rejected instead of silently
+    restricted.
     """
     n, r = a.n, a.r
     if r < 1:
         raise ValueError("cannot restrict a degree-zero matrix")
-    out = matrix_sum([block(a, 1, j) for j in range(1, n + 1)])
+    width = a.size // n
+    down = width * a.size  # from one block row to the next
+    out = _block_sum(a, [j * width for j in range(n)])
     if validate:
-        second = matrix_sum([block(a, n, j) for j in range(1, n + 1)])
-        colsum = matrix_sum([block(a, i, 1) for i in range(1, n + 1)])
+        second = _block_sum(a, [(n - 1) * down + j * width for j in range(n)])
+        colsum = _block_sum(a, [i * down for i in range(n)])
         if second != out or colsum != out:
             raise NotInvariantError("input not invariant: block sums disagree")
     return out
@@ -297,17 +356,22 @@ def _split_ranks(n, r, v):
     return codes
 
 
+@lru_cache(maxsize=None)
+def _off_tag_columns(n, r, j):
+    """For each place bitmask, one byte per column of I(n,r): 1 where the
+    places of value j in the column differ from the bitmask."""
+    col_masks = [mask for mask, _ in _split_ranks(n, r, j)]
+    return tuple(bytes([c != mask for c in col_masks]) for mask in range(1 << r))
+
+
 def is_special(a, i, j):
     """True when every nonzero entry matches the places of value i in its
     row with the places of value j in its column."""
-    zero = a.ring.zero
     size, data = a.size, a.data
-    col_masks = [mask for mask, _ in _split_ranks(a.n, a.r, j)]
+    off = _off_tag_columns(a.n, a.r, j)
     for ri, (mask, _) in enumerate(_split_ranks(a.n, a.r, i)):
-        row = data[ri * size : (ri + 1) * size]
-        for value, col_mask in zip(row, col_masks):
-            if col_mask != mask and value != zero:
-                return False
+        if any(compress(data[ri * size : (ri + 1) * size], off[mask])):
+            return False
     return True
 
 

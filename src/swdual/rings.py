@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 
@@ -181,6 +182,21 @@ class Ring:
         if self.kind == "q":
             return sum(values, Fraction(0))
         return sum(values)
+
+    def reduce(self, values):
+        """The list of raw values of exact integer (or, over Q, rational)
+        results, reduced mod m over Z/m."""
+        if self.kind == "mod":
+            m = self.modulus
+            return [v % m for v in values]
+        return list(values)
+
+    def sums(self, groups):
+        """``[self.sum(g) for g in groups]``, with the builtin ``sum``
+        mapped over the groups and one reduction per sum."""
+        if self.kind == "q":
+            return list(map(sum, groups, repeat(Fraction(0))))
+        return self.reduce(map(sum, groups))
 
     # -- element serialisation ----------------------------------------------
 

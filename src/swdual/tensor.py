@@ -17,6 +17,9 @@ representation, and it is pinned by the representation-law tests.
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
+
 from . import indices as ix
 from .rings import Ring, RingElement
 
@@ -118,19 +121,13 @@ class TensorMatrix:
 
     def add(self, other):
         self._check_same_shape(other)
-        add = self.ring.add
-        return TensorMatrix(
-            self.n, self.r, self.ring,
-            [add(a, b) for a, b in zip(self.data, other.data)],
-        )
+        data = self.ring.reduce(map(operator.add, self.data, other.data))
+        return TensorMatrix(self.n, self.r, self.ring, data)
 
     def sub(self, other):
         self._check_same_shape(other)
-        sub = self.ring.sub
-        return TensorMatrix(
-            self.n, self.r, self.ring,
-            [sub(a, b) for a, b in zip(self.data, other.data)],
-        )
+        data = self.ring.reduce(map(operator.sub, self.data, other.data))
+        return TensorMatrix(self.n, self.r, self.ring, data)
 
     def scale(self, value):
         mul = self.ring.mul
@@ -138,13 +135,9 @@ class TensorMatrix:
         return TensorMatrix(self.n, self.r, self.ring, [mul(c, a) for a in self.data])
 
     def transpose(self):
-        size = self.size
-        data = [self.ring.zero] * (size * size)
-        for i in range(size):
-            base = i * size
-            for j in range(size):
-                data[j * size + i] = self.data[base + j]
-        return TensorMatrix(self.n, self.r, self.ring, data)
+        size, data = self.size, self.data
+        out = list(chain.from_iterable(data[j::size] for j in range(size)))
+        return TensorMatrix(self.n, self.r, self.ring, out)
 
     def __add__(self, other):
         return self.add(other)
@@ -190,7 +183,7 @@ def gather(a, n, rows, cols):
     out = []
     for ri in rows:
         row = data[ri * size : (ri + 1) * size]
-        out.extend([row[rj] for rj in cols])
+        out.extend(map(row.__getitem__, cols))
     return TensorMatrix(n, a.r, a.ring, out)
 
 
@@ -199,8 +192,7 @@ def matrix_sum(matrices):
     first = matrices[0]
     for m in matrices[1:]:
         first._check_same_shape(m)
-    total = first.ring.sum
-    data = list(map(total, zip(*(m.data for m in matrices))))
+    data = first.ring.sums(zip(*(m.data for m in matrices)))
     return TensorMatrix(first.n, first.r, first.ring, data)
 
 

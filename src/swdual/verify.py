@@ -31,6 +31,8 @@ from .tensor import DEFAULT_SIZE_CAP, CapExceeded
 
 
 def _check_cap(n, r, unsafe_large):
+    if n < 0:
+        raise ValueError("n must be non-negative, got %d" % n)
     if not unsafe_large and tn.power_within(n, r, DEFAULT_SIZE_CAP) is None:
         raise CapExceeded(
             "n^r = %d^%d exceeds the default cap %d; pass unsafe_large to override"
