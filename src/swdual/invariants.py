@@ -122,25 +122,17 @@ def _orbit_leads(n, r):
 
 
 @lru_cache(maxsize=None)
-def _context_bases(n, r, alpha):
-    """Rank in I(n,r) of each context p of I(n,r-1), in lexicographic order,
-    with the value 1 inserted at place alpha."""
-    stride = n ** (r - alpha)
-    return tuple(
-        head * stride * n + tail
-        for head in range(n ** (alpha - 1))
-        for tail in range(stride)
-    )
-
-
-@lru_cache(maxsize=None)
 def _place_last(n, r, alpha):
     """Gather table that moves place alpha last: entry k is the rank of the
     multi-index that reads, with place alpha moved to the end, as the
-    multi-index of rank k."""
+    multi-index of rank k.  Contexts run over the places before alpha
+    (``head``) and after it (``tail``), the value at place alpha last."""
     stride = n ** (r - alpha)
     return tuple(
-        base + t * stride for base in _context_bases(n, r, alpha) for t in range(n)
+        head * stride * n + tail + t * stride
+        for head in range(n ** (alpha - 1))
+        for tail in range(stride)
+        for t in range(n)
     )
 
 

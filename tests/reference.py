@@ -115,25 +115,32 @@ def _insert(ctx, alpha, t):
 
 
 def membership(a):
-    """(in_G, in_H, in_S, first bad G slice as (alpha, p, q) or None)."""
+    """(in_G, in_H, in_S, witnesses).
+
+    The witnesses, each None when its predicate holds: "H" the first pair
+    (u, v) in row-major order with a nonzero entry at a value-type
+    mismatch, "S" the first pair whose entry differs from the entry at the
+    least pair (u.s, v.s) of its place-permutation orbit, and "G" the first
+    slice (alpha, p, q) whose 2n sums disagree.
+    """
     n, r, ring = a.n, a.r, a.ring
     idxs = ix.all_indices(n, r)
-    in_h = all(
-        get(a, u, v) == ring.zero
-        for u in idxs
-        for v in idxs
-        if ix.value_type(u) != ix.value_type(v)
+    pairs = [(u, v) for u in idxs for v in idxs]
+    first_h = next(
+        ((u, v) for u, v in pairs
+         if ix.value_type(u) != ix.value_type(v) and get(a, u, v) != ring.zero),
+        None,
     )
     sigmas = list(itertools.permutations(range(1, r + 1)))
-    in_s = all(
-        get(a, ix.act_right(u, s), ix.act_right(v, s)) == get(a, u, v)
-        for u in idxs
-        for v in idxs
-        for s in sigmas
+    first_s = next(
+        ((u, v) for u, v in pairs
+         if get(a, u, v) != get(a, *min((ix.act_right(u, s), ix.act_right(v, s))
+                                        for s in sigmas))),
+        None,
     )
     first_g = None
-    lower = ix.all_indices(n, r - 1)
     for alpha in range(1, r + 1):
+        lower = ix.all_indices(n, r - 1)
         for p in lower:
             for q in lower:
                 sums = [
@@ -147,7 +154,8 @@ def membership(a):
                 ]
                 if first_g is None and len(set(sums)) > 1:
                     first_g = (alpha, p, q)
-    return first_g is None, in_h, in_s, first_g
+    witnesses = {"H": first_h, "S": first_s, "G": first_g}
+    return first_g is None, first_h is None, first_s is None, witnesses
 
 
 def slice_equations_all_places(n, r, orbit_of, live):

@@ -154,6 +154,25 @@ def test_usage_errors_exit_2():
     assert result.returncode == 2
 
 
+def test_non_invariant_input_is_a_usage_error(tmp_path):
+    diag = tn.TensorMatrix(3, 1, Ring.modular(6), [1, 0, 0, 0, 0, 0, 0, 0, 0])
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"matrix": tn.matrix_to_json(diag)}))
+    for command in ("extend", "decompose"):
+        result = run_swd(command, "--in", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: input is not an invariant; first violation:")
+        assert '"kind": "G"' in result.stderr and "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+
+def test_negative_n_is_a_usage_error():
+    for args in (("dims", "--n", "-1", "--r", "3"), ("verify", "--n", "-1", "--r", "2")):
+        result = run_swd(*args, "--ring", "q")
+        assert result.returncode == 2
+        assert result.stderr == "error: n must be non-negative, got -1\n"
+
+
 def test_cap_guard_reported_as_usage_error():
     result = run_swd("dims", "--n", "5", "--r", "5", "--ring", "q")
     assert result.returncode == 2

@@ -68,6 +68,29 @@ def test_initialise_rejects_non_invariants():
         ex.initialise(bad)
 
 
+def test_non_invariant_input_is_refused_before_construction():
+    # diag(1,0,0) over Z/6 breaks G; building from it used to end in a
+    # ConstructionFailure
+    diag = tn.TensorMatrix(3, 1, Z6, [1, 0, 0, 0, 0, 0, 0, 0, 0])
+    witness = '{"alpha": 1, "kind": "G", "p": "", "q": ""}'
+    calls = [
+        lambda: ex.extend(diag),
+        lambda: ex.decompose(diag),
+        lambda: ex.decompose(diag, basis="col:1"),
+        lambda: ex.extend_with_prescription(diag, {}),
+    ]
+    for call in calls:
+        with pytest.raises(iv.NotInvariantError) as err:
+            call()
+        assert str(err.value) == "input is not an invariant; first violation: " + witness
+    # moving the entry at (12, 21) breaks S at the other pair of its orbit
+    bad = tn.phi((2, 3, 1), 3, 2, Z6)
+    bad.data[1 * 9 + 3] = Z6.add(bad.data[1 * 9 + 3], Z6.one)
+    with pytest.raises(iv.NotInvariantError) as err:
+        ex.decompose(bad)
+    assert str(err.value).endswith('{"col": "12", "kind": "S", "row": "21"}')
+
+
 def test_initialise_from_degree_zero():
     b = tn.TensorMatrix.scalar(3, Q, Q.from_int(2))
     data = ex.initialise(b)

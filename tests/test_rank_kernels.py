@@ -1,13 +1,16 @@
 """Differential tests: the rank-table kernels against tuple-level references.
 
 ``reference`` holds tuple-walking versions of theta, eta, is_special, the
-matmul conjugation, the phi-sum reconstruction and the G/H/S predicates;
-every property here asserts that the rank-table code gives the same answer
-on random invariants and on single-entry perturbations of them.
+matmul conjugation, the phi-sum reconstruction, the restriction and the
+G/H/S predicates with their witnesses; every property here asserts that
+the rank-table code gives the same answer on random invariants and on
+perturbations of them.
 """
 
+import itertools
+
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -16,11 +19,15 @@ from swdual import extension as ex
 from swdual import indices as ix
 from swdual import invariants as iv
 from swdual import patterns as pt
+from swdual import tensor as tn
 from swdual import verify as vf
 from swdual.rings import Ring
 
 CELLS = [(2, 2), (3, 2), (3, 3), (4, 2)]
+# the membership kernels also at degree 0 and 1 and at n = 1
+MEMBERSHIP_CELLS = CELLS + [(1, 1), (1, 2), (2, 0), (2, 1), (3, 1)]
 RINGS = [Ring.parse(name) for name in ("z/6", "z", "q")]
+SUM_RINGS = RINGS + [Ring.parse("z/4")]
 
 PROPERTY = settings(
     max_examples=40,
@@ -42,14 +49,79 @@ def invariants(draw, cells=CELLS):
 
 
 @st.composite
-def perturbed(draw):
+def perturbed(draw, cells=CELLS):
     """An invariant with one entry moved by a nonzero amount."""
-    a = draw(invariants())
+    a = draw(invariants(cells))
     pos = draw(st.integers(0, len(a.data) - 1))
     delta = draw(st.integers(1, 5))
     data = list(a.data)
     data[pos] = a.ring.add(data[pos], a.ring.from_int(delta))
     return type(a)(a.n, a.r, a.ring, data)
+
+
+@st.composite
+def orbit_perturbed(draw, cells=MEMBERSHIP_CELLS):
+    """An invariant moved by one nonzero amount on every pair (u.s, v.s) of
+    the place-permutation orbit of a random pair (u, v): S still holds,
+    while G breaks, and H too when u and v differ in value type."""
+    a = draw(invariants(cells))
+    idxs = ix.all_indices(a.n, a.r)
+    u, v = draw(st.sampled_from(idxs)), draw(st.sampled_from(idxs))
+    delta = a.ring.from_int(draw(st.integers(1, 5)))
+    orbit = {
+        (ix.act_right(u, s), ix.act_right(v, s))
+        for s in itertools.permutations(range(1, a.r + 1))
+    }
+    data = list(a.data)
+    for x, y in orbit:
+        pos = ix.index_rank(a.n, x) * a.size + ix.index_rank(a.n, y)
+        data[pos] = a.ring.add(data[pos], delta)
+    return type(a)(a.n, a.r, a.ring, data)
+
+
+@st.composite
+def s_broken(draw, cells=CELLS):
+    """An invariant with the entry at one pair (u, v) of equal value types
+    moved by a nonzero amount: H still holds, S breaks unless the orbit of
+    (u, v) is that pair alone."""
+    a = draw(invariants(cells))
+    idxs = ix.all_indices(a.n, a.r)
+    u = draw(st.sampled_from(idxs))
+    v = draw(st.sampled_from([x for x in idxs if ix.value_type(x) == ix.value_type(u)]))
+    pos = ix.index_rank(a.n, u) * a.size + ix.index_rank(a.n, v)
+    data = list(a.data)
+    data[pos] = a.ring.add(data[pos], a.ring.from_int(draw(st.integers(1, 5))))
+    return type(a)(a.n, a.r, a.ring, data)
+
+
+@st.composite
+def h_broken(draw, cells=MEMBERSHIP_CELLS):
+    """An invariant plus c times the all-ones matrix, c nonzero: every slice
+    minor of the all-ones matrix has all its sums n, so S and G still hold
+    and only H breaks (wherever two value types differ)."""
+    a = draw(invariants(cells))
+    c = a.ring.from_int(draw(st.integers(1, 5)))
+    return type(a)(a.n, a.r, a.ring, [a.ring.add(x, c) for x in a.data])
+
+
+@st.composite
+def place_one_broken(draw, cells=CELLS):
+    """An invariant plus X (x) I, X a random n x n matrix and I the identity
+    of degree r-1: the slices at every place but the first stay balanced,
+    so when S breaks, G breaks at place 1 alone (unless X is balanced)."""
+    a = draw(invariants(cells))
+    n, ring = a.n, a.ring
+    x = tn.TensorMatrix(n, 1, ring, [ring.from_int(draw(st.integers(0, 2))) for _ in range(n * n)])
+    return a.add(tn.kronecker(x, tn.TensorMatrix.identity(n, a.r - 1, ring)))
+
+
+@st.composite
+def matrices(draw, cells=CELLS + [(2, 1), (3, 1)]):
+    """A matrix with random small entries over a random ring."""
+    n, r = draw(st.sampled_from(cells))
+    ring = draw(st.sampled_from(SUM_RINGS))
+    values = draw(st.lists(st.integers(-7, 7), min_size=n ** (2 * r), max_size=n ** (2 * r)))
+    return tn.TensorMatrix(n, r, ring, [ring.from_int(v) for v in values])
 
 
 def tags(n):
@@ -108,18 +180,69 @@ def test_reconstruction_check_matches_phi_sum(data):
         ex._check_reconstruction(type(a)(n, r, ring, data_off), coeffs)
 
 
-@PROPERTY
-@given(st.one_of(invariants(), perturbed()))
-def test_membership_matches_tuple_predicates(a):
-    in_g, in_h, in_s, first_g = ref.membership(a)
-    report = iv.check_membership(a)
-    assert (report.in_G, report.in_H, report.in_S) == (in_g, in_h, in_s)
-    if in_h and in_s and not in_g:
-        alpha, p, q = first_g
-        assert report.first_violation == {
-            "kind": "G", "alpha": alpha,
-            "p": ix.format_index(p), "q": ix.format_index(q),
+def expected_report(a, stop_early):
+    """The report of ``check_membership(a, stop_early)``, derived from the
+    tuple-level predicates: H, then S, then G, and with ``stop_early`` no
+    predicate evaluated after the first failing one."""
+    in_g, in_h, in_s, witnesses = ref.membership(a)
+    if stop_early and not in_h:
+        in_s = in_g = True
+    elif stop_early and not in_s:
+        in_g = True
+    violation = None
+    if not in_h or not in_s:
+        kind = "H" if not in_h else "S"
+        u, v = witnesses[kind]
+        violation = {"kind": kind, "row": ix.format_index(u), "col": ix.format_index(v)}
+    elif not in_g:
+        alpha, p, q = witnesses["G"]
+        violation = {
+            "kind": "G", "alpha": alpha, "p": ix.format_index(p), "q": ix.format_index(q),
         }
+    return {
+        "in_G": in_g, "in_H": in_h, "in_S": in_s, "in_E": in_g and in_h and in_s,
+        "first_violation": violation,
+    }
+
+
+@settings(PROPERTY, max_examples=250)
+@example(tn.TensorMatrix(2, 0, RINGS[0], [5]))
+@example(tn.TensorMatrix(3, 0, RINGS[2], [RINGS[2].from_int(-2)]))
+@example(tn.TensorMatrix(1, 2, RINGS[1], [7]))
+@given(st.one_of(
+    invariants(MEMBERSHIP_CELLS),
+    perturbed(MEMBERSHIP_CELLS),
+    orbit_perturbed(),
+    s_broken(),
+    h_broken(),
+    place_one_broken(),
+))
+def test_membership_matches_tuple_predicates(a):
+    for stop_early in (False, True):
+        report = iv.check_membership(a, stop_early=stop_early)
+        assert report.to_json() == expected_report(a, stop_early)
+
+
+@PROPERTY
+@given(st.data())
+def test_restrict_and_sums_match_entrywise_ring_sums(data):
+    a = data.draw(matrices())
+    others = [
+        tn.TensorMatrix(a.n, a.r, a.ring, [a.ring.from_int(v) for v in values])
+        for values in data.draw(st.lists(
+            st.lists(st.integers(-7, 7), min_size=len(a.data), max_size=len(a.data)),
+            min_size=1, max_size=3,
+        ))
+    ]
+    ring = a.ring
+    # reprs compare the raw types too: Fraction over Q, int elsewhere
+    assert repr(iv.restrict(a, validate=False).data) == repr(ref.restrict(a).data)
+    terms = [a] + others
+    expected = [ring.sum(values) for values in zip(*(m.data for m in terms))]
+    assert repr(tn.matrix_sum(terms).data) == repr(expected)
+    b = others[0]
+    assert repr(a.add(b).data) == repr(list(map(ring.add, a.data, b.data)))
+    assert repr(a.sub(b).data) == repr(list(map(ring.sub, a.data, b.data)))
 
 
 def test_invariants_pass_every_predicate():
@@ -129,6 +252,7 @@ def test_invariants_pass_every_predicate():
             a = ref.reconstruct(n, r, ring, {w: ring.from_int(k) for k, w in enumerate(perms)})
             assert ref.membership(a)[:3] == (True, True, True)
             assert iv.check_membership(a).in_E
+            assert repr(iv.restrict(a).data) == repr(ref.restrict(a).data)
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 3), (3, 4)])

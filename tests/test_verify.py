@@ -44,6 +44,14 @@ def test_cap_enforced_and_overridable():
     # the override flag merely disables the guard; don't actually run 5^5
 
 
+def test_negative_n_is_refused():
+    for unsafe_large in (False, True):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            vf.centraliser_dimension(-1, 3, Q, unsafe_large=unsafe_large)
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        vf.verify_duality(-2, 2, Q)
+
+
 def test_span_subgroup_variant():
     full = vf.span_dimension_w(3, 1, Q)
     sub = vf.span_dimension_w(3, 1, Q, subgroup="w_n_minus_1")
