@@ -63,7 +63,7 @@ def perturbed(draw, cells=CELLS):
 def orbit_perturbed(draw, cells=MEMBERSHIP_CELLS):
     """An invariant moved by one nonzero amount on every pair (u.s, v.s) of
     the place-permutation orbit of a random pair (u, v): S still holds,
-    while G breaks, and H too when u and v differ in value type."""
+    while G can break, and H too when u and v differ in value type."""
     a = draw(invariants(cells))
     idxs = ix.all_indices(a.n, a.r)
     u, v = draw(st.sampled_from(idxs)), draw(st.sampled_from(idxs))
