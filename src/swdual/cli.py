@@ -106,12 +106,12 @@ def cmd_free_pattern(args):
 
 
 def cmd_colouring(args):
-    zeros = set()
-    if args.block_j is not None:
-        zeros = set(pt.containing_zeros(args.n, args.r, args.block_j))
-        if args.zero_l_closure:
-            zeros.update(ix.l_closure(args.n, args.r, args.block_j - 1))
-    col = pt.colour(args.n, args.r, args.policy, frozenset(zeros))
+    if args.block_j is None:
+        col = pt.colour(args.n, args.r, args.policy)
+    else:
+        col = pt.modified_colouring(
+            args.n, args.r, args.block_j, args.policy, args.zero_l_closure
+        )
     doc = {
         "schema": SCHEMA,
         "n": args.n,

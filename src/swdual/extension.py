@@ -14,17 +14,27 @@ Every construction is verified before it is returned; a verification
 failure raises :class:`ConstructionFailure` and indicates a bug, not user
 error.  A non-invariant input is user error: the public entries refuse it
 with :class:`NotInvariantError` before anything is built.
+
+The restriction b pins one copy rule, built once per (n, r) as a rank
+table: an entry at a value-type mismatch is zero, and any other entry
+(i, j) equals b(i - beta, j - beta), beta the first place of i whose
+value repeats an earlier one.  Only injective-by-injective entries are
+left open, and at n = r even those follow the rule with beta the last
+place (see :func:`_extend_direct`), which makes the extension unique for
+n <= r.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import indices as ix
 from . import patterns as pt
 from .invariants import (
     NotInvariantError,
+    _h_mask,
     block,
     check_membership,
     eta,
@@ -68,16 +78,6 @@ _POISON = object()
 # ---------------------------------------------------------------------------
 
 
-def _duplicate_place(idx):
-    """A place whose value also occurs earlier, or None if injective."""
-    seen = {}
-    for place, v in enumerate(idx, start=1):
-        if v in seen:
-            return place
-        seen[v] = place
-    return None
-
-
 def _require_invariant(a):
     """Raise NotInvariantError naming the first violation unless ``a`` is
     an invariant."""
@@ -87,6 +87,39 @@ def _require_invariant(a):
             "input is not an invariant; first violation: %s"
             % json.dumps(report.first_violation, sort_keys=True)
         )
+
+
+@lru_cache(maxsize=None)
+def _copy_sources(n, r):
+    """The copy rule of degree r as a gather table over ``[zero] + b.data``.
+
+    Entry k, for the k-th entry position of an I(n,r) matrix in row-major
+    order, is 0 where :func:`invariants._h_mask` marks a value-type
+    mismatch, and otherwise 1 + the position of (i - beta, j - beta) in
+    the degree r-1 matrix: beta is the first place of the row i whose
+    value occurs at an earlier place, or the last place when i is
+    injective.
+    """
+    size, lower = n**r, n ** (r - 1)
+    mask = _h_mask(n, r)
+    drops = []  # per place: the rank of each index with that place dropped
+    for alpha in range(1, r + 1):
+        stride = n ** (r - alpha)
+        drops.append([k // (n * stride) * stride + k % stride for k in range(size)])
+    table = []
+    for ri, i in enumerate(ix.all_indices(n, r)):
+        beta = next((a for a in range(2, r + 1) if i[a - 1] in i[: a - 1]), r)
+        drop = drops[beta - 1]
+        base = drop[ri] * lower + 1
+        row_mask = mask[ri * size : (ri + 1) * size]
+        table.extend(0 if m else base + d for m, d in zip(row_mask, drop))
+    return tuple(table)
+
+
+def _copy(b):
+    """The degree r+1 entry list given by the copy rule."""
+    window = [b.ring.zero] + b.data
+    return list(map(window.__getitem__, _copy_sources(b.n, b.r + 1)))
 
 
 def initialise(b, validate=True):
@@ -100,23 +133,13 @@ def initialise(b, validate=True):
     """
     if validate:
         _require_invariant(b)
-    n, r1, ring = b.n, b.r, b.ring
-    r = r1 + 1
+    n, r = b.n, b.r + 1
     size = n**r
-    data = [None] * (size * size)
-    zero = ring.zero
-    idxs = ix.all_indices(n, r)
-    vts = [ix.value_type(i) for i in idxs]
-    dup = [_duplicate_place(i) for i in idxs]
-    for ri, i in enumerate(idxs):
-        base = ri * size
-        vti = vts[ri]
-        for rj, j in enumerate(idxs):
-            if vti != vts[rj]:
-                data[base + rj] = zero
-            elif dup[ri] is not None:
-                beta = dup[ri]
-                data[base + rj] = b.get(ix.drop_place(i, beta), ix.drop_place(j, beta))
+    data = _copy(b)
+    injective = [ix.index_rank(n, i) for i in ix.injective_indices(n, r)]
+    for ri in injective:
+        for rj in injective:
+            data[ri * size + rj] = None
     return data
 
 
@@ -169,30 +192,16 @@ def _verify_extension(a, b, f):
 
 
 def _extend_direct(b):
-    """Unique extension for n <= r: initialisation plus one forced pass."""
-    n, ring = b.n, b.ring
-    r = b.r + 1
-    data = initialise(b, validate=False)
-    size = n**r
-    if n == r:
-        # each remaining entry is the sole injective member of its last-place
-        # column slice; everything else in the slice is already filled
-        sub = ring.sub
-        for i in ix.injective_indices(n, r):
-            ri = ix.index_rank(n, i)
-            p = ix.drop_place(i, r)
-            for j in ix.injective_indices(n, r):
-                q = ix.drop_place(j, r)
-                total = b.get(p, q)
-                for t in range(1, n + 1):
-                    if t == j[-1]:
-                        continue
-                    known = data[ri * size + ix.index_rank(n, q + (t,))]
-                    total = sub(total, known)
-                data[ri * size + ix.index_rank(n, j)] = total
-    if any(v is None for v in data):
-        raise ConstructionFailure("direct extension left undetermined entries")
-    return TensorMatrix(n, r, ring, data)
+    """Unique extension for n <= r: every entry by the copy rule.
+
+    Below n = r every row repeats a value.  At n = r, take i and j
+    injective and q = j - r: row i of the last-place slice minor at
+    (i - r, q) sums to b(i - r, q) over the columns q.t, and every q.t
+    with t != j_r repeats a value of q, so its entry is a value-type
+    mismatch and zero.  The sum is the entry at (i, j) alone: the copy
+    rule with beta the last place.
+    """
+    return TensorMatrix(b.n, b.r + 1, b.ring, _copy(b))
 
 
 def _extend_rank_one(b, f):
@@ -232,18 +241,13 @@ def _extend_recursive(b, f):
         f_d[(j, p, q)] = f.get(key, ring.zero)
     blocks = decompose(b, f_d, verify=False)
 
-    lower = pt.build_f(n - 1, r).entries
-    labels = {}
-    owner = {}
-    for j in range(1, n + 1):
-        lab = {pt.theta_label(y, n, n, j): y for y in lower}
-        labels[j] = lab
-        for x in lab:
-            owner[x] = j  # increasing j: the largest block owns the position
+    labels = {j: pt.per_block_labels(n, r, j) for j in range(1, n + 1)}
+    # increasing j: the largest block owns a shared position
+    owner = {x: j for j in range(1, n + 1) for x, _ in labels[j]}
     parts = []
     for j in range(1, n + 1):
         g = {}
-        for x, y in labels[j].items():
+        for x, y in labels[j]:
             if owner[x] == j:
                 target = f.get(x, ring.zero)
                 g[y] = ring.sub(target, ring.sum(part.get(*x) for part in parts))
@@ -300,10 +304,7 @@ def _decompose_last_row(a, f, verify):
         for j in range(n, r + 1, -1):
             g = {
                 y: f.get((j,) + x, ring.zero)
-                for x, y in (
-                    (pt.theta_label(y0, n, n, j), y0)
-                    for y0 in pt.build_f(n - 1, r).entries
-                )
+                for x, y in pt.per_block_labels(n, r, j)
             }
             a_j = theta(extend(eta(blocks_of_a[j - 1], n, j), g, verify=False), n, j)
             summands[j - 1] = a_j
@@ -358,9 +359,8 @@ def _replay_forced_assignment(a, b_j, residual, j, f):
     """
     n, r, ring = a.n, a.r, a.ring
     colouring = pt.modified_colouring(n, r, j)
-    lab = {pt.theta_label(y, n, n, j): y for y in pt.build_f(n - 1, r).entries}
     row_cols = {}
-    for (u, v), y in lab.items():
+    for (u, v), y in pt.per_block_labels(n, r, j):
         row_cols.setdefault(u, {})[v] = y
     sub = ring.sub
     g = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add, mul
 
 
 def all_indices(n, r):
@@ -186,23 +187,27 @@ def omega_orbits(n, r):
     Returns ``(orbit_of, reps)`` where ``orbit_of`` maps a pair of
     lexicographic ranks to its orbit id and ``reps`` lists one
     lexicographically least representative pair per orbit.
+
+    The least pair of an orbit, where it first appears in row-major order,
+    lists the place columns (i_a, j_a) sorted.  With code_a = (i_a - 1) n^r
+    + j_a, sorting the codes sorts the columns, and the sorted codes
+    weighted by n^(r-a), less the weights, sum to that pair's position.
     """
     indices = all_indices(n, r)
-    sigmas = [tuple(p) for p in itertools.permutations(range(1, r + 1))]
     size = len(indices)
-    orbit_of = [-1] * (size * size)
+    weights = [n ** (r - a) for a in range(1, r + 1)]
+    offset = sum(weights)
+    orbit_of = []
     reps = []
-    for ri, i in enumerate(indices):
-        for rj, j in enumerate(indices):
-            key = ri * size + rj
-            if orbit_of[key] >= 0:
-                continue
-            oid = len(reps)
-            reps.append((i, j))
-            for sigma in sigmas:
-                a = index_rank(n, act_right(i, sigma))
-                b = index_rank(n, act_right(j, sigma))
-                orbit_of[a * size + b] = oid
+    for i in indices:
+        codes = [(v - 1) * size for v in i]
+        for j in indices:
+            lead = sum(map(mul, sorted(map(add, codes, j)), weights)) - offset
+            if lead == len(orbit_of):
+                orbit_of.append(len(reps))
+                reps.append((i, j))
+            else:
+                orbit_of.append(orbit_of[lead])
     return orbit_of, reps
 
 

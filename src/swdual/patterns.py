@@ -69,10 +69,7 @@ def colour(n, r, policy="largest", initial_zeros=()):
     slot = {}
     for idx in members:
         slot[idx] = [(alpha, ix.drop_place(idx, alpha)) for alpha in range(1, r + 1)]
-    slices = {}
-    for idx in members:
-        for key in slot[idx]:
-            slices.setdefault(key, []).append(idx)
+    slices = ix.alpha_slices(n, r)
     uncoloured_count = {key: len(v) for key, v in slices.items()}
 
     colours = {}
@@ -117,19 +114,15 @@ def colour(n, r, policy="largest", initial_zeros=()):
     return Colouring(n, r, policy, initial_zeros, colours, events)
 
 
-def containing_zeros(n, r, j):
-    """Injective indices containing the value j (zero by specialness)."""
-    return frozenset(idx for idx in ix.injective_indices(n, r) if j in idx)
-
-
 def modified_colouring(n, r, j, policy="largest", zero_l_closure=True):
     """The colouring used to cut per-block decomposition patterns.
 
-    Entries containing j are pre-zeroed; with ``zero_l_closure`` (the
-    reading used by the pattern construction) the place-permutation closure
-    of the prescribed-column labels L_{j-1} is pre-zeroed as well.
+    Entries containing j are pre-zeroed, being zero by specialness; with
+    ``zero_l_closure`` (the reading used by the pattern construction) the
+    place-permutation closure of the prescribed-column labels L_{j-1} is
+    pre-zeroed as well.
     """
-    zeros = set(containing_zeros(n, r, j))
+    zeros = {idx for idx in ix.injective_indices(n, r) if j in idx}
     if zero_l_closure:
         zeros.update(ix.l_closure(n, r, j - 1))
     return colour(n, r, policy, frozenset(zeros))
@@ -145,7 +138,7 @@ class FreePattern:
     n: int
     r: int
     basis: str  # "row:<i>" or "col:<j>"
-    flavour: str  # "extension", "decomposition", "per-block"
+    flavour: str  # "extension" or "decomposition"
     entries: tuple  # pairs (row, col) or triples (j, row, col)
 
     def __len__(self):
@@ -166,51 +159,29 @@ class FreePattern:
         }
 
 
-def base_pattern_f_n1(n, variant="terminal"):
-    """The rank-one extension pattern and its three relabelled variants.
-
-    "terminal" is {(i, j): 2 <= i, j <= n}; applying the order-reversing
-    permutation to rows and/or columns yields the initial and mixed ones.
-    """
+def base_pattern_f_n1(n):
+    """The rank-one extension pattern {(i, j): 2 <= i, j <= n}."""
     if n < 2:
         raise ValueError("need n >= 2")
-    entries = [((i,), (j,)) for i in range(2, n + 1) for j in range(2, n + 1)]
-    flips = {
-        "terminal": (False, False),
-        "initial": (True, True),
-        "row-initial-col-terminal": (True, False),
-        "row-terminal-col-initial": (False, True),
-    }
-    if variant not in flips:
-        raise ValueError("unknown variant %r" % (variant,))
-    flip_rows, flip_cols = flips[variant]
-    rev = ix.w0(n)
-    out = []
-    for row, col in entries:
-        if flip_rows:
-            row = ix.act_left(rev, row)
-        if flip_cols:
-            col = ix.act_left(rev, col)
-        out.append((row, col))
-    return FreePattern(n, 1, "row:%d" % n, "extension", tuple(sorted(out)))
+    entries = tuple(((i,), (j,)) for i in range(2, n + 1) for j in range(2, n + 1))
+    return FreePattern(n, 1, "row:%d" % n, "extension", entries)
 
 
-def theta_label(pair, n, p, q):
-    """Relabel an (n-1)-level index pair through the inflation with tag
-    (p, q): rows embed avoiding p, columns avoiding q."""
-    row, col = pair
-    return ix.embed_index(row, p), ix.embed_index(col, q)
-
-
-def per_block_entries(n, r, i, j):
-    """Entry pairs of the per-block pattern theta^i_j F(n-1, r)."""
+@lru_cache(maxsize=None)
+def per_block_labels(n, r, j):
+    """The per-block pattern theta^n_j F(n-1, r), labelled: a pair
+    (image, source) for each source entry of F(n-1, r).  Rows embed
+    avoiding n and columns avoiding j; both embeddings keep the order, so
+    the images come sorted."""
     return tuple(
-        sorted(theta_label(pair, n, i, j) for pair in build_f(n - 1, r).entries)
+        ((ix.embed_index(row, n), ix.embed_index(col, j)), (row, col))
+        for row, col in build_f(n - 1, r).entries
     )
 
 
-def per_block_pattern(n, r, i, j):
-    return FreePattern(n, r, "row:%d" % i, "per-block", per_block_entries(n, r, i, j))
+def per_block_entries(n, r, j):
+    """Entry pairs of the per-block pattern theta^n_j F(n-1, r)."""
+    return tuple(x for x, _ in per_block_labels(n, r, j))
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +197,7 @@ def build_d(n, r):
         return FreePattern(n, r, "row:%d" % n, "decomposition", ())
     entries = []
     for j in range(2, n + 1):
-        per_block = per_block_entries(n, r, n, j)
+        per_block = per_block_entries(n, r, j)
         if j >= r + 2:
             chosen = per_block
         else:
@@ -245,7 +216,7 @@ def build_f(n, r):
         return base_pattern_f_n1(n)
     entries = set(f_prime_entries(n, r))
     for j in range(1, n + 1):
-        entries.update(per_block_entries(n, r, n, j))
+        entries.update(per_block_entries(n, r, j))
     return FreePattern(n, r, "row:%d" % n, "extension", tuple(sorted(entries)))
 
 
@@ -255,35 +226,6 @@ def f_prime_entries(n, r):
     return tuple(
         sorted(((n,) + p, (j,) + q) for (j, p, q) in build_d(n, r - 1).entries)
     )
-
-
-def f_second_entries(n, r):
-    return tuple(
-        sorted(set().union(*(set(per_block_entries(n, r, n, j)) for j in range(1, n + 1))))
-    )
-
-
-def transform_pattern(pattern, row_perm=None, col_perm=None, transpose=False):
-    """Relabel rows/columns by permutations of the value set and/or swap the
-    two sides; the result is again a free pattern."""
-    def conv(pair):
-        row, col = pair
-        if row_perm is not None:
-            row = ix.act_left(row_perm, row)
-        if col_perm is not None:
-            col = ix.act_left(col_perm, col)
-        return (col, row) if transpose else (row, col)
-
-    if pattern.flavour == "decomposition":
-        entries = tuple(sorted((j,) + conv((p, q)) for (j, p, q) in pattern.entries))
-    else:
-        entries = tuple(sorted(conv(pair) for pair in pattern.entries))
-    basis = pattern.basis
-    if transpose and basis.startswith("row:"):
-        basis = "col:" + basis[4:]
-    elif transpose and basis.startswith("col:"):
-        basis = "row:" + basis[4:]
-    return FreePattern(pattern.n, pattern.r, basis, pattern.flavour, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +359,7 @@ def _grid(rows, cols, marks, cell):
 
 
 def render_pattern(pattern, columns="used"):
-    """Checkmark grid of an extension/per-block pattern.
+    """Checkmark grid of an extension pattern.
 
     ``columns`` is "used" (only columns carrying at least one mark, as in
     the larger reference grids) or "all" (every injective index).

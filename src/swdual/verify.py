@@ -434,7 +434,7 @@ def half_commutant_dimension(n, r, ring, unsafe_large=False):
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    orbit_of, reps, live = _live_orbits_no_filter(n, r)
+    orbit_of, reps = ix.omega_orbits(n, r)
     size = n**r
     rows = set()
     half = [d for d in dg.enumerate_diagrams(r + 1) if dg.is_half_algebra_member(d)]
@@ -448,19 +448,13 @@ def half_commutant_dimension(n, r, ring, unsafe_large=False):
             for b in range(size):
                 vec = {}
                 for k in cols_by_row[a]:
-                    var = live[orbit_of[k * size + b]]
+                    var = orbit_of[k * size + b]
                     vec[var] = vec.get(var, 0) + 1
                 for k in range(size):
                     if m.data[k * size + b] != ring.zero:
-                        var = live[orbit_of[a * size + k]]
+                        var = orbit_of[a * size + k]
                         vec[var] = vec.get(var, 0) - 1
                 vec = {v: c for v, c in vec.items() if c}
                 if vec:
                     rows.add(tuple(sorted(vec.items())))
-    return len(live) - _sparse_rank(ring, [dict(row) for row in sorted(rows)])
-
-
-def _live_orbits_no_filter(n, r):
-    orbit_of, reps = ix.omega_orbits(n, r)
-    live = {oid: oid for oid in range(len(reps))}
-    return orbit_of, reps, live
+    return len(reps) - _sparse_rank(ring, [dict(row) for row in sorted(rows)])

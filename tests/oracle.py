@@ -1,15 +1,17 @@
 """Independent field oracle for the extension problem.
 
 Builds the slice-sum and place-permutation linear system on the entries
-with both indices injective, the entries everything else being pinned by
-initialisation, and solves it exactly over a field.  This is deliberately
-separate from the construction path in swdual.extension: it never touches
-free patterns, colourings, or the block recursion.
+with both indices injective, everything else being pinned by the
+tuple-level initialisation of ``reference``, and solves it exactly over a
+field.  This is deliberately separate from the construction path in
+swdual.extension: it never touches free patterns, colourings, the copy
+table, or the block recursion.
 """
 
 import itertools
 
-from swdual import extension as ex
+import reference as ref
+
 from swdual import indices as ix
 from swdual.rings import solve_linear_system_over_field
 
@@ -22,7 +24,7 @@ def extension_system(b):
     """
     ring = b.ring
     n, r = b.n, b.r + 1
-    init = ex.initialise(b)
+    init = ref.initialise(b)
     size = n**r
     inj = ix.injective_indices(n, r)
     var_of = {}
@@ -91,6 +93,8 @@ def solve_extension(b, f=None):
     """
     ring = b.ring
     var_of, rows, rhs = extension_system(b)
+    if not var_of:
+        return [], [], var_of  # no injective index: every entry is pinned
     if f:
         n_vars = len(var_of)
         for key, value in f.items():
@@ -109,7 +113,7 @@ def matrix_entries_from_solution(b, particular, var_of):
     """Full degree r+1 entry data from a solution vector."""
     n, r = b.n, b.r + 1
     size = n**r
-    init = ex.initialise(b)
+    init = ref.initialise(b)
     data = list(init)
     for (i, j), var in var_of.items():
         data[ix.index_rank(n, i) * size + ix.index_rank(n, j)] = particular[var]

@@ -224,3 +224,48 @@ def span_rows_act_left(n, r, perms, reps, live):
         rows.append({var: 1 for oid, var in live.items()
                      if ix.act_left(w, reps[oid][1]) == reps[oid][0]})
     return rows
+
+
+def omega_orbits(n, r):
+    """(orbit_of, reps) by walking all r! place permutations from each
+    pair not yet seen, in row-major order."""
+    indices = ix.all_indices(n, r)
+    sigmas = list(itertools.permutations(range(1, r + 1)))
+    size = len(indices)
+    orbit_of = [-1] * (size * size)
+    reps = []
+    for ri, i in enumerate(indices):
+        for rj, j in enumerate(indices):
+            if orbit_of[ri * size + rj] >= 0:
+                continue
+            for sigma in sigmas:
+                a = ix.index_rank(n, ix.act_right(i, sigma))
+                b = ix.index_rank(n, ix.act_right(j, sigma))
+                orbit_of[a * size + b] = len(reps)
+            reps.append((i, j))
+    return orbit_of, reps
+
+
+def initialise(b):
+    """The entries of degree b.r + 1 pinned by b, pair by pair: zero at a
+    value-type mismatch, else b at the pair with the first repeating place
+    of the row dropped; None when both indices are injective."""
+    n, r = b.n, b.r + 1
+    idxs = ix.all_indices(n, r)
+    vts = [ix.value_type(i) for i in idxs]
+    data = []
+    for i, vti in zip(idxs, vts):
+        dup, seen = None, set()
+        for place, v in enumerate(i, start=1):
+            if v in seen:
+                dup = place
+                break
+            seen.add(v)
+        for j, vtj in zip(idxs, vts):
+            if vti != vtj:
+                data.append(b.ring.zero)
+            elif dup is None:
+                data.append(None)
+            else:
+                data.append(get(b, ix.drop_place(i, dup), ix.drop_place(j, dup)))
+    return data

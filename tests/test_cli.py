@@ -1,8 +1,12 @@
 import json
+import resource
 import subprocess
 import sys
 
+import pytest
+
 from swdual import tensor as tn
+from swdual import verify as vf
 from swdual.rings import Ring
 
 Q = Ring.rationals()
@@ -211,6 +215,24 @@ def test_huge_r_hits_the_cap_at_once():
     result = run_swd("dims", "--n", "3", "--r", "100000000", "--ring", "q", timeout=30)
     assert result.returncode == 2
     assert "cap" in result.stderr and "Traceback" not in result.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize("n,r,expected", [(2, 10, 2), (1, 12, 1), (1, 1000000, 1)])
+def test_dims_at_large_r_within_time_and_memory(n, r, expected):
+    # the orbit table is built without walking the r! place permutations
+    result = run_swd(
+        "dims", "--n", str(n), "--r", str(r), "--ring", "q",
+        timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert expected == vf.closed_form_centraliser_dimension(n, r)
+    assert doc["centraliser"] == doc["span_w"] == expected
+    assert doc["free_pattern"] == 0
 
 
 def test_options_a_subcommand_does_not_read_are_refused(tmp_path, capsys):

@@ -122,6 +122,15 @@ def test_extension_unique_when_n_at_most_r():
         assert iv.restrict(a1) == b
 
 
+@pytest.mark.parametrize("n,r", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+def test_unique_extension_agrees_with_field_oracle(n, r):
+    rng = random.Random(n * 10 + r)
+    b = random_invariant(n, r - 1, Q, rng)
+    particular, basis, var_of = solve_extension(b)
+    assert basis == []
+    assert ex.extend(b).data == matrix_entries_from_solution(b, particular, var_of)
+
+
 def test_extend_identity_of_e31_with_zero_free_value():
     b = tn.TensorMatrix.identity(3, 1, Q)
     a = ex.extend(b, {((3, 2), (3, 2)): Q.zero})

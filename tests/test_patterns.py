@@ -87,20 +87,6 @@ def test_base_pattern_terminal():
         pt.base_pattern_f_n1(1)
 
 
-def test_base_pattern_variants_via_w0():
-    term = pt.base_pattern_f_n1(4)
-    init = pt.base_pattern_f_n1(4, "initial")
-    assert set(init.entries) == {
-        ((i,), (j,)) for i in range(1, 4) for j in range(1, 4)
-    }
-    both = pt.transform_pattern(term, row_perm=ix.w0(4), col_perm=ix.w0(4))
-    assert set(both.entries) == set(init.entries)
-    mixed = pt.base_pattern_f_n1(4, "row-initial-col-terminal")
-    assert set(mixed.entries) == {
-        ((i,), (j,)) for i in range(1, 4) for j in range(2, 5)
-    }
-
-
 # -- reference pattern values ---------------------------------------------------
 
 
@@ -170,11 +156,9 @@ def test_d52_entries_match_reference_grid():
 
 
 def test_per_block_pattern_examples():
-    assert pt.per_block_entries(4, 2, 4, 4) == ((idx("32"), idx("32")),)
-    assert pt.per_block_entries(4, 2, 4, 3) == ((idx("32"), idx("42")),)
-    assert pt.per_block_entries(4, 2, 4, 1) == ((idx("32"), idx("43")),)
-    p = pt.per_block_pattern(4, 2, 4, 2)
-    assert p.flavour == "per-block" and p.entries == ((idx("32"), idx("43")),)
+    assert pt.per_block_entries(4, 2, 4) == ((idx("32"), idx("32")),)
+    assert pt.per_block_entries(4, 2, 3) == ((idx("32"), idx("42")),)
+    assert pt.per_block_entries(4, 2, 1) == ((idx("32"), idx("43")),)
 
 
 def test_empty_patterns_in_the_uniqueness_regime():
@@ -187,7 +171,7 @@ def test_empty_patterns_in_the_uniqueness_regime():
 def test_f_prime_f_second_partition():
     for n, r in [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]:
         fp = set(pt.f_prime_entries(n, r))
-        fs = set(pt.f_second_entries(n, r))
+        fs = set().union(*(pt.per_block_entries(n, r, j) for j in range(1, n + 1)))
         assert fp | fs == set(pt.build_f(n, r).entries)
         assert not fp & fs
         assert all(row[0] == n for (row, _) in fp)
@@ -209,17 +193,6 @@ def test_terminal_patterns_are_compatible_with_restriction():
             (row, col) for (row, col) in upper if n not in row and n not in col
         }
         assert survived == set(pt.build_f(n - 1, r).entries), (n, r)
-
-
-def test_transform_pattern():
-    f = pt.build_f(3, 2)
-    same = pt.transform_pattern(f)
-    assert same.entries == f.entries
-    transposed = pt.transform_pattern(f, transpose=True)
-    assert transposed.entries == f.entries  # (32,32) is symmetric
-    assert transposed.basis == "col:3"
-    relabelled = pt.transform_pattern(f, row_perm=(2, 1, 3))
-    assert relabelled.entries == ((idx("31"), idx("32")),)
 
 
 def test_pattern_json():

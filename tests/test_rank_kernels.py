@@ -1,10 +1,11 @@
 """Differential tests: the rank-table kernels against tuple-level references.
 
 ``reference`` holds tuple-walking versions of theta, eta, is_special, the
-matmul conjugation, the phi-sum reconstruction, the restriction and the
-G/H/S predicates with their witnesses; every property here asserts that
-the rank-table code gives the same answer on random invariants and on
-perturbations of them.
+matmul conjugation, the phi-sum reconstruction, the restriction, the
+G/H/S predicates with their witnesses, the place-permutation orbit table
+and the initialisation; every property here asserts that the rank-table
+code gives the same answer on random invariants and on perturbations of
+them.
 """
 
 import itertools
@@ -28,6 +29,8 @@ CELLS = [(2, 2), (3, 2), (3, 3), (4, 2)]
 MEMBERSHIP_CELLS = CELLS + [(1, 1), (1, 2), (2, 0), (2, 1), (3, 1)]
 RINGS = [Ring.parse(name) for name in ("z/6", "z", "q")]
 SUM_RINGS = RINGS + [Ring.parse("z/4")]
+# cells (n, r) of the initialised matrix, one degree above its input
+INITIALISE_CELLS = CELLS + [(1, 1), (2, 3), (4, 4)]
 
 PROPERTY = settings(
     max_examples=40,
@@ -261,3 +264,18 @@ def test_last_place_slice_equations_are_complete(n, r):
     assert vf._slice_equations(n, r, orbit_of, live) == ref.slice_equations_all_places(
         n, r, orbit_of, live
     )
+
+
+@pytest.mark.parametrize("ring", SUM_RINGS, ids=lambda ring: ring.name)
+@pytest.mark.parametrize("n,r", INITIALISE_CELLS)
+@settings(PROPERTY, max_examples=3)
+@given(data=st.data())
+def test_initialise_matches_tuple_walk(n, r, ring, data):
+    coeffs = {w: ring.from_int(data.draw(st.integers(-3, 3))) for w in ix.all_permutations(n)}
+    b = ref.reconstruct(n, r - 1, ring, coeffs)
+    assert repr(ex.initialise(b)) == repr(ref.initialise(b))
+
+
+@pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (3, 3), (4, 3), (5, 2), (3, 4)])
+def test_orbit_table_matches_permutation_walk(n, r):
+    assert ix.omega_orbits(n, r) == ref.omega_orbits(n, r)
