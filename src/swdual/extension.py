@@ -293,7 +293,9 @@ def _decompose_last_row(a, f, verify):
             raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
     blocks_of_a = [block(a, n, j) for j in range(1, n + 1)]
 
-    if n <= r + 1:
+    if n == 1:  # the one summand, special with tag (1, 1), is a itself
+        summands = [a]
+    elif n <= r + 1:
         summands = [
             theta(extend(eta(blocks_of_a[j - 1], n, j), None, verify=False), n, j)
             for j in range(1, n + 1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd, lcm
 
@@ -262,17 +263,25 @@ class RingElement:
 # Field-only linear algebra: one sparse exact elimination engine
 # ---------------------------------------------------------------------------
 #
-# Rows are sparse dicts var -> integer coefficient, and the pivot of a row is
-# its leftmost nonzero entry, rows taken in order.  An echelon form is a dict
-# pivot var -> (lead, tail): the pivot entry and the rest of the row, whose
-# vars all lie right of the pivot.  Over Z/p the coefficients are residues
-# and every lead is 1.  Over Q elimination is fraction-free (Bareiss 1968):
-# a row becomes a*row - b*pivot, with a/b the ratio of the two leads in
-# lowest terms.  Pivot rows are primitive with a positive lead, and a
-# working row's content is divided out after every step that scales it
-# (a != 1); steps with a == 1 only add, so entries grow additively there.
-# Fractions appear only on entry, where each row's denominators are cleared,
-# and when reduced entries are read off.
+# Rows are sparse dicts var -> integer coefficient.  One right-looking loop
+# eliminates them with a column -> rows index: each step stores a pivot row
+# and clears its pivot var from every other remaining row.  Two rules pick
+# the pivot, ties going to the smaller var, then the smaller row:
+#
+# - minimum fill (Markowitz 1957), for the rank: a shortest remaining row,
+#   from a heap, at the entry whose column has the fewest remaining rows;
+# - leftmost, for the echelon form: the smallest var left in any row, in a
+#   shortest of its rows.  These are the pivot vars of the reduced row
+#   echelon form, and every stored tail lies right of its pivot.
+#
+# Over Q both rules take a +-1 entry first.  An echelon form is a dict
+# pivot var -> (lead, tail).  Over Z/p the entries are residues and every
+# lead is 1; over Q pivot rows are primitive with a positive lead.  With
+# lead 1 a step is a plain subtraction; any other lead takes the
+# fraction-free step of Bareiss (1968), a*row - b*pivot with a/b the ratio
+# of the two leads in lowest terms, and the row's content is divided out
+# after it.  Fractions appear only on entry, where each row's denominators
+# are cleared, and when reduced entries are read off.
 
 
 def _integer_rows(ring, rows):
@@ -332,48 +341,79 @@ def _divide_content(row, lead=0):
     return 1
 
 
-def sparse_echelon(ring, rows):
-    """Echelon form ``{pivot var: (lead, tail)}`` of sparse rows over a
-    field; the input rows are not modified."""
+def _eliminate(ring, rows, leftmost):
+    """Pivots ``{var: (lead, tail)}`` of sparse rows over a field under the
+    leftmost or the minimum-fill rule; the input rows are not modified."""
     if not ring.is_field():
         raise ValueError("elimination requires a field")
+    p = ring.modulus if ring.kind == "mod" else None
+    rows = _integer_rows(ring, rows)
+    cols = {}
+    for k, row in enumerate(rows):
+        for v in row:
+            cols.setdefault(v, set()).add(k)
+    order = iter(sorted(cols))
+    heap = [] if leftmost else [(len(row), k) for k, row in enumerate(rows) if row]
+    heapify(heap)
     pivots = {}
-    if ring.kind == "mod":
-        p = ring.modulus
-        for row in _integer_rows(ring, rows):
-            while row:
-                var = min(row)
-                f = row.pop(var)
-                piv = pivots.get(var)
-                if piv is None:
-                    if f != 1:
-                        inv = pow(f, -1, p)
-                        row = {v: x * inv % p for v, x in row.items()}
-                    pivots[var] = (1, row)
-                    break
-                _step_mod(p, row, f, piv[1])
-        return pivots
-    for row in _integer_rows(ring, rows):
-        while row:
-            var = min(row)
-            c = row.pop(var)
-            piv = pivots.get(var)
-            if piv is None:
-                g = _divide_content(row, c)
-                if c < 0:
-                    g = -g
-                    for v in row:
-                        row[v] = -row[v]
-                pivots[var] = (c // g, row)
-                break
-            if _step_q(row, c, *piv) != 1 and row:
-                _divide_content(row)
-    return pivots
+    while True:
+        if leftmost:
+            var = next((v for v in order if cols[v]), None)
+            if var is None:
+                return pivots
+            k = min(cols[var], key=lambda i: (
+                p is None and abs(rows[i][var]) != 1, len(rows[i]), i))
+        else:
+            while heap and (rows[heap[0][1]] is None
+                            or len(rows[heap[0][1]]) != heap[0][0]):
+                heappop(heap)  # a row pivoted or changed since it was pushed
+            if not heap:
+                return pivots
+            k = heappop(heap)[1]
+            units = p is None and [v for v, x in rows[k].items() if x in (1, -1)]
+            var = min(units or rows[k], key=lambda v: (len(cols[v]), v))
+        row, rows[k] = rows[k], None
+        for v in row:
+            cols[v].discard(k)
+        lead = row.pop(var)
+        if p is not None:
+            if lead != 1:
+                inv = pow(lead, -1, p)
+                row = {v: x * inv % p for v, x in row.items()}
+                lead = 1
+        else:
+            g = _divide_content(row, lead)
+            if lead < 0:
+                g = -g
+                for v in row:
+                    row[v] = -row[v]
+            lead //= g
+        pivots[var] = (lead, row)
+        for i in cols.pop(var):  # every other remaining row holding var
+            other = rows[i]
+            c = other.pop(var)
+            if p is not None:
+                _step_mod(p, other, c, row)
+            elif _step_q(other, c, lead, row) != 1 and other:
+                _divide_content(other)
+            for v in row:
+                if v in other:
+                    cols[v].add(i)
+                else:
+                    cols[v].discard(i)
+            if other and not leftmost:
+                heappush(heap, (len(other), i))
+
+
+def sparse_echelon(ring, rows):
+    """Echelon form ``{pivot var: (lead, tail)}`` of sparse rows over a
+    field, pivoting on the leftmost var; the input rows are not modified."""
+    return _eliminate(ring, rows, leftmost=True)
 
 
 def sparse_rank(ring, rows):
     """Rank of sparse rows (dicts var -> coefficient) over a field."""
-    return len(sparse_echelon(ring, rows))
+    return len(_eliminate(ring, rows, leftmost=False))
 
 
 def _back_substitute(ring, pivots):

@@ -30,6 +30,10 @@ from .rings import sparse_rank as _sparse_rank
 from .tensor import DEFAULT_SIZE_CAP, CapExceeded
 
 
+# n^r bounds r for n >= 2; at n <= 1 the tables still grow with r itself
+MAX_R = 10**6
+
+
 def _check_cap(n, r, unsafe_large):
     if n < 0:
         raise ValueError("n must be non-negative, got %d" % n)
@@ -38,6 +42,8 @@ def _check_cap(n, r, unsafe_large):
             "n^r = %d^%d exceeds the default cap %d; pass unsafe_large to override"
             % (n, r, DEFAULT_SIZE_CAP)
         )
+    if r > MAX_R:
+        raise ValueError("r must be at most %d, got %d" % (MAX_R, r))
 
 
 # ---------------------------------------------------------------------------
@@ -190,39 +196,29 @@ def _span_rows(n, r, perms, orbit_of, live):
 
 
 def _wn_orbit_classes(n, r):
-    """Canonical labels for the diagonal W_n orbits on I(n,r) x I(n,r):
-    the pattern of first appearances of values along the concatenation
-    i + j, which has at most n distinct values.  Returns the class of every
-    pair of ranks and one representative word i + j per class."""
-    classes = {}
-    class_of = []
-    reps = []
-    for i in ix.all_indices(n, r):
-        for j in ix.all_indices(n, r):
-            word = i + j
-            relabel = {}
-            for v in word:
-                relabel.setdefault(v, len(relabel) + 1)
-            key = tuple(relabel[v] for v in word)
-            if key not in classes:
-                classes[key] = len(reps)
-                reps.append(word)
-            class_of.append(classes[key])
-    return class_of, reps
+    """One word i + j per diagonal W_n orbit on I(n,r) x I(n,r): the orbit
+    of a pair is the pattern of equal letters along i + j, so the orbits
+    are the restricted-growth words of length 2r in at most n letters,
+    each letter at most one more than the largest before it."""
+    words = [()]
+    for _ in range(2 * r):
+        words = [w + (a,) for w in words
+                 for a in range(min(max(w, default=-1) + 2, n))]
+    return words
 
 
-def _psi_rows(r, reps):
+def _psi_rows(r, words):
     """The row of psi(d) on the W_n classes for each diagram d of rank r.
 
     Entry (i, j) of psi(d) is 1 exactly when the word i + j is constant on
     every block of d (vertex v reads letter v), and psi(d) commutes with
-    W_n, so its value at one representative pair decides the whole class.
+    W_n, so its value at one word of a class decides the whole class.
     """
     rows = []
     for d in dg.enumerate_diagrams(r):
         links = [(v, block[0]) for block in d.blocks for v in block[1:]]
         rows.append({
-            c: 1 for c, word in enumerate(reps)
+            c: 1 for c, word in enumerate(words)
             if all(word[u] == word[v] for u, v in links)
         })
     return rows
@@ -234,8 +230,8 @@ def psi_side_dimensions(n, r, ring, unsafe_large=False):
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    _, reps = _wn_orbit_classes(n, r)
-    return len(reps), _sparse_rank(ring, _psi_rows(r, reps))
+    words = _wn_orbit_classes(n, r)
+    return len(words), _sparse_rank(ring, _psi_rows(r, words))
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,28 @@ def test_dims_at_large_r_within_time_and_memory(n, r, expected):
     assert doc["free_pattern"] == 0
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_r_above_its_bound_is_a_usage_error_at_small_n(n):
+    result = run_swd(
+        "dims", "--n", str(n), "--r", "100000000", "--ring", "q",
+        timeout=60, preexec_fn=_limit_address_space,
+    )
+    assert result.returncode == 2
+    assert "r must be at most 1000000" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_decompose_at_n_one_returns_the_input(tmp_path):
+    ring = Ring.modular(6)
+    m = tn.TensorMatrix.identity(1, 2, ring).scale(ring.from_int(5))
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"matrix": tn.matrix_to_json(m)}))
+    result = run_swd("decompose", "--in", str(path))
+    assert result.returncode == 0, result.stderr
+    summands = json.loads(result.stdout)["summands"]
+    assert summands == [{"tag": {"i": 1, "j": 1}, "matrix": tn.matrix_to_json(m)}]
+
+
 def test_options_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
     from swdual import cli
 

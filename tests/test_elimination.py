@@ -4,9 +4,10 @@ Ranks are compared with the largest nonzero minor (cofactor determinants),
 and nullspace bases are characterised without the engine: annihilated by
 the rows, n_vars - rank of them, and each one is 1 at its own free variable
 and 0 at every other free one, where a column is free when it does not
-raise the minor rank of the columns left of it.  The psi and span rows of
-the duality oracles are compared with the dense-scan and act_left rows in
-``reference``.
+raise the minor rank of the columns left of it.  The psi classes and rows
+and the span rows of the duality oracles are compared with the dense-scan
+and act_left rows in ``reference``.  The minimum-fill rank is compared
+with the minor rank and with the leftmost echelon form.
 """
 
 from fractions import Fraction
@@ -26,6 +27,10 @@ from swdual.rings import Ring, determinant
 
 Q = Ring.rationals()
 FIELDS = [Q] + [Ring.modular(p) for p in (2, 3, 7)]
+
+# the cells of acceptance criterion 2
+DUALITY_GRID = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                (4, 1), (4, 2), (4, 3), (5, 2), (5, 3)]
 
 PROPERTY = settings(
     max_examples=60,
@@ -101,6 +106,45 @@ def test_rank_is_the_largest_nonzero_minor(case):
     assert vf._sparse_rank(ring, sparse) == want
 
 
+@st.composite
+def sparse_systems(draw, max_rows=6, max_cols=6):
+    """Sparse integer rows of +-1 entries, of mixed entries or of non-unit
+    entries only, so that over Q both the plain step and the fraction-free
+    one run."""
+    n_cols = draw(st.integers(2, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(2, max_rows))):
+        cols = draw(st.sets(st.integers(0, n_cols - 1), min_size=1, max_size=4))
+        values = draw(st.sampled_from([(2, -3, 4, 6), (1, -1, 2, -3), (1, -1)]))
+        rows.append({c: draw(st.sampled_from(values)) for c in sorted(cols)})
+    return rows, n_cols
+
+
+@PROPERTY
+@given(sparse_systems())
+def test_minimum_fill_rank_is_the_largest_nonzero_minor(case):
+    rows, n_cols = case
+    before = [dict(row) for row in rows]
+    for ring in [Q] + [Ring.modular(p) for p in (2, 3, 5)]:
+        dense = [[ring.from_int(row.get(c, 0)) for c in range(n_cols)] for row in rows]
+        assert rg.sparse_rank(ring, rows) == minor_rank(ring, dense)
+        assert rg.sparse_rank(ring, rows) == len(rg.sparse_echelon(ring, rows))
+    assert rows == before  # the input is not modified
+
+
+@pytest.mark.parametrize("n,r", DUALITY_GRID)
+@pytest.mark.parametrize("ring", [Q, Ring.modular(3)], ids=["q", "z/3"])
+def test_both_pivot_rules_agree_on_the_duality_systems(n, r, ring):
+    orbit_of, reps, live = vf._live_orbits(n, r)
+    systems = [
+        vf._slice_equations(n, r, orbit_of, live),
+        vf._span_rows(n, r, ix.all_permutations(n), orbit_of, live),
+        vf._psi_rows(r, vf._wn_orbit_classes(n, r)),
+    ]
+    for rows in systems:
+        assert rg.sparse_rank(ring, rows) == len(rg.sparse_echelon(ring, rows))
+
+
 @PROPERTY
 @given(matrices())
 def test_integer_rows_enter_directly(case):
@@ -174,12 +218,28 @@ def test_centraliser_basis_is_the_reduced_nullspace(n, r, ring):
                for c in range(own + 1, len(live)))
 
 
-@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (4, 2), (3, 3), (2, 3), (1, 2)])
 @pytest.mark.parametrize("ring", [Q, Ring.modular(3)], ids=["q", "z/3"])
 def test_psi_rows_match_dense_scan(n, r, ring):
-    class_of, reps = vf._wn_orbit_classes(n, r)
-    assert class_of == ref.wn_orbit_classes(n, r)
-    assert vf._psi_rows(r, reps) == ref.psi_rows_dense(n, r, ring)
+    # one restricted-growth word per class of the reference's pair scan
+    words = vf._wn_orbit_classes(n, r)
+    class_of = ref.wn_orbit_classes(n, r)
+    pairs = [i + j for i in ix.all_indices(n, r) for j in ix.all_indices(n, r)]
+    first = {}
+    for pos, c in enumerate(class_of):
+        first.setdefault(c, pairs[pos])
+
+    def pattern(word):
+        relabel = {}
+        return tuple(relabel.setdefault(v, len(relabel)) for v in word)
+
+    assert words == [pattern(w) for w in words]  # restricted growth
+    assert sorted(words) == sorted(pattern(w) for w in first.values())
+    assert len(words) == vf.wn_end_dimension(n, r)
+    column = {c: words.index(pattern(w)) for c, w in first.items()}
+    dense = [{column[c]: 1 for c in row} for row in ref.psi_rows_dense(n, r, ring)]
+    assert vf._psi_rows(r, words) == dense
+    assert rg.sparse_rank(ring, vf._psi_rows(r, words)) == rg.sparse_rank(ring, dense)
 
 
 @pytest.mark.parametrize("n,r", [(4, 3), (5, 2)])

@@ -290,6 +290,18 @@ def test_decompose_unique_case_needs_no_assignment():
                 assert iv.is_special(s, n, j)
 
 
+def test_decompose_at_n_one_is_the_single_special_summand():
+    rng = random.Random(41)
+    for ring in (Z6, Q, Ring.integers()):
+        for r in (1, 2, 3):
+            a = tn.TensorMatrix.identity(1, r, ring).scale(ring.from_int(rng.randrange(1, 9)))
+            for basis in ("last-row", "row:1", "col:1"):
+                parts = ex.decompose(a, basis=basis)
+                assert parts == [a]
+                assert iv.is_special(parts[0], 1, 1)
+                assert iv.restrict(parts[0]) == iv.block(a, 1, 1)
+
+
 def test_decompose_zero_matrix():
     parts = ex.decompose(tn.TensorMatrix.zeros(4, 2, Q))
     assert all(p.is_zero() for p in parts)

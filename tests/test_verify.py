@@ -142,6 +142,25 @@ def test_closed_form_values():
     assert vf.wn_end_dimension(1, 3) == 1
 
 
+@pytest.mark.parametrize("n,r", [(6, 3), (5, 4)])
+@pytest.mark.parametrize("ring", [Q, F3], ids=["q", "z/3"])
+def test_eliminations_beyond_the_grid_equal_the_closed_form(n, r, ring):
+    # 588 at (6,3) and 120 at (5,4), where r >= n - 1 makes it 5!
+    want = vf.closed_form_centraliser_dimension(n, r)
+    assert want == {(6, 3): 588, (5, 4): 120}[(n, r)]
+    assert vf.centraliser_dimension(n, r, ring) == want
+    assert vf.span_dimension_w(n, r, ring) == want
+
+
+def test_r_is_bounded_when_n_is_at_most_one():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="r must be at most 1000000"):
+            vf.centraliser_dimension(n, vf.MAX_R + 1, Q)
+    with pytest.raises(ValueError, match="r must be at most"):
+        vf.verify_duality(1, 10**8, Q)
+    assert vf.centraliser_dimension(1, 5, Q) == vf.span_dimension_w(1, 5, Q) == 1
+
+
 def test_timings_cover_every_stage_and_stay_out_of_json():
     report = vf.verify_duality(3, 2, Q)
     assert set(report.timings) == {"span", "centraliser", "psi", "total"}
