@@ -13,7 +13,9 @@ decomposition pattern.  Free values left unspecified default to zero.
 Every construction is verified before it is returned; a verification
 failure raises :class:`ConstructionFailure` and indicates a bug, not user
 error.  A non-invariant input is user error: the public entries refuse it
-with :class:`NotInvariantError` before anything is built.
+with :class:`NotInvariantError` before anything is built.  Division-free
+constructions commute with scaling, so over Q each public entry runs, and
+verifies, on integers over one common denominator; values stay ``Fraction``.
 
 The restriction b pins one copy rule, built once per (n, r) as a rank
 table: an entry at a value-type mismatch is zero, and any other entry
@@ -43,6 +45,7 @@ from .invariants import (
     theta,
     zero_rowcol_implies_special,
 )
+from .rings import Ring, clear_denominators, over_denominator
 from .tensor import TensorMatrix, matrix_sum
 
 
@@ -68,6 +71,18 @@ def _as_value_map(ring, f):
     for key, value in f.items():
         out[key] = value.value if hasattr(value, "value") else value
     return out
+
+
+def _on_integers(a, f):
+    """Over Q: ``(L, L * a over Z, L * f)``, L one common denominator."""
+    f = _as_value_map(a.ring, f)
+    den, ints = clear_denominators(list(f.values()) + a.data)
+    return den, TensorMatrix(a.n, a.r, Ring.integers(), ints[len(f) :]), dict(zip(f, ints))
+
+
+def _over(den, a):
+    """The matrix a / den over Q of a matrix over Z."""
+    return TensorMatrix(a.n, a.r, Ring.rationals(), over_denominator(den, a.data))
 
 
 _POISON = object()
@@ -157,6 +172,9 @@ def extend(b, f=None, verify=True):
     verbatim.  With ``verify`` set, a non-invariant ``b`` is refused with
     :class:`NotInvariantError` before anything is built.
     """
+    if b.ring.kind == "q":
+        den, b, f = _on_integers(b, f)
+        return _over(den, extend(b, f, verify))
     ring = b.ring
     n, r = b.n, b.r + 1
     f = _as_value_map(ring, f)
@@ -208,7 +226,6 @@ def _extend_rank_one(b, f):
     """Extension from degree zero: the base free pattern {(i,j): i,j >= 2}."""
     n, ring = b.n, b.ring
     s = b.data[0]
-    sub = ring.sub
     rows = [[None] * n for _ in range(n)]
     for i in range(2, n + 1):
         for j in range(2, n + 1):
@@ -275,6 +292,9 @@ def decompose(a, f=None, basis="last-row", verify=True):
     ``verify`` set, a non-invariant ``a`` is refused with
     :class:`NotInvariantError` before anything is built.
     """
+    if a.ring.kind == "q":
+        den, a, f = _on_integers(a, f)
+        return [_over(den, s) for s in decompose(a, f, basis, verify)]
     based = pt.parse_basis(basis, a.n)
     if verify:
         _require_invariant(a)
@@ -541,6 +561,10 @@ def express_in_permutation_span(a, verify=True):
     through the inflation, which sends the power of a permutation fixing
     nothing relevant to the power of its lift.  No ring division occurs.
     """
+    if a.ring.kind == "q":
+        den, a, _ = _on_integers(a, None)
+        coeffs = express_in_permutation_span(a, verify)
+        return dict(zip(coeffs, over_denominator(den, coeffs.values())))
     n, r, ring = a.n, a.r, a.ring
     if n == 1 or r == 0:
         coeffs = {ix.perm_identity(n): a.data[0]} if a.data[0] != ring.zero else {}

@@ -34,6 +34,7 @@ from functools import lru_cache
 from itertools import compress
 
 from . import indices as ix
+from .rings import Ring, clear_denominators
 from .tensor import TensorMatrix, gather, matmul
 
 
@@ -165,6 +166,8 @@ def check_membership(a, stop_early=False):
     place r.  When S fails the kernel runs at every place, on the matrix
     gathered through the table that moves place alpha last.
     """
+    if a.ring.kind == "q":  # homogeneous predicates: L * a, L a common denominator
+        a = TensorMatrix(a.n, a.r, Ring.integers(), clear_denominators(a.data)[1])
     n, r, data = a.n, a.r, a.data
     report = MembershipReport(True, True, True)
 
@@ -189,7 +192,7 @@ def check_membership(a, stop_early=False):
 
     # G: all slice sums for a context pair agree, at every place; under S
     # place r decides every place, and the first bad slice is at place 1
-    if r == 0:
+    if r == 0 or n == 0:  # no slice: degree zero, or the empty matrix at n = 0
         return report
     for alpha in (r,) if report.in_S else range(1, r + 1):
         table = _place_last(n, r, alpha)

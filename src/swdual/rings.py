@@ -63,7 +63,9 @@ class Ring:
     ``kind`` is one of ``"z"``, ``"q"``, ``"mod"``; modular rings carry a
     ``modulus`` >= 2.  Raw values are Python ints (integers and residues in
     ``[0, modulus)``) or ``Fraction`` (rationals, automatically in lowest
-    terms with positive denominator).
+    terms with positive denominator).  Over Q, construction and membership
+    run on integers over one common denominator (:func:`clear_denominators`);
+    the values they take and return stay ``Fraction``.
     """
 
     __slots__ = ("kind", "modulus", "_field")
@@ -204,7 +206,6 @@ class Ring:
     def format_value(self, a):
         """Integers and residues as decimal strings, rationals as "p/q"."""
         if self.kind == "q":
-            a = Fraction(a)
             if a.denominator == 1:
                 return str(a.numerator)
             return "%d/%d" % (a.numerator, a.denominator)
@@ -214,8 +215,10 @@ class Ring:
         t = text.strip()
         if self.kind == "q":
             if "/" in t:
-                num, den = t.split("/")
-                return Fraction(int(num), int(den))
+                num, den = map(int, t.split("/"))
+                if not den:
+                    raise ValueError("zero denominator in %r" % (text,))
+                return Fraction(num, den)
             return Fraction(int(t))
         return self.from_int(int(t))
 
@@ -259,6 +262,18 @@ class RingElement:
         return self.ring.format_value(self.value)
 
 
+def clear_denominators(values):
+    """``(L, [L * v for v in values])``, L the lcm of the denominators of
+    the rationals or ints ``values`` (a sequence or a dict view)."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def over_denominator(den, ints):
+    """The ``Fraction`` values x / den of the integers ``ints``."""
+    return [Fraction(x, den) for x in ints] if den != 1 else list(map(Fraction, ints))
+
+
 # ---------------------------------------------------------------------------
 # Field-only linear algebra: one sparse exact elimination engine
 # ---------------------------------------------------------------------------
@@ -294,9 +309,7 @@ def _integer_rows(ring, rows):
             out.append({v: x for v, c in row.items() if (x := c % p)})
         return out
     for row in rows:
-        den = lcm(*(c.denominator for c in row.values()))
-        out.append({v: c.numerator * (den // c.denominator)
-                    for v, c in row.items() if c})
+        out.append({v: x for v, x in zip(row, clear_denominators(row.values())[1]) if x})
     return out
 
 

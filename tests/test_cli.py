@@ -170,6 +170,34 @@ def test_non_invariant_input_is_a_usage_error(tmp_path):
         assert result.stdout == ""
 
 
+@pytest.mark.parametrize("ring", ["z/6", "z", "q"])
+def test_n_zero_is_a_usage_error_on_every_ring(ring):
+    result = run_swd("verify", "--n", "0", "--r", "2", "--ring", ring)
+    assert result.returncode == 2
+    assert result.stderr == "error: n must be positive, got 0\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command,where",
+    [("check-membership", "matrix"), ("extend", "matrix"), ("extend", "values"),
+     ("decompose", "matrix"), ("decompose", "values")],
+)
+def test_zero_denominator_is_a_usage_error(tmp_path, command, where):
+    a = tn.phi((2, 3, 1), 3, 1 if command == "extend" else 2, Q)
+    doc = {"matrix": tn.matrix_to_json(a)}
+    if where == "matrix":
+        doc["matrix"]["rows"][0][0] = "1/0"
+    else:
+        doc["values"] = {"(32,32)" if command == "extend" else "(3,2,2)": "1/0"}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    result = run_swd(command, "--in", str(path))
+    assert result.returncode == 2
+    assert result.stderr == "error: zero denominator in '1/0'\n"
+    assert result.stdout == ""
+
+
 def test_negative_n_is_a_usage_error():
     for args in (("dims", "--n", "-1", "--r", "3"), ("verify", "--n", "-1", "--r", "2")):
         result = run_swd(*args, "--ring", "q")

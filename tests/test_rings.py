@@ -84,6 +84,12 @@ def test_rationals_lowest_terms():
     assert Q.format_value(Fraction(4, 2)) == "2"
 
 
+def test_zero_denominator_is_a_value_error():
+    for text in ("1/0", " -3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Q.parse_value(text)
+
+
 def test_serialisation_round_trip():
     for ring, samples in [
         (Z, ["-12", "0", "5"]),
