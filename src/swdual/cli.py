@@ -324,7 +324,10 @@ def main(argv=None):
         return 2 if e.code not in (0,) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, KeyError, OSError) as e:
+    except UsageError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -15,7 +15,8 @@ failure raises :class:`ConstructionFailure` and indicates a bug, not user
 error.  A non-invariant input is user error: the public entries refuse it
 with :class:`NotInvariantError` before anything is built.  Division-free
 constructions commute with scaling, so over Q each public entry runs, and
-verifies, on integers over one common denominator; values stay ``Fraction``.
+verifies, on integers over one common denominator; values stay ``Fraction``,
+and a denominator too large to clear is a ``ValueError`` before any scaling.
 
 The restriction b pins one copy rule, built once per (n, r) as a rank
 table: an entry at a value-type mismatch is zero, and any other entry
@@ -226,6 +227,7 @@ def _extend_rank_one(b, f):
     """Extension from degree zero: the base free pattern {(i,j): i,j >= 2}."""
     n, ring = b.n, b.ring
     s = b.data[0]
+    sub = ring.sub
     rows = [[None] * n for _ in range(n)]
     for i in range(2, n + 1):
         for j in range(2, n + 1):

@@ -164,7 +164,8 @@ def check_membership(a, stop_early=False):
     two minors have the same slice sums: place r decides G at every place,
     and the first failing slice is (1, p, q) for the first bad (p, q) at
     place r.  When S fails the kernel runs at every place, on the matrix
-    gathered through the table that moves place alpha last.
+    gathered through the table that moves place alpha last.  Over Q a
+    common denominator too large to clear is a ``ValueError``.
     """
     if a.ring.kind == "q":  # homogeneous predicates: L * a, L a common denominator
         a = TensorMatrix(a.n, a.r, Ring.integers(), clear_denominators(a.data)[1])
@@ -192,7 +193,7 @@ def check_membership(a, stop_early=False):
 
     # G: all slice sums for a context pair agree, at every place; under S
     # place r decides every place, and the first bad slice is at place 1
-    if r == 0 or n == 0:  # no slice: degree zero, or the empty matrix at n = 0
+    if r == 0:
         return report
     for alpha in (r,) if report.in_S else range(1, r + 1):
         table = _place_last(n, r, alpha)

@@ -64,8 +64,8 @@ class Ring:
     ``modulus`` >= 2.  Raw values are Python ints (integers and residues in
     ``[0, modulus)``) or ``Fraction`` (rationals, automatically in lowest
     terms with positive denominator).  Over Q, construction and membership
-    run on integers over one common denominator (:func:`clear_denominators`);
-    the values they take and return stay ``Fraction``.
+    run on integers over one common denominator (:func:`clear_denominators`)
+    and take and return ``Fraction`` values.
     """
 
     __slots__ = ("kind", "modulus", "_field")
@@ -264,8 +264,13 @@ class RingElement:
 
 def clear_denominators(values):
     """``(L, [L * v for v in values])``, L the lcm of the denominators of
-    the rationals or ints ``values`` (a sequence or a dict view)."""
-    den = lcm(*(v.denominator for v in values))
+    the rationals or ints ``values`` (a sequence or a dict view).  So that
+    memory stays linear, L may have at most 2**28 // len(values) bits; a
+    larger L is a ``ValueError`` before any value is scaled."""
+    den, cap = 1, (1 << 28) // max(len(values), 1)
+    for d in {v.denominator for v in values}:
+        if (den := lcm(den, d)).bit_length() > cap:
+            raise ValueError("common denominator of %d values over %d bits" % (len(values), cap))
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 

@@ -8,6 +8,7 @@ import pytest
 from swdual import tensor as tn
 from swdual import verify as vf
 from swdual.rings import Ring
+from test_q_integers import large_denominators
 
 Q = Ring.rationals()
 
@@ -195,6 +196,18 @@ def test_zero_denominator_is_a_usage_error(tmp_path, command, where):
     result = run_swd(command, "--in", str(path))
     assert result.returncode == 2
     assert result.stderr == "error: zero denominator in '1/0'\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["check-membership", "decompose"])
+def test_common_denominator_past_the_bound_is_a_usage_error(tmp_path, command):
+    rows = [["1/%d" % d for d in large_denominators(4096)[k : k + 64]]
+            for k in range(0, 4096, 64)]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": {"n": 4, "r": 3, "ring": "q", "rows": rows}}))
+    result = run_swd(command, "--in", str(path))
+    assert result.returncode == 2
+    assert result.stderr == "error: common denominator of 4096 values over 65536 bits\n"
     assert result.stdout == ""
 
 

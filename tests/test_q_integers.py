@@ -9,6 +9,8 @@ was.
 """
 
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,6 +90,67 @@ def test_common_denominator_helpers():
     assert repr(over_denominator(1, [2, 0])) == repr([Fraction(2), Fraction(0)])
 
 
+def test_common_denominator_bound_is_exact():
+    # 2**28 bits over 4096 values: L may have 65,536 bits, and 2**65535 has
+    # 65,536 while 2**65536 has one more
+    zeros = [Fraction(0)] * 4095
+    assert clear_denominators([Fraction(1, 2**65535)] + zeros)[0] == 2**65535
+    with pytest.raises(ValueError, match="common denominator of 4096 values over 65536 bits"):
+        clear_denominators([Fraction(1, 2**65536)] + zeros)
+    # the bound is on L, not on any one denominator
+    with pytest.raises(ValueError, match="over 65536 bits"):
+        clear_denominators([Fraction(1, 3**30000), Fraction(1, 5**20000)] + zeros[1:])
+
+
+def large_denominators(count):
+    """``count`` pairwise coprime denominators of about 33 bits each: the
+    products of consecutive pairs of the largest primes below 2**17."""
+    sieve = bytearray([1]) * (1 << 17)
+    sieve[:2] = b"\0\0"
+    for p in range(2, 363):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, 1 << 17, p)))
+    primes = [p for p in range(len(sieve) - 1, 1, -1) if sieve[p]][: 2 * count]
+    return [p * q for p, q in zip(primes[::2], primes[1::2])]
+
+
+def test_many_distinct_large_denominators_are_refused_in_linear_memory():
+    # L would have about 135,000 bits, over the 65,536 allowed at 4,096
+    # values: every Q entry refuses the input before scaling a value
+    n, r = 4, 3
+    a = tn.TensorMatrix(n, r, Q, [Fraction(1, d) for d in large_denominators(4096)])
+    b = tn.TensorMatrix(n, r - 1, Q, a.data[: (n ** (r - 1)) ** 2])
+    calls = [lambda: iv.check_membership(a), lambda: ex.decompose(a),
+             lambda: ex.express_in_permutation_span(a)]
+    tracemalloc.start()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match="common denominator of 4096 values"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # 4096 scaled entries would take about 70 MB
+    # b has 256 values, whose L of about 8,400 bits is under the bound: the
+    # integer path runs and refuses b as a non-invariant
+    with pytest.raises(ex.NotInvariantError):
+        ex.extend(b)
+
+
+def test_an_invariant_past_the_bound_is_refused_too():
+    # the 24 permutation coefficients have coprime denominators of about
+    # 3,300 bits: L has about 79,000 bits, over the 65,536 allowed
+    n, r = 4, 3
+    dens = large_denominators(24 * 100)
+    a = tn.TensorMatrix.zeros(n, r, Q)
+    for k, w in enumerate(ix.all_permutations(n)):
+        den = math.prod(dens[100 * k : 100 * k + 100])
+        a = a.add(tn.phi(w, n, r, Q).scale(Fraction(1, den)))
+    for call in (iv.check_membership, ex.decompose, ex.express_in_permutation_span):
+        with pytest.raises(ValueError, match="common denominator of 4096 values over 65536 bits"):
+            call(a)
+
+
 @PROPERTY
 @given(st.data())
 def test_extend_is_homogeneous(data):
@@ -160,10 +223,6 @@ def test_outputs_survive_a_json_round_trip():
 
 
 @pytest.mark.parametrize("name", ["z/6", "z", "q"])
-def test_empty_matrix_at_n_zero_is_an_invariant_and_verify_refuses_it(name):
-    ring = Ring.parse(name)
-    for r in (1, 2, 3):
-        report = iv.check_membership(tn.TensorMatrix(0, r, ring, []))
-        assert report.in_E and report.first_violation is None
+def test_verify_refuses_n_zero_on_every_ring(name):
     with pytest.raises(ValueError, match="n must be positive, got 0"):
-        vf.verify_duality(0, 2, ring)
+        vf.verify_duality(0, 2, Ring.parse(name))
