@@ -13,10 +13,9 @@ decomposition pattern.  Free values left unspecified default to zero.
 Every construction is verified before it is returned; a verification
 failure raises :class:`ConstructionFailure` and indicates a bug, not user
 error.  A non-invariant input is user error: the public entries refuse it
-with :class:`NotInvariantError` before anything is built.  Division-free
-constructions commute with scaling, so over Q each public entry runs, and
-verifies, on integers over one common denominator; values stay ``Fraction``,
-and a denominator too large to clear is a ``ValueError`` before any scaling.
+with :class:`NotInvariantError` before anything is built.  Over Q each
+public entry runs, and verifies, on integers over one common denominator
+(:func:`.rings.clear_denominators`, which bounds it); values stay ``Fraction``.
 
 The restriction b pins one copy rule, built once per (n, r) as a rank
 table: an entry at a value-type mismatch is zero, and any other entry
