@@ -10,12 +10,28 @@ given invariant and agrees with an assignment on the free extension
 pattern; ``decompose`` splits an invariant into special summands along its
 last block row, one per block column, steered by an assignment on the free
 decomposition pattern.  Free values left unspecified default to zero.
-Every construction is verified before it is returned; a verification
-failure raises :class:`ConstructionFailure` and indicates a bug, not user
-error.  A non-invariant input is user error: the public entries refuse it
-with :class:`NotInvariantError` before anything is built.  Over Q each
-public entry runs, and verifies, on integers over one common denominator
-(:func:`.rings.clear_denominators`, which bounds it); values stay ``Fraction``.
+
+Since only addition and subtraction occur, ``extend``, ``decompose`` and
+``express_in_permutation_span`` are fixed Z-linear maps for each (n, r),
+built once per (n, r) as sparse integer operators (:class:`_Operator`).
+Their inputs are tower coordinates (:func:`_tower`): the scalar rho^r(a)
+and the entries of each restriction rho^(r-k)(a) on the free pattern
+F(n, k), k = 1..r, which fix an invariant a because E(n,k) = E(n,k-1) +
+F(n,k); then the free values.  A build runs the block recursion over Z on
+packed inputs (:func:`_build`), and its inner calls apply the operators
+one rank or one degree down; the recursion runs nowhere else.  A public
+call applies the operator to integers or residues and reduces once.
+
+Every construction is verified before it is returned.  A verified output
+is unique, so a fault in an operator surfaces as
+:class:`ConstructionFailure`, never as a wrong answer; a failed build
+names the operation and the (n, r).  A non-invariant input is user error:
+the public entries refuse it with :class:`NotInvariantError` before
+anything is built.  With ``verify=False`` nothing is checked, and the
+output is defined only for invariant input.  Over Q each public entry
+runs, and verifies, on integers over one common denominator
+(:func:`.rings.clear_denominators`, which bounds it); values stay
+``Fraction``.  A matrix with n < 1 is a ``ValueError``.
 
 The restriction b pins one copy rule, built once per (n, r) as a rank
 table: an entry at a value-type mismatch is zero, and any other entry
@@ -29,8 +45,12 @@ n <= r.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count
+from operator import mul
 
 from . import indices as ix
 from . import patterns as pt
@@ -40,13 +60,17 @@ from .invariants import (
     block,
     check_membership,
     eta,
+    is_invariant,
     is_special,
+    require_positive_n,
     restrict,
     theta,
     zero_rowcol_implies_special,
 )
 from .rings import Ring, clear_denominators, over_denominator
 from .tensor import TensorMatrix, matrix_sum
+
+_Z = Ring.integers()
 
 
 class ConstructionFailure(RuntimeError):
@@ -77,7 +101,7 @@ def _on_integers(a, f):
     """Over Q: ``(L, L * a over Z, L * f)``, L one common denominator."""
     f = _as_value_map(a.ring, f)
     den, ints = clear_denominators(list(f.values()) + a.data)
-    return den, TensorMatrix(a.n, a.r, Ring.integers(), ints[len(f) :]), dict(zip(f, ints))
+    return den, TensorMatrix(a.n, a.r, _Z, ints[len(f) :]), dict(zip(f, ints))
 
 
 def _over(den, a):
@@ -86,6 +110,183 @@ def _over(den, a):
 
 
 _POISON = object()
+
+
+# ---------------------------------------------------------------------------
+# Tower coordinates and the per-(n, r) integer operators
+# ---------------------------------------------------------------------------
+
+# A build runs the construction on _RUN_INPUTS inputs at a time, input k of
+# a run set to 2^(32 k): every output is then the sum of its integer
+# coefficients times those powers, and they are read off as signed base
+# 2^32 digits, one "i" array item each (Kronecker substitution).  A
+# coefficient must lie within 2^31 of zero, or it reads wrong and fails
+# verification; the largest is 5 up to (5,3) and 20 at (8,2).
+_RUN_INPUTS = 64
+
+
+@lru_cache(maxsize=None)
+def _tower_size(n, r):
+    """dim E(n, r): the number of tower coordinates of degree r."""
+    return 1 + sum(len(pt.build_f(n, k)) for k in range(1, min(r, n - 1) + 1))
+
+
+@lru_cache(maxsize=None)
+def _free_positions(n, r):
+    """Positions in ``data`` of an I(n,r) matrix of the entries of F(n, r)."""
+    size = n**r
+    return array("I", (
+        ix.index_rank(n, u) * size + ix.index_rank(n, v) for u, v in pt.build_f(n, r).entries
+    ))
+
+
+def _tower(a):
+    """The tower coordinates of an invariant a of degree r: the scalar
+    rho^r(a), then the entries of rho^(r-k)(a) on F(n, k) for k = 1..r.
+
+    Extending rho(a) by the values of a on F(n, r) gives a back, so these
+    dim E(n, r) values fix a."""
+    levels = [a]
+    for _ in range(a.r):
+        levels.append(restrict(levels[-1], validate=False))
+    xs = list(levels[-1].data)
+    for k in range(1, min(a.r, a.n - 1) + 1):
+        xs.extend(map(levels[a.r - k].data.__getitem__, _free_positions(a.n, k)))
+    return xs
+
+
+@lru_cache(maxsize=None)
+def _live_table(n, r):
+    """The orbits of :func:`indices.orbit_table` off the value-type
+    mismatches: their lead positions, and for every orbit 1 + its index
+    among them, or 0 for an orbit of mismatches."""
+    _, leads = ix.orbit_table(n, r)
+    mask = _h_mask(n, r)
+    slot = count(1)
+    return (
+        array("I", (p for p in leads if not mask[p])),
+        array("I", (0 if mask[p] else next(slot) for p in leads)),
+    )
+
+
+def _from_live(ring, n, r, values):
+    """The matrix over I(n,r) with ``values`` on the live orbits, in the
+    order of :func:`_live_table`, and zero on the mismatches."""
+    orbit_of, _ = ix.orbit_table(n, r)
+    window = [ring.zero] + values
+    per_orbit = list(map(window.__getitem__, _live_table(n, r)[1]))
+    return TensorMatrix(n, r, ring, list(map(per_orbit.__getitem__, orbit_of)))
+
+
+class _Operator:
+    """A sparse integer matrix in compressed rows: output k is the sum of
+    ``coefs[t]`` times input ``cols[t]`` over starts[k] <= t < starts[k+1]."""
+
+    __slots__ = ("starts", "cols", "coefs")
+
+    def __init__(self, starts, cols, coefs):
+        self.starts, self.cols, self.coefs = starts, cols, coefs
+
+    def __call__(self, xs):
+        get, cols, coefs = xs.__getitem__, self.cols, self.coefs
+        return [
+            sum(map(mul, coefs[s:e], map(get, cols[s:e])))
+            for s, e in zip(self.starts, self.starts[1:])
+        ]
+
+
+def _build(name, n, r, width, run):
+    """The operator of ``run``, a Z-linear map from ``width`` integers to a
+    list of integers, read off runs of ``run`` on packed inputs.
+
+    A run that raises ConstructionFailure fails the build, with the
+    operation and the (n, r) named in front of the run's message."""
+    rows = None
+    for start in range(0, width, _RUN_INPUTS):
+        batch = min(_RUN_INPUTS, width - start)
+        xs = [0] * width
+        xs[start : start + batch] = [1 << (32 * k) for k in range(batch)]
+        try:
+            outs = run(xs)
+        except ConstructionFailure as exc:
+            raise ConstructionFailure(
+                "cannot build the %s operator at (n, r) = (%d, %d): %s" % (name, n, r, exc)
+            ) from exc
+        if rows is None:
+            rows = [(array("I"), array("i")) for _ in outs]
+        # adding 2^31 to every digit makes them all nonnegative; flipping
+        # that bit back leaves each one in two's complement
+        bias = sum(1 << (32 * k + 31) for k in range(batch))
+        for (cols, coefs), v in zip(rows, outs):
+            if v:
+                digits = array("i", ((v + bias) ^ bias).to_bytes(4 * batch, "little"))
+                if sys.byteorder == "big":
+                    digits.byteswap()
+                cols.extend(compress(range(start, start + batch), digits))
+                coefs.extend(compress(digits, digits))
+    starts, cols, coefs = array("I", [0]), array("I"), array("i")
+    for row_cols, row_coefs in rows:
+        cols.extend(row_cols)
+        coefs.extend(row_coefs)
+        starts.append(len(cols))
+    return _Operator(starts, cols, coefs)
+
+
+def _synthesise(ring, n, r, xs):
+    """The invariant of degree r whose tower coordinates are ``xs``."""
+    if r == 0:
+        return TensorMatrix.scalar(n, ring, xs[0])
+    if n > r >= 2:
+        return _from_live(ring, n, r, ring.reduce(_extend_operator(n, r)(xs)))
+    k = _tower_size(n, r - 1)
+    b = _synthesise(ring, n, r - 1, xs[:k])
+    if n <= r:
+        return _extend_direct(b)
+    return _extend_rank_one(b, dict(zip(pt.build_f(n, 1).entries, xs[k:])))
+
+
+@lru_cache(maxsize=None)
+def _extend_operator(n, r):
+    """For n > r >= 2: the tower coordinates of b in E(n, r-1), then the
+    values of f on F(n, r), to the values of extend(b, f) on the live
+    orbits; together, the tower coordinates of extend(b, f)."""
+    k = _tower_size(n, r - 1)
+    entries = pt.build_f(n, r).entries
+
+    def run(xs):
+        a = _extend_recursive(_synthesise(_Z, n, r - 1, xs[:k]), dict(zip(entries, xs[k:])))
+        return list(map(a.data.__getitem__, _live_table(n, r)[0]))
+
+    return _build("extend", n, r, k + len(entries), run)
+
+
+@lru_cache(maxsize=None)
+def _decompose_operator(n, r):
+    """For n >= 2: the tower coordinates of a in E(n, r), then the values
+    of f on D(n, r), to the tower coordinates in E(n-1, r) of eta(A(j), n, j)
+    for the summands A(1), ..., A(n) of decompose(a, f)."""
+    k = _tower_size(n, r)
+    entries = pt.build_d(n, r).entries
+
+    def run(xs):
+        summands = _decompose_step(_synthesise(_Z, n, r, xs[:k]), dict(zip(entries, xs[k:])))
+        return [x for j, s in enumerate(summands, start=1) for x in _tower(eta(s, n, j))]
+
+    return _build("decompose", n, r, k + len(entries), run)
+
+
+@lru_cache(maxsize=None)
+def _express_operator(n, r):
+    """For 1 <= r < n: the tower coordinates of a in E(n, r) to the
+    coefficients of express_in_permutation_span(a), in the order of
+    :func:`_express_order`, zeros included."""
+    order = _express_order(n, r)
+
+    def run(xs):
+        coeffs = _express_step(_synthesise(_Z, n, r, xs))
+        return [coeffs.get(w, 0) for w in order]
+
+    return _build("express", n, r, _tower_size(n, r), run)
 
 
 # ---------------------------------------------------------------------------
@@ -172,27 +373,20 @@ def extend(b, f=None, verify=True):
     verbatim.  With ``verify`` set, a non-invariant ``b`` is refused with
     :class:`NotInvariantError` before anything is built.
     """
+    require_positive_n(b)
     if b.ring.kind == "q":
         den, b, f = _on_integers(b, f)
         return _over(den, extend(b, f, verify))
-    ring = b.ring
-    n, r = b.n, b.r + 1
+    ring, n, r = b.ring, b.n, b.r + 1
     f = _as_value_map(ring, f)
-    pattern = pt.build_f(n, r)
-    allowed = set(pattern.entries)
+    entries = pt.build_f(n, r).entries
+    allowed = set(entries)
     for key in f:
         if key not in allowed:
             raise ValueError("assignment key %r is not a free-pattern entry" % (key,))
     if verify:
         _require_invariant(b)
-
-    if n <= r:
-        a = _extend_direct(b)
-    elif r == 1:
-        a = _extend_rank_one(b, f)
-    else:
-        a = _extend_recursive(b, f)
-
+    a = _synthesise(ring, n, r, _tower(b) + [f.get(key, ring.zero) for key in entries])
     if verify:
         _verify_extension(a, b, f)
     return a
@@ -226,7 +420,6 @@ def _extend_rank_one(b, f):
     """Extension from degree zero: the base free pattern {(i,j): i,j >= 2}."""
     n, ring = b.n, b.ring
     s = b.data[0]
-    sub = ring.sub
     rows = [[None] * n for _ in range(n)]
     for i in range(2, n + 1):
         for j in range(2, n + 1):
@@ -243,7 +436,8 @@ def _extend_rank_one(b, f):
 
 
 def _extend_recursive(b, f):
-    """Extension for n > r >= 2 via the block-row construction.
+    """Extension for n > r >= 2 via the block-row construction; it builds
+    :func:`_extend_operator` and runs nowhere else.
 
     The free values on the block-row part of the pattern translate into a
     decomposition of ``b``; the remaining free values are hit by choosing
@@ -293,6 +487,7 @@ def decompose(a, f=None, basis="last-row", verify=True):
     ``verify`` set, a non-invariant ``a`` is refused with
     :class:`NotInvariantError` before anything is built.
     """
+    require_positive_n(a)
     if a.ring.kind == "q":
         den, a, f = _on_integers(a, f)
         return [_over(den, s) for s in decompose(a, f, basis, verify)]
@@ -307,45 +502,51 @@ def _decompose_last_row(a, f, verify):
     n, r, ring = a.n, a.r, a.ring
     if r < 1:
         raise ValueError("decomposition needs degree >= 1")
-    d_pattern = pt.build_d(n, r)
-    allowed = set(d_pattern.entries)
+    entries = pt.build_d(n, r).entries
+    allowed = set(entries)
     for key in f:
         if key not in allowed:
             raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
-    blocks_of_a = [block(a, n, j) for j in range(1, n + 1)]
-
     if n == 1:  # the one summand, special with tag (1, 1), is a itself
         summands = [a]
-    elif n <= r + 1:
+    else:
+        xs = _tower(a) + [f.get(key, ring.zero) for key in entries]
+        ys = ring.reduce(_decompose_operator(n, r)(xs))
+        k = _tower_size(n - 1, r)
         summands = [
+            theta(_synthesise(ring, n - 1, r, ys[(j - 1) * k : j * k]), n, j)
+            for j in range(1, n + 1)
+        ]
+    if verify:
+        _verify_decomposition(a, summands, f)
+    return summands
+
+
+def _decompose_step(a, f):
+    """The decomposition of an invariant with n >= 2 along the last block
+    row by the block recursion; it builds :func:`_decompose_operator` and
+    runs nowhere else."""
+    n, r, ring = a.n, a.r, a.ring
+    blocks_of_a = [block(a, n, j) for j in range(1, n + 1)]
+    if n <= r + 1:
+        return [
             theta(extend(eta(blocks_of_a[j - 1], n, j), None, verify=False), n, j)
             for j in range(1, n + 1)
         ]
-    else:
-        summands = [None] * n
-        residual = a
-        for j in range(n, r + 1, -1):
-            g = {
-                y: f.get((j,) + x, ring.zero)
-                for x, y in pt.per_block_labels(n, r, j)
-            }
-            a_j = theta(extend(eta(blocks_of_a[j - 1], n, j), g, verify=False), n, j)
-            summands[j - 1] = a_j
-            residual = residual.sub(a_j)
-        for j in range(r + 1, 1, -1):
+    summands = [None] * n
+    residual = a
+    for j in range(n, 1, -1):
+        if j > r + 1:  # a full per-block pattern
+            g = {y: f.get((j,) + x, ring.zero) for x, y in pt.per_block_labels(n, r, j)}
+        else:
             g = _replay_forced_assignment(a, blocks_of_a[j - 1], residual, j, f)
-            a_j = theta(extend(eta(blocks_of_a[j - 1], n, j), g, verify=False), n, j)
-            _check_column_agreement(a_j, residual, n, r, j)
-            summands[j - 1] = a_j
-            residual = residual.sub(a_j)
-        summands[0] = residual
-        if not zero_rowcol_implies_special(residual, n, 1):
-            raise ConstructionFailure(
-                "final decomposition residual has a nonzero off block"
-            )
-
-    if verify:
-        _verify_decomposition(a, summands, f)
+        summands[j - 1] = theta(extend(eta(blocks_of_a[j - 1], n, j), g, verify=False), n, j)
+        residual = residual.sub(summands[j - 1])
+    summands[0] = residual
+    if not zero_rowcol_implies_special(residual, n, 1):
+        raise ConstructionFailure(
+            "final decomposition residual has a nonzero off block"
+        )
     return summands
 
 
@@ -421,21 +622,6 @@ def _replay_forced_assignment(a, b_j, residual, j, f):
                 )
             g[y] = value
     return g
-
-
-def _check_column_agreement(a_j, residual, n, r, j):
-    """The chosen summand must agree with the running difference on every
-    prescribed column, over all rows avoiding the value n."""
-    rows = [u for u in ix.all_indices(n, r) if n not in u]
-    for v in ix.l_set(n, r, j - 1):
-        if j in v:
-            continue
-        for u in rows:
-            if a_j.get(u, v) != residual.get(u, v):
-                raise ConstructionFailure(
-                    "block %d disagrees with the residual at (%s, %s)"
-                    % (j, ix.format_index(u), ix.format_index(v))
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +747,13 @@ def express_in_permutation_span(a, verify=True):
     excisions live one rank lower; their recursive expressions lift back
     through the inflation, which sends the power of a permutation fixing
     nothing relevant to the power of its lift.  No ring division occurs.
+    The coefficients are nonzero and listed in the order of
+    :func:`_express_order`.  With ``verify`` set they are checked by exact
+    reconstruction: a matrix outside the span raises
+    :class:`NotInSpanError`, an invariant that fails raises
+    :class:`ConstructionFailure`.
     """
+    require_positive_n(a)
     if a.ring.kind == "q":
         den, a, _ = _on_integers(a, None)
         coeffs = express_in_permutation_span(a, verify)
@@ -573,17 +765,46 @@ def express_in_permutation_span(a, verify=True):
         return coeffs
     if r >= n:
         return _read_off(a)
+    values = ring.reduce(_express_operator(n, r)(_tower(a)))
+    coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != ring.zero}
+    if verify:
+        try:
+            _check_reconstruction(a, coeffs)
+        except NotInSpanError:
+            if is_invariant(a):
+                raise ConstructionFailure(
+                    "the permutation-span coefficients of an invariant do not rebuild it"
+                ) from None
+            raise
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def _express_order(n, r):
+    """The permutations of {1..n} in the order the recursion meets them:
+    the lexicographic read-off order for r >= n, else block j = 1..n in
+    turn, each the order one rank down lifted by :func:`lift_permutation`."""
+    if n == 1 or r == 0:
+        return (ix.perm_identity(n),)
+    if r >= n:
+        return tuple(ix.all_permutations(n))
+    return tuple(
+        lift_permutation(wbar, j) for j in range(1, n + 1) for wbar in _express_order(n - 1, r)
+    )
+
+
+def _express_step(a):
+    """The coefficients of an invariant with 1 <= r < n by the recursion
+    through its decomposition, zeros included; it builds
+    :func:`_express_operator` and runs nowhere else."""
+    n, ring = a.n, a.ring
     coeffs = {}
     summands = decompose(a, None, verify=False)
     for j in range(1, n + 1):
         inner = express_in_permutation_span(eta(summands[j - 1], n, j), verify=False)
         for wbar, x in inner.items():
             w = lift_permutation(wbar, j)
-            acc = ring.add(coeffs.get(w, ring.zero), x)
-            coeffs[w] = acc
-    coeffs = {w: x for w, x in coeffs.items() if x != ring.zero}
-    if verify:
-        _check_reconstruction(a, coeffs)
+            coeffs[w] = ring.add(coeffs.get(w, ring.zero), x)
     return coeffs
 
 

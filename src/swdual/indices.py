@@ -9,6 +9,7 @@ matrix in this package.  Permutations of {1..n} are tuples of images
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import lru_cache
 from operator import add, mul
 
@@ -181,12 +182,11 @@ def drop_place(idx, alpha):
 
 
 @lru_cache(maxsize=None)
-def omega_orbits(n, r):
-    """Orbits of the right S_r action on I(n,r) x I(n,r).
-
-    Returns ``(orbit_of, reps)`` where ``orbit_of`` maps a pair of
-    lexicographic ranks to its orbit id and ``reps`` lists one
-    lexicographically least representative pair per orbit.
+def orbit_table(n, r):
+    """Orbits of the right S_r action on I(n,r) x I(n,r), as two compact
+    tables: ``orbit_of``, the orbit id of each entry position in row-major
+    order, and ``leads``, the position of each orbit's lexicographically
+    least pair, in order of orbit id.
 
     The least pair of an orbit, where it first appears in row-major order,
     lists the place columns (i_a, j_a) sorted.  With code_a = (i_a - 1) n^r
@@ -198,17 +198,37 @@ def omega_orbits(n, r):
     weights = [n ** (r - a) for a in range(1, r + 1)]
     offset = sum(weights)
     orbit_of = []
-    reps = []
+    leads = []
     for i in indices:
         codes = [(v - 1) * size for v in i]
         for j in indices:
             lead = sum(map(mul, sorted(map(add, codes, j)), weights)) - offset
             if lead == len(orbit_of):
-                orbit_of.append(len(reps))
-                reps.append((i, j))
+                orbit_of.append(len(leads))
+                leads.append(lead)
             else:
                 orbit_of.append(orbit_of[lead])
-    return orbit_of, reps
+    return array("I", orbit_of), array("I", leads)
+
+
+@lru_cache(maxsize=None)
+def omega_orbits(n, r):
+    """Orbits of the right S_r action on I(n,r) x I(n,r).
+
+    Returns ``(orbit_of, reps)`` where ``orbit_of`` maps a pair of
+    lexicographic ranks to its orbit id and ``reps`` lists one
+    lexicographically least representative pair per orbit.  Both are
+    lists read from :func:`orbit_table`; membership and the construction
+    read only that compact table, so only the elimination oracles keep
+    representatives.
+    """
+    orbit_of, leads = orbit_table(n, r)
+    ids = list(range(len(leads)))  # one int object per orbit id
+    indices = all_indices(n, r)
+    size = len(indices)
+    return list(map(ids.__getitem__, orbit_of)), [
+        (indices[p // size], indices[p % size]) for p in leads
+    ]
 
 
 def l_set(n, r, j):

@@ -29,6 +29,7 @@ specialness maps work on precomputed rank tables instead of tuples.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
@@ -40,6 +41,12 @@ from .tensor import TensorMatrix, gather, matmul
 
 class NotInvariantError(ValueError):
     pass
+
+
+def require_positive_n(a):
+    """Refuse a matrix over I(n,r) with n < 1, which has no slices."""
+    if a.n < 1:
+        raise ValueError("n must be positive, got %d" % a.n)
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +123,9 @@ def _h_mask(n, r):
 @lru_cache(maxsize=None)
 def _orbit_leads(n, r):
     """For each entry position, the position, in row-major order, where its
-    ``omega_orbits`` orbit first appears."""
-    orbit_of, _ = ix.omega_orbits(n, r)
-    first = {}
-    return tuple(first.setdefault(oid, pos) for pos, oid in enumerate(orbit_of))
+    orbit (:func:`indices.orbit_table`) first appears."""
+    orbit_of, leads = ix.orbit_table(n, r)
+    return array("I", map(leads.__getitem__, orbit_of))
 
 
 @lru_cache(maxsize=None)
@@ -167,6 +173,7 @@ def check_membership(a, stop_early=False):
     gathered through the table that moves place alpha last.  Over Q a
     common denominator too large to clear is a ``ValueError``.
     """
+    require_positive_n(a)
     if a.ring.kind == "q":  # homogeneous predicates: L * a, L a common denominator
         a = TensorMatrix(a.n, a.r, Ring.integers(), clear_denominators(a.data)[1])
     n, r, data = a.n, a.r, a.data
@@ -317,6 +324,7 @@ def restrict(a, validate=True):
     compared, so a non-invariant input is rejected instead of silently
     restricted.
     """
+    require_positive_n(a)
     n, r = a.n, a.r
     if r < 1:
         raise ValueError("cannot restrict a degree-zero matrix")
