@@ -233,16 +233,20 @@ def _build(name, n, r, width, run):
 
 
 def _synthesise(ring, n, r, xs):
-    """The invariant of degree r whose tower coordinates are ``xs``."""
-    if r == 0:
-        return TensorMatrix.scalar(n, ring, xs[0])
-    if n > r >= 2:
-        return _from_live(ring, n, r, ring.reduce(_extend_operator(n, r)(xs)))
-    k = _tower_size(n, r - 1)
-    b = _synthesise(ring, n, r - 1, xs[:k])
-    if n <= r:
-        return _extend_direct(b)
-    return _extend_rank_one(b, dict(zip(pt.build_f(n, 1).entries, xs[k:])))
+    """The invariant of degree r whose tower coordinates are ``xs``.
+
+    Degrees from n on add no coordinates: above min(r, n - 1) the copy
+    rule alone extends."""
+    top = min(r, n - 1)
+    if top >= 2:
+        a = _from_live(ring, n, top, ring.reduce(_extend_operator(n, top)(xs)))
+    else:
+        a = TensorMatrix.scalar(n, ring, xs[0])
+        if top == 1:
+            a = _extend_rank_one(a, dict(zip(pt.build_f(n, 1).entries, xs[1:])))
+    for _ in range(top, r):
+        a = _extend_direct(a)
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +390,10 @@ def extend(b, f=None, verify=True):
             raise ValueError("assignment key %r is not a free-pattern entry" % (key,))
     if verify:
         _require_invariant(b)
-    a = _synthesise(ring, n, r, _tower(b) + [f.get(key, ring.zero) for key in entries])
+    if n <= r:
+        a = _extend_direct(b)
+    else:
+        a = _synthesise(ring, n, r, _tower(b) + [f.get(key, ring.zero) for key in entries])
     if verify:
         _verify_extension(a, b, f)
     return a

@@ -201,6 +201,11 @@ def test_membership_and_construction_read_only_the_compact_orbit_table():
     assert [(indices[p // 64], indices[p % 64]) for p in leads] == reps
 
 
+def test_extension_at_n_one_is_the_copy_rule_at_any_degree():
+    # no tower coordinates are read, and nothing recurses r levels deep
+    assert ex.extend(tn.TensorMatrix(1, 5000, Z6, [3])).data == [3]
+
+
 N_ZERO = [
     ("check_membership", lambda: iv.check_membership(tn.TensorMatrix(0, 2, Z6, []))),
     ("restrict", lambda: iv.restrict(tn.TensorMatrix(0, 2, Z6, []))),
