@@ -117,12 +117,13 @@ _POISON = object()
 # ---------------------------------------------------------------------------
 
 # A build runs the construction on _RUN_INPUTS inputs at a time, input k of
-# a run set to 2^(32 k): every output is then the sum of its integer
+# a run set to 2^(16 k): every output is then the sum of its integer
 # coefficients times those powers, and they are read off as signed base
-# 2^32 digits, one "i" array item each (Kronecker substitution).  A
-# coefficient must lie within 2^31 of zero, or it reads wrong and fails
+# 2^16 digits, one "h" array item each (Kronecker substitution).  A
+# coefficient must lie within 2^15 of zero, or it reads wrong and fails
 # verification; the largest is 5 up to (5,3) and 20 at (8,2).
-_RUN_INPUTS = 64
+_RUN_INPUTS = 128
+_DIGIT = 16
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +206,7 @@ def _build(name, n, r, width, run):
     for start in range(0, width, _RUN_INPUTS):
         batch = min(_RUN_INPUTS, width - start)
         xs = [0] * width
-        xs[start : start + batch] = [1 << (32 * k) for k in range(batch)]
+        xs[start : start + batch] = [1 << (_DIGIT * k) for k in range(batch)]
         try:
             outs = run(xs)
         except ConstructionFailure as exc:
@@ -214,12 +215,12 @@ def _build(name, n, r, width, run):
             ) from exc
         if rows is None:
             rows = [(array("I"), array("i")) for _ in outs]
-        # adding 2^31 to every digit makes them all nonnegative; flipping
+        # adding 2^15 to every digit makes them all nonnegative; flipping
         # that bit back leaves each one in two's complement
-        bias = sum(1 << (32 * k + 31) for k in range(batch))
+        bias = sum(1 << (_DIGIT * k + _DIGIT - 1) for k in range(batch))
         for (cols, coefs), v in zip(rows, outs):
             if v:
-                digits = array("i", ((v + bias) ^ bias).to_bytes(4 * batch, "little"))
+                digits = array("h", ((v + bias) ^ bias).to_bytes(2 * batch, "little"))
                 if sys.byteorder == "big":
                     digits.byteswap()
                 cols.extend(compress(range(start, start + batch), digits))
@@ -266,15 +267,15 @@ def _extend_operator(n, r):
 
 @lru_cache(maxsize=None)
 def _decompose_operator(n, r):
-    """For n >= 2: the tower coordinates of a in E(n, r), then the values
+    """For n > r + 1: the tower coordinates of a in E(n, r), then the values
     of f on D(n, r), to the tower coordinates in E(n-1, r) of eta(A(j), n, j)
     for the summands A(1), ..., A(n) of decompose(a, f)."""
     k = _tower_size(n, r)
     entries = pt.build_d(n, r).entries
 
     def run(xs):
-        summands = _decompose_step(_synthesise(_Z, n, r, xs[:k]), dict(zip(entries, xs[k:])))
-        return [x for j, s in enumerate(summands, start=1) for x in _tower(eta(s, n, j))]
+        parts = _decompose_step(_synthesise(_Z, n, r, xs[:k]), dict(zip(entries, xs[k:])))
+        return [x for c in parts for x in _tower(c)]
 
     return _build("decompose", n, r, k + len(entries), run)
 
@@ -283,14 +284,41 @@ def _decompose_operator(n, r):
 def _express_operator(n, r):
     """For 1 <= r < n: the tower coordinates of a in E(n, r) to the
     coefficients of express_in_permutation_span(a), in the order of
-    :func:`_express_order`, zeros included."""
-    order = _express_order(n, r)
+    :func:`_express_order`, zeros included.
 
-    def run(xs):
-        coeffs = _express_step(_synthesise(_Z, n, r, xs))
-        return [coeffs.get(w, 0) for w in order]
+    At r = n - 1 a build reads them off a synthesised invariant.  Below,
+    the recursion expresses the excision of each summand of a a rank down
+    and lifts it, so the operator is this one a rank down, block by block,
+    after the decomposition operator with its free values at zero."""
+    k = _tower_size(n, r)
+    if r == n - 1:
+        positions = _read_off_positions(n, r)
+        return _build("express", n, r, k, lambda xs: list(
+            map(_synthesise(_Z, n, r, xs).data.__getitem__, positions)
+        ))
+    return _blockwise(_express_operator(n - 1, r), _decompose_operator(n, r), n,
+                      _tower_size(n - 1, r), k)
 
-    return _build("express", n, r, _tower_size(n, r), run)
+
+def _blockwise(inner, outer, blocks, width, cut):
+    """The operator that applies ``outer`` to inputs zero from ``cut`` on,
+    then ``inner`` to each of its ``blocks`` runs of ``width`` outputs, and
+    lists the results block by block: a sparse product, row by row."""
+    o_starts, o_cols, o_coefs = outer.starts, outer.cols, outer.coefs
+    starts, cols, coefs = array("I", [0]), array("I"), array("i")
+    for base in range(0, blocks * width, width):
+        for s, e in zip(inner.starts, inner.starts[1:]):
+            acc = [0] * cut
+            for t, x in zip(inner.cols[s:e], inner.coefs[s:e]):
+                row = o_starts[base + t], o_starts[base + t + 1]
+                for c, y in zip(o_cols[row[0] : row[1]], o_coefs[row[0] : row[1]]):
+                    if c < cut:
+                        acc[c] += x * y
+            live = [c for c in range(cut) if acc[c]]
+            cols.extend(live)
+            coefs.extend(map(acc.__getitem__, live))
+            starts.append(len(cols))
+    return _Operator(starts, cols, coefs)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +475,7 @@ def _extend_recursive(b, f):
     :func:`_extend_operator` and runs nowhere else.
 
     The free values on the block-row part of the pattern translate into a
-    decomposition of ``b``; the remaining free values are hit by choosing
+    decomposition of ``b``, read as its summands' excisions; the remaining free values are hit by choosing
     the per-block inflation assignments block by block, assigning each
     shared pattern position to the largest block containing it and
     subtracting the contributions of earlier blocks.
@@ -458,7 +486,7 @@ def _extend_recursive(b, f):
     for (j, p, q) in pt.build_d(n, r - 1).entries:
         key = ((n,) + p, (j,) + q)
         f_d[(j, p, q)] = f.get(key, ring.zero)
-    blocks = decompose(b, f_d, verify=False)
+    blocks = _parts(b, f_d)
 
     labels = {j: pt.per_block_labels(n, r, j) for j in range(1, n + 1)}
     # increasing j: the largest block owns a shared position
@@ -472,8 +500,7 @@ def _extend_recursive(b, f):
                 g[y] = ring.sub(target, ring.sum(part.get(*x) for part in parts))
             else:
                 g[y] = ring.zero
-        c = eta(blocks[j - 1], n, j)
-        parts.append(theta(extend(c, g, verify=False), n, j))
+        parts.append(theta(extend(blocks[j - 1], g, verify=False), n, j))
     return matrix_sum(parts)
 
 
@@ -517,44 +544,54 @@ def _decompose_last_row(a, f, verify):
     if n == 1:  # the one summand, special with tag (1, 1), is a itself
         summands = [a]
     else:
-        xs = _tower(a) + [f.get(key, ring.zero) for key in entries]
-        ys = ring.reduce(_decompose_operator(n, r)(xs))
-        k = _tower_size(n - 1, r)
-        summands = [
-            theta(_synthesise(ring, n - 1, r, ys[(j - 1) * k : j * k]), n, j)
-            for j in range(1, n + 1)
-        ]
+        summands = [theta(c, n, j) for j, c in enumerate(_parts(a, f), start=1)]
     if verify:
         _verify_decomposition(a, summands, f)
     return summands
 
 
+def _parts(a, f):
+    """The excisions eta(A(j), n, j), j = 1..n, of the summands of the
+    decomposition of an invariant with n >= 2 along the last block row:
+    for n <= r + 1 the step itself, which only copies (D(n, r) is empty),
+    else from :func:`_decompose_operator`."""
+    n, r, ring = a.n, a.r, a.ring
+    if n <= r + 1:
+        return _decompose_step(a, f)
+    xs = _tower(a) + [f.get(key, ring.zero) for key in pt.build_d(n, r).entries]
+    ys = ring.reduce(_decompose_operator(n, r)(xs))
+    k = _tower_size(n - 1, r)
+    return [_synthesise(ring, n - 1, r, ys[j : j + k]) for j in range(0, n * k, k)]
+
+
 def _decompose_step(a, f):
-    """The decomposition of an invariant with n >= 2 along the last block
-    row by the block recursion; it builds :func:`_decompose_operator` and
-    runs nowhere else."""
+    """The excisions eta(A(j), n, j), j = 1..n, of the summands of the
+    decomposition of an invariant with n >= 2 along the last block row, by
+    the block recursion.  For n <= r + 1 each excision is a block, excised
+    and extended by the copy rule; otherwise the step builds
+    :func:`_decompose_operator` and runs nowhere else.  A summand A(j) is
+    theta of its excision."""
     n, r, ring = a.n, a.r, a.ring
     blocks_of_a = [block(a, n, j) for j in range(1, n + 1)]
     if n <= r + 1:
         return [
-            theta(extend(eta(blocks_of_a[j - 1], n, j), None, verify=False), n, j)
-            for j in range(1, n + 1)
+            extend(eta(blocks_of_a[j - 1], n, j), None, verify=False) for j in range(1, n + 1)
         ]
-    summands = [None] * n
+    parts = [None] * n
     residual = a
     for j in range(n, 1, -1):
         if j > r + 1:  # a full per-block pattern
             g = {y: f.get((j,) + x, ring.zero) for x, y in pt.per_block_labels(n, r, j)}
         else:
             g = _replay_forced_assignment(a, blocks_of_a[j - 1], residual, j, f)
-        summands[j - 1] = theta(extend(eta(blocks_of_a[j - 1], n, j), g, verify=False), n, j)
-        residual = residual.sub(summands[j - 1])
-    summands[0] = residual
+        parts[j - 1] = extend(eta(blocks_of_a[j - 1], n, j), g, verify=False)
+        residual = residual.sub(theta(parts[j - 1], n, j))
     if not zero_rowcol_implies_special(residual, n, 1):
         raise ConstructionFailure(
             "final decomposition residual has a nonzero off block"
         )
-    return summands
+    parts[0] = eta(residual, n, 1)
+    return parts
 
 
 def _verify_decomposition(a, summands, f):
@@ -709,15 +746,27 @@ def read_off_coefficients(a):
 
 
 def _read_off(a):
-    n, r, ring = a.n, a.r, a.ring
-    base_col = tuple(range(1, n + 1)) + (1,) * (r - n)
-    coeffs = {}
-    for w in ix.all_permutations(n):
-        value = a.get(ix.act_left(w, base_col), base_col)
-        if value != ring.zero:
-            coeffs[w] = value
+    """The nonzero coefficients read at :func:`_read_off_positions`, in
+    the order of :func:`_express_order`, checked by reconstruction."""
+    n, r, zero = a.n, a.r, a.ring.zero
+    values = map(a.data.__getitem__, _read_off_positions(n, r))
+    coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != zero}
     _check_reconstruction(a, coeffs)
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _read_off_positions(n, r):
+    """For r >= n - 1: the entry x_w is read at, for each w of
+    :func:`_express_order`.  The column 1, 2, ..., min(n, r), padded with
+    ones, meets the power of w in the row w of it alone, since the first
+    n - 1 values of a permutation fix it; that row holds x_w."""
+    m = min(n, r)
+    col = tuple(range(1, m + 1)) + (1,) * (r - m)
+    rank = ix.index_rank(n, col)
+    return array("I", (
+        ix.index_rank(n, ix.act_left(w, col)) * n**r + rank for w in _express_order(n, r)
+    ))
 
 
 def _check_reconstruction(a, coeffs):
@@ -749,7 +798,8 @@ def express_in_permutation_span(a, verify=True):
     """Exact coefficients expressing an invariant in the span of the
     Kronecker powers of permutation matrices, over any ring.
 
-    For degree at least the rank the coefficients are read off directly.
+    From degree n - 1 on, where the first n - 1 values of a permutation
+    fix it, the coefficients are read off directly (:func:`_read_off`).
     Below that the invariant is decomposed into special summands whose
     excisions live one rank lower; their recursive expressions lift back
     through the inflation, which sends the power of a permutation fixing
@@ -770,7 +820,7 @@ def express_in_permutation_span(a, verify=True):
         coeffs = {ix.perm_identity(n): a.data[0]} if a.data[0] != ring.zero else {}
         _check_reconstruction(a, coeffs)
         return coeffs
-    if r >= n:
+    if r >= n - 1:
         return _read_off(a)
     values = ring.reduce(_express_operator(n, r)(_tower(a)))
     coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != ring.zero}
@@ -798,21 +848,6 @@ def _express_order(n, r):
     return tuple(
         lift_permutation(wbar, j) for j in range(1, n + 1) for wbar in _express_order(n - 1, r)
     )
-
-
-def _express_step(a):
-    """The coefficients of an invariant with 1 <= r < n by the recursion
-    through its decomposition, zeros included; it builds
-    :func:`_express_operator` and runs nowhere else."""
-    n, ring = a.n, a.ring
-    coeffs = {}
-    summands = decompose(a, None, verify=False)
-    for j in range(1, n + 1):
-        inner = express_in_permutation_span(eta(summands[j - 1], n, j), verify=False)
-        for wbar, x in inner.items():
-            w = lift_permutation(wbar, j)
-            coeffs[w] = ring.add(coeffs.get(w, ring.zero), x)
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from array import array
 from functools import lru_cache
-from operator import add, mul
 
 
 def all_indices(n, r):
@@ -188,27 +187,38 @@ def orbit_table(n, r):
     order, and ``leads``, the position of each orbit's lexicographically
     least pair, in order of orbit id.
 
-    The least pair of an orbit, where it first appears in row-major order,
-    lists the place columns (i_a, j_a) sorted.  With code_a = (i_a - 1) n^r
-    + j_a, sorting the codes sorts the columns, and the sorted codes
-    weighted by n^(r-a), less the weights, sum to that pair's position.
+    An orbit is a multiset of r place columns (i_a, j_a).  With code_a =
+    (i_a - 1) n + j_a - 1 and B = r + 1, above every multiplicity, the key
+    sum of B^code_a names that multiset (:func:`_key_rows`).  Orbit ids
+    follow the first appearance of their keys in row-major order, where
+    each orbit's least pair comes first; the last degree is read one row
+    at a time, so no more than a row of keys is held at once.
     """
-    indices = all_indices(n, r)
-    size = len(indices)
-    weights = [n ** (r - a) for a in range(1, r + 1)]
-    offset = sum(weights)
-    orbit_of = []
-    leads = []
-    for i in indices:
-        codes = [(v - 1) * size for v in i]
-        for j in indices:
-            lead = sum(map(mul, sorted(map(add, codes, j)), weights)) - offset
-            if lead == len(orbit_of):
-                orbit_of.append(len(leads))
-                leads.append(lead)
-            else:
-                orbit_of.append(orbit_of[lead])
-    return array("I", orbit_of), array("I", leads)
+    power = [(r + 1) ** c for c in range(n * n)]
+    rows = [[0]]  # degree 0: the one pair, with the empty multiset
+    for degree in range(r):
+        rows = _key_rows(list(itertools.chain.from_iterable(rows)), n**degree, n, power)
+    ids, orbit_of, leads, base = {}, array("I"), array("I"), 0
+    for keys in rows:
+        new = [key for key in dict.fromkeys(keys) if key not in ids]
+        if new:
+            # read backwards, each key's last write is its first position
+            first = dict(zip(reversed(keys), range(base + len(keys) - 1, base - 1, -1)))
+            leads.extend(map(first.__getitem__, new))
+            ids.update(zip(new, itertools.count(len(ids))))
+        orbit_of.extend(map(ids.__getitem__, keys))
+        base += len(keys)
+    return orbit_of, leads
+
+
+def _key_rows(keys, size, n, power):
+    """The rows of orbit keys one degree up, in row-major order, from the
+    keys of degree d in row-major order (``size`` = n^d rows): the pair
+    (i.t, j.s) adds ``power[(t - 1) n + s - 1]`` to the key of (i, j)."""
+    for row in range(size):
+        lower = keys[row * size : (row + 1) * size]
+        for t in range(0, n * n, n):
+            yield [k + w for k in lower for w in power[t : t + n]]
 
 
 @lru_cache(maxsize=None)

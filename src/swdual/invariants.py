@@ -29,7 +29,6 @@ specialness maps work on precomputed rank tables instead of tuples.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
@@ -123,9 +122,11 @@ def _h_mask(n, r):
 @lru_cache(maxsize=None)
 def _orbit_leads(n, r):
     """For each entry position, the position, in row-major order, where its
-    orbit (:func:`indices.orbit_table`) first appears."""
+    orbit (:func:`indices.orbit_table`) first appears.  A tuple of shared
+    int objects, one per orbit: the S check gathers through it on every
+    call, and an ``array`` would box each item anew."""
     orbit_of, leads = ix.orbit_table(n, r)
-    return array("I", map(leads.__getitem__, orbit_of))
+    return tuple(map(list(leads).__getitem__, orbit_of))
 
 
 @lru_cache(maxsize=None)

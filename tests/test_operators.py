@@ -84,7 +84,25 @@ def test_decompose_equals_the_recursion(data):
     a = invariant(data.draw, n, r, ring)
     f = values(data.draw, ring, pt.build_d(n, r).entries)
     got = ex.decompose(a, f)
-    assert repr([s.data for s in got]) == repr([s.data for s in ex._decompose_step(a, f)])
+    want = [iv.theta(c, n, j) for j, c in enumerate(ex._decompose_step(a, f), start=1)]
+    assert repr([s.data for s in got]) == repr([s.data for s in want])
+
+
+def express_by_recursion(a):
+    """The coefficients by the block recursion, zeros included: read off
+    at r >= n, else express the excision of each summand a rank down and
+    lift it."""
+    n, r = a.n, a.r
+    if n == 1 or r == 0:
+        return {ix.perm_identity(n): a.data[0]}
+    if r >= n:
+        col = tuple(range(1, n + 1)) + (1,) * (r - n)
+        return {w: a.get(ix.act_left(w, col), col) for w in ix.all_permutations(n)}
+    coeffs = {}
+    for j, s in enumerate(ex.decompose(a), start=1):
+        for wbar, x in express_by_recursion(iv.eta(s, n, j)).items():
+            coeffs[ex.lift_permutation(wbar, j)] = x
+    return coeffs
 
 
 @PROPERTY
@@ -93,7 +111,7 @@ def test_express_equals_the_recursion_in_its_order(data):
     n, r = data.draw(st.sampled_from(EXPRESS_CELLS))
     ring = data.draw(st.sampled_from(RINGS))
     a = invariant(data.draw, n, r, ring)
-    want = {w: x for w, x in ex._express_step(a).items() if x != ring.zero}
+    want = {w: x for w, x in express_by_recursion(a).items() if x != ring.zero}
     assert repr(ex.express_in_permutation_span(a)) == repr(want)
 
 
@@ -151,13 +169,22 @@ def test_each_operator_is_built_once_per_cell(monkeypatch):
                 ex.decompose(a, basis="col:1")
                 ex.express_in_permutation_span(a)
 
+    def misses():
+        return [getattr(ex, name).cache_info().misses for name in OPERATORS]
+
     calls()
     first = Counter(built)
     assert max(first.values()) == 1
-    assert {("extend", 5, 2), ("decompose", 5, 2), ("express", 5, 2),
-            ("decompose", 4, 3), ("express", 4, 3)} <= set(first)
+    assert {("extend", 5, 2), ("decompose", 5, 2), ("express", 3, 2)} <= set(first)
+    # express at (5,2) and (4,2) are products, not runs; (4,3) is read off,
+    # and decomposition at n <= r + 1 only copies
+    assert not {("express", 5, 2), ("express", 4, 3), ("decompose", 4, 3)} & set(first)
+    assert ex._express_operator.cache_info().currsize == 3
+    assert misses() == [getattr(ex, name).cache_info().currsize for name in OPERATORS]
+    before = misses()
     calls()
     assert Counter(built) == first  # the second round built nothing
+    assert misses() == before
 
 
 @pytest.mark.parametrize("name,call", [
