@@ -22,12 +22,12 @@ import statistics
 import subprocess
 import sys
 
+# the benchmark's cells, then larger ones
 CASES = [
-    ("extend", 5, 3), ("decompose", 5, 3), ("express", 5, 3),
-    ("extend", 5, 4), ("decompose", 5, 4), ("express", 5, 4),
-    ("extend", 4, 5), ("decompose", 4, 5), ("decompose", 3, 6),
-    ("extend", 8, 2),
-]
+    (op, n, r)
+    for n, r in ((4, 3), (5, 2), (5, 3), (5, 4))
+    for op in ("extend", "decompose", "express")
+] + [("extend", 4, 5), ("decompose", 4, 5), ("decompose", 3, 6), ("extend", 8, 2)]
 
 CHILD = r"""
 import json, resource, sys, time
