@@ -12,15 +12,24 @@ last block row, one per block column, steered by an assignment on the free
 decomposition pattern.  Free values left unspecified default to zero.
 
 Since only addition and subtraction occur, ``extend``, ``decompose`` and
-``express_in_permutation_span`` are fixed Z-linear maps for each (n, r),
-built once per (n, r) as sparse integer operators (:class:`_Operator`).
-Their inputs are tower coordinates (:func:`_tower`): the scalar rho^r(a)
-and the entries of each restriction rho^(r-k)(a) on the free pattern
-F(n, k), k = 1..r, which fix an invariant a because E(n,k) = E(n,k-1) +
-F(n,k); then the free values.  A build runs the block recursion over Z on
-packed inputs (:func:`_build`), and its inner calls apply the operators
-one rank or one degree down; the recursion runs nowhere else.  A public
-call applies the operator to integers or residues and reduces once.
+``express_in_permutation_span`` are fixed Z-linear maps for each (n, r).
+Where they recurse, they are built once per (n, r) as sparse integer
+operators (:class:`_Operator`).  Their inputs are tower coordinates
+(:func:`_tower`): the scalar rho^r(a) and the entries of each restriction
+rho^(r-k)(a) on the free pattern F(n, k), k = 1..r, which fix an invariant
+a because E(n,k) = E(n,k-1) + F(n,k); then the free values.  A build of
+the extension or decomposition operator runs the block recursion over Z
+on packed inputs (:func:`_build`), and its inner calls apply the
+operators one rank or one degree down; the recursion runs nowhere else.
+The express operator reads the coefficients off a synthesised invariant
+at r = n - 1, and below that is the sparse product of the decomposition
+operator and the express operator one rank down (:func:`_blockwise`).
+A public call applies the operator to integers or residues and reduces
+once.  Where nothing recurses there is no operator: extension at n <= r
+and decomposition at n <= r + 1 only copy, and from degree n - 1 on the
+coefficients of the permutation span are read off.  A process pays each
+build on its first call at an (n, r), so a process that makes one call
+pays all of them; the builds it needs are those of the cells below.
 
 Every construction is verified before it is returned.  A verified output
 is unique, so a fault in an operator surfaces as
@@ -287,8 +296,8 @@ def _express_operator(n, r):
     :func:`_express_order`, zeros included.
 
     At r = n - 1 a build reads them off a synthesised invariant.  Below,
-    the recursion expresses the excision of each summand of a a rank down
-    and lifts it, so the operator is this one a rank down, block by block,
+    the recursion expresses each summand's excision one rank down and
+    lifts it, so the operator is this one a rank down, block by block,
     after the decomposition operator with its free values at zero."""
     k = _tower_size(n, r)
     if r == n - 1:
@@ -310,8 +319,8 @@ def _blockwise(inner, outer, blocks, width, cut):
         for s, e in zip(inner.starts, inner.starts[1:]):
             acc = [0] * cut
             for t, x in zip(inner.cols[s:e], inner.coefs[s:e]):
-                row = o_starts[base + t], o_starts[base + t + 1]
-                for c, y in zip(o_cols[row[0] : row[1]], o_coefs[row[0] : row[1]]):
+                lo, hi = o_starts[base + t], o_starts[base + t + 1]
+                for c, y in zip(o_cols[lo:hi], o_coefs[lo:hi]):
                     if c < cut:
                         acc[c] += x * y
             live = [c for c in range(cut) if acc[c]]
@@ -475,10 +484,11 @@ def _extend_recursive(b, f):
     :func:`_extend_operator` and runs nowhere else.
 
     The free values on the block-row part of the pattern translate into a
-    decomposition of ``b``, read as its summands' excisions; the remaining free values are hit by choosing
-    the per-block inflation assignments block by block, assigning each
-    shared pattern position to the largest block containing it and
-    subtracting the contributions of earlier blocks.
+    decomposition of ``b``, read as its summands' excisions; the remaining
+    free values are hit by choosing the per-block inflation assignments
+    block by block, assigning each shared pattern position to the largest
+    block containing it and subtracting the contributions of earlier
+    blocks.
     """
     ring = b.ring
     n, r = b.n, b.r + 1
@@ -533,11 +543,10 @@ def decompose(a, f=None, basis="last-row", verify=True):
 
 
 def _decompose_last_row(a, f, verify):
-    n, r, ring = a.n, a.r, a.ring
+    n, r = a.n, a.r
     if r < 1:
         raise ValueError("decomposition needs degree >= 1")
-    entries = pt.build_d(n, r).entries
-    allowed = set(entries)
+    allowed = set(pt.build_d(n, r).entries)
     for key in f:
         if key not in allowed:
             raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
@@ -574,9 +583,7 @@ def _decompose_step(a, f):
     n, r, ring = a.n, a.r, a.ring
     blocks_of_a = [block(a, n, j) for j in range(1, n + 1)]
     if n <= r + 1:
-        return [
-            extend(eta(blocks_of_a[j - 1], n, j), None, verify=False) for j in range(1, n + 1)
-        ]
+        return [_extend_direct(eta(blocks_of_a[j - 1], n, j)) for j in range(1, n + 1)]
     parts = [None] * n
     residual = a
     for j in range(n, 1, -1):
