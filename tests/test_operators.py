@@ -1,10 +1,11 @@
 """extend, decompose and express as cached per-(n, r) integer operators.
 
-Each operator is built by the block recursion, whose inner calls apply the
-operators one rank or one degree down.  The properties here check, on
-random invariants over Z/4, Z/6, Z and Q, that a public call equals that
-recursion step on the same input by ``repr`` (which pins the raw value
-type and the order of the express coefficients), that the round-trip laws
+The extension and decomposition operators are built by the block
+recursion, whose inner calls apply the operators one rank or one degree
+down; the express operator is their product.  The properties here check,
+on random invariants over Z/4, Z/6, Z and Q, that a public call equals the
+recursion on the same input by ``repr`` (which pins the raw value type
+and the order of the express coefficients), that the round-trip laws
 hold over random moduli, that every operator is built once per (n, r),
 and that self-verification still catches a corrupted coefficient.
 ``construction_golden`` pins the outputs of the whole recursion.
