@@ -191,8 +191,8 @@ def orbit_table(n, r):
     (i_a - 1) n + j_a - 1 and B = r + 1, above every multiplicity, the key
     sum of B^code_a names that multiset (:func:`_key_rows`).  Orbit ids
     follow the first appearance of their keys in row-major order, where
-    each orbit's least pair comes first; the last degree is read one row
-    at a time, so no more than a row of keys is held at once.
+    each orbit's least pair comes first.  The last degree is read one row
+    at a time, so only the keys one degree down are held in full.
     """
     power = [(r + 1) ** c for c in range(n * n)]
     rows = [[0]]  # degree 0: the one pair, with the empty multiset
