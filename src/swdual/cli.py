@@ -2,7 +2,9 @@
 
 Subcommands emit JSON documents (schema "swd/1") on stdout by default;
 ``--format table`` switches the pattern and matrix outputs to plain-text
-grids.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+grids.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 internal failure (a construction failing its own checks); usage errors
+and internal failures print one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -330,6 +332,9 @@ def main(argv=None):
     except (ValueError, KeyError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except ext.ConstructionFailure as e:
+        print("error: internal failure: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

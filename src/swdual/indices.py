@@ -228,9 +228,9 @@ def omega_orbits(n, r):
     Returns ``(orbit_of, reps)`` where ``orbit_of`` maps a pair of
     lexicographic ranks to its orbit id and ``reps`` lists one
     lexicographically least representative pair per orbit.  Both are
-    lists read from :func:`orbit_table`; membership and the construction
-    read only that compact table, so only the elimination oracles keep
-    representatives.
+    lists read from :func:`orbit_table`.  The elimination oracles walk
+    ``orbit_of``, a list of shared ints, in their hot loops; no library
+    code reads ``reps`` any more, only the benchmark set-up and the tests.
     """
     orbit_of, leads = orbit_table(n, r)
     ids = list(range(len(leads)))  # one int object per orbit id

@@ -300,17 +300,17 @@ def psi_on_fixed_last(d, n, ring):
     """Restriction of psi(d) to the subspace with last tensor factor v_n.
 
     ``d`` has rank r+1; rows and columns of the result are indexed by
-    I(n,r) via i |-> i . n.  Half-algebra diagrams fix the subspace setwise,
-    so this is their matrix as endomorphisms of it.
+    I(n,r) via i |-> i . n, whose rank in I(n, r+1) is k n + n - 1 for i
+    of rank k, so the result is psi(d) sliced at those rows and columns.
+    Half-algebra diagrams fix the subspace setwise, so this is their matrix
+    as endomorphisms of it.
     """
-    r = d.r - 1
     full = psi(d, n, ring)
-    m = TensorMatrix(n, r, ring)
-    size = m.size
-    for ri, i in enumerate(ix.all_indices(n, r)):
-        for rj, j in enumerate(ix.all_indices(n, r)):
-            m.data[ri * size + rj] = full.get(i + (n,), j + (n,))
-    return m
+    big = full.size
+    return TensorMatrix(n, d.r - 1, ring, [
+        v for k in range(n - 1, big, n)
+        for v in full.data[k * big + n - 1 : (k + 1) * big : n]
+    ])
 
 
 # ---------------------------------------------------------------------------

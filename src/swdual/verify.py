@@ -4,17 +4,20 @@ The centraliser dimension is computed from the commutant linear system of
 the three generator families, compressed onto place-permutation orbit
 variables: constancy on orbits disposes of the transposition generators,
 value-type preservation kills the mismatched orbits, and the slice-sum
-conditions become the remaining linear equations.  The span dimension is
-the rank of the orbit-compressed Kronecker powers of the permutation
-matrices.  Over a field the two numbers must coincide; over non-field
-rings the membership-and-reconstruction route is exercised instead.  The
-psi side works on one representative pair per diagonal W_n orbit, and
-closed forms for both dimensions give a third, elimination-free derivation
-in characteristic 0.
+conditions become the remaining linear equations.  The surviving orbits
+are read off the H-mask table that membership and the construction use,
+and a special tag's off the place masks of ``is_special``.  The span
+dimension is the rank of the orbit-compressed Kronecker powers of the
+permutation matrices.  Over a field the two numbers must coincide; over
+non-field rings the membership-and-reconstruction route is exercised
+instead.  The psi side works on one representative pair per diagonal W_n
+orbit, and closed forms for both dimensions give a third, elimination-free
+derivation in characteristic 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -24,7 +27,7 @@ from . import extension as ext
 from . import indices as ix
 from . import diagrams as dg
 from . import tensor as tn
-from .invariants import check_membership, eta
+from .invariants import _off_tag_columns, _split_ranks, check_membership, eta
 from .rings import sparse_nullspace
 from .rings import sparse_rank as _sparse_rank
 from .tensor import DEFAULT_SIZE_CAP, CapExceeded
@@ -52,18 +55,19 @@ def _check_cap(n, r, unsafe_large):
 
 
 def _live_orbits(n, r, special_tag=None):
-    """Orbit variables surviving value-type preservation (and, optionally,
-    the place-of-value matching of a special-invariant tag)."""
+    """Orbit variables surviving value-type preservation, the orbits of
+    :func:`extension._live_table` (and, optionally, the place-of-value
+    matching of a special-invariant tag (p, q), tested at each orbit's
+    lead pair with :func:`invariants.is_special`'s place masks)."""
     orbit_of, reps = ix.omega_orbits(n, r)
-    live = {}
-    for oid, (i, j) in enumerate(reps):
-        if ix.value_type(i) != ix.value_type(j):
-            continue
-        if special_tag is not None:
-            p, q = special_tag
-            if ix.places_of(i, p) != ix.places_of(j, q):
-                continue
-        live[oid] = len(live)
+    keep = ext._live_table(n, r)[1]
+    if special_tag is not None:
+        p, q = special_tag
+        row_masks = [mask for mask, _ in _split_ranks(n, r, p)]
+        off, size = _off_tag_columns(n, r, q), n**r
+        keep = [s and not off[row_masks[lead // size]][lead % size]
+                for s, lead in zip(keep, ix.orbit_table(n, r)[1])]
+    live = dict(zip(itertools.compress(range(len(keep)), keep), itertools.count()))
     return orbit_of, reps, live
 
 
@@ -121,43 +125,29 @@ def centraliser_dimension(n, r, ring, with_basis=False, unsafe_large=False):
     Optionally returns a basis in reduced echelon form (a list of
     TensorMatrix values, one per free variable of the commutant system).
     """
-    if not ring.is_field():
-        raise ValueError("centraliser dimension requires a field")
-    if r == 0:
-        if with_basis:
-            return 1, [tn.TensorMatrix.scalar(n, ring, ring.one)]
-        return 1
-    _check_cap(n, r, unsafe_large)
-    orbit_of, reps, live = _live_orbits(n, r)
-    rows = _slice_equations(n, r, orbit_of, live)
-    if not with_basis:
-        return len(live) - _sparse_rank(ring, rows)
-    basis_vecs = sparse_nullspace(ring, rows, len(live))
-    size = n**r
-    basis = []
-    for vec in basis_vecs:
-        m = tn.TensorMatrix.zeros(n, r, ring)
-        for pos in range(size * size):
-            var = live.get(orbit_of[pos])
-            if var is not None and vec[var] != ring.zero:
-                m.data[pos] = vec[var]
-        basis.append(m)
-    return len(basis), basis
+    return _invariant_dimension(n, r, ring, None, with_basis, unsafe_large)
 
 
 def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
     """dim over a field of the special invariants with the given tag
     (default (n, n), the half-algebra identification target)."""
+    return _invariant_dimension(n, r, ring, tag or (n, n), False, unsafe_large)
+
+
+def _invariant_dimension(n, r, ring, tag, with_basis, unsafe_large):
+    """Nullity of the slice equations on the tag's live orbits, and with
+    no tag optionally a basis, numbered as :func:`extension._from_live`."""
     if not ring.is_field():
         raise ValueError("dimension requires a field")
-    if tag is None:
-        tag = (n, n)
     if r == 0:
-        return 1
+        return (1, [tn.TensorMatrix.scalar(n, ring, ring.one)]) if with_basis else 1
     _check_cap(n, r, unsafe_large)
-    orbit_of, reps, live = _live_orbits(n, r, special_tag=tag)
+    orbit_of, _, live = _live_orbits(n, r, tag)
     rows = _slice_equations(n, r, orbit_of, live)
-    return len(live) - _sparse_rank(ring, rows)
+    if not with_basis:
+        return len(live) - _sparse_rank(ring, rows)
+    basis = [ext._from_live(ring, n, r, v) for v in sparse_nullspace(ring, rows, len(live))]
+    return len(basis), basis
 
 
 def span_dimension_w(n, r, ring, subgroup="w_n", unsafe_large=False):
@@ -428,31 +418,33 @@ def verify_half(n, r, ring, unsafe_large=False):
 def half_commutant_dimension(n, r, ring, unsafe_large=False):
     """dim of the commutant of the restricted half-algebra action,
     computed directly from all half diagrams of rank r+1 on
-    place-permutation orbit variables."""
+    place-permutation orbit variables: X commutes with m when the (a, b)
+    entries of m X and X m agree, sums over the nonzeros of row a and of
+    column b of m."""
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    orbit_of, reps = ix.omega_orbits(n, r)
+    orbit_of, _ = ix.omega_orbits(n, r)
     size = n**r
     rows = set()
     half = [d for d in dg.enumerate_diagrams(r + 1) if dg.is_half_algebra_member(d)]
     for d in half:
-        m = tn.psi_on_fixed_last(d, n, ring)
-        cols_by_row = [
-            [k for k in range(size) if m.data[row * size + k] != ring.zero]
-            for row in range(size)
-        ]
+        cols_by_row, rows_by_col = [[] for _ in range(size)], [[] for _ in range(size)]
+        for k, v in enumerate(tn.psi_on_fixed_last(d, n, ring).data):
+            if v != ring.zero:
+                cols_by_row[k // size].append(k % size)
+                rows_by_col[k % size].append(k // size)
         for a in range(size):
             for b in range(size):
                 vec = {}
                 for k in cols_by_row[a]:
                     var = orbit_of[k * size + b]
                     vec[var] = vec.get(var, 0) + 1
-                for k in range(size):
-                    if m.data[k * size + b] != ring.zero:
-                        var = orbit_of[a * size + k]
-                        vec[var] = vec.get(var, 0) - 1
+                for k in rows_by_col[b]:
+                    var = orbit_of[a * size + k]
+                    vec[var] = vec.get(var, 0) - 1
                 vec = {v: c for v, c in vec.items() if c}
                 if vec:
                     rows.add(tuple(sorted(vec.items())))
-    return len(reps) - _sparse_rank(ring, [dict(row) for row in sorted(rows)])
+    orbits = len(ix.orbit_table(n, r)[1])
+    return orbits - _sparse_rank(ring, [dict(row) for row in sorted(rows)])

@@ -5,7 +5,8 @@ before its construction path moved onto flat rank tables, and is kept as
 an independent oracle for the differential tests: nothing in this file
 calls a rank table of swdual.  The duality oracles' rows are kept the same
 way: psi rows by scanning every entry of the full psi matrices, span rows
-by testing w.j == i on the orbit representatives.
+by testing w.j == i on the orbit representatives, live orbits by comparing
+value types and places of values on them.
 """
 
 import itertools
@@ -224,6 +225,22 @@ def span_rows_act_left(n, r, perms, reps, live):
         rows.append({var: 1 for oid, var in live.items()
                      if ix.act_left(w, reps[oid][1]) == reps[oid][0]})
     return rows
+
+
+def live_orbits(reps, special_tag=None):
+    """The orbits whose representative pair (i, j) has equal value types,
+    numbered in orbit order; with a tag (p, q), only those where p sits at
+    the same places of i as q of j."""
+    live = {}
+    for oid, (i, j) in enumerate(reps):
+        if ix.value_type(i) != ix.value_type(j):
+            continue
+        if special_tag is not None:
+            p, q = special_tag
+            if ix.places_of(i, p) != ix.places_of(j, q):
+                continue
+        live[oid] = len(live)
+    return live
 
 
 def omega_orbits(n, r):

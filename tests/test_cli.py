@@ -2,9 +2,11 @@ import json
 import resource
 import subprocess
 import sys
+from array import array
 
 import pytest
 
+from swdual import extension as ex
 from swdual import tensor as tn
 from swdual import verify as vf
 from swdual.rings import Ring
@@ -323,3 +325,19 @@ def test_options_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
     capsys.readouterr()
     for name, argv in base.items():
         assert cli.main(argv) == 0, name
+
+
+def test_an_internal_failure_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    from swdual import cli
+
+    a = tn.TensorMatrix.identity(5, 2, Ring.integers())
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"matrix": tn.matrix_to_json(a)}))
+    op = ex._decompose_operator(5, 2)
+    coefs = array(op.coefs.typecode, op.coefs)
+    coefs[list(op.cols).index(0)] += 1  # a coefficient of the scalar rho^r, 1 for the identity
+    monkeypatch.setattr(ex, "_decompose_operator", lambda n, r: ex._Operator(op.starts, op.cols, coefs))
+    assert cli.main(["decompose", "--in", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal failure: ") and err.count("\n") == 1

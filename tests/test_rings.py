@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swdual.rings import (
     Ring,
@@ -100,27 +102,75 @@ def test_serialisation_round_trip():
             assert ring.format_value(ring.parse_value(s)) == s
 
 
-def test_ring_axioms_random():
-    rng = random.Random(11)
-    for ring in (Z, Q, Z4, Z6, F2, F97):
-        for _ in range(60):
-            a, b, c = (ring.from_int(rng.randrange(-30, 31)) for _ in range(3))
-            assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
-            assert ring.add(a, b) == ring.add(b, a)
-            assert ring.mul(a, b) == ring.mul(b, a)
-            assert ring.mul(a, ring.add(b, c)) == ring.add(
-                ring.mul(a, b), ring.mul(a, c)
-            )
-            assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
-def test_from_int_is_a_homomorphism():
-    rng = random.Random(5)
-    for ring in (Z, Q, Z4, Z6):
-        for _ in range(40):
-            m, k = rng.randrange(-50, 51), rng.randrange(-50, 51)
-            assert ring.from_int(m + k) == ring.add(ring.from_int(m), ring.from_int(k))
-            assert ring.from_int(m * k) == ring.mul(ring.from_int(m), ring.from_int(k))
+@st.composite
+def rings(draw):
+    """Z, Q, or Z/m for m in 2..10^6, composite moduli included."""
+    kind = draw(st.sampled_from(["z", "q", "mod"]))
+    if kind == "mod":
+        return Ring.modular(draw(st.integers(2, 10**6)))
+    return Ring.parse(kind)
+
+
+def values(ring):
+    """Raw values of the ring: fractions over Q, else images of integers."""
+    if ring.kind == "q":
+        return st.fractions(max_denominator=10**6)
+    return st.integers(-(10**12), 10**12).map(ring.from_int)
+
+
+@st.composite
+def ring_and_values(draw, count=3):
+    ring = draw(rings())
+    return ring, draw(st.lists(values(ring), min_size=count, max_size=count))
+
+
+def repeated_add(ring, xs):
+    acc = ring.zero
+    for x in xs:
+        acc = ring.add(acc, x)
+    return acc
+
+
+@PROPERTY
+@given(ring_and_values())
+def test_ring_axioms_random(case):
+    ring, (a, b, c) = case
+    assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
+    assert ring.add(a, b) == ring.add(b, a)
+    assert ring.mul(a, b) == ring.mul(b, a)
+    assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
+    assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+    assert ring.add(a, ring.zero) == a == ring.mul(a, ring.one)
+    if ring.kind == "mod":  # results stay canonical residues
+        assert all(0 <= v < ring.modulus for v in (ring.add(a, b), ring.mul(a, b)))
+
+
+@PROPERTY
+@given(rings(), st.integers(-(10**12), 10**12), st.integers(-(10**12), 10**12))
+def test_from_int_is_a_homomorphism(ring, m, k):
+    assert ring.from_int(m + k) == ring.add(ring.from_int(m), ring.from_int(k))
+    assert ring.from_int(m * k) == ring.mul(ring.from_int(m), ring.from_int(k))
+    assert ring.from_int(-m) == ring.neg(ring.from_int(m))
+
+
+@PROPERTY
+@given(ring_and_values(count=6), st.lists(st.integers(0, 6), max_size=4))
+def test_sub_neg_sum_sums_and_reduce_agree_with_repeated_add(case, cuts):
+    ring, xs = case
+    a, b = xs[:2]
+    assert ring.add(ring.sub(a, b), b) == a
+    assert ring.add(a, ring.neg(a)) == ring.zero
+    assert ring.sub(a, b) == ring.add(a, ring.neg(b))
+    assert ring.sum(xs) == repeated_add(ring, xs)
+    bounds = [0] + sorted(cuts) + [len(xs)]
+    groups = [xs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    assert ring.sums(groups) == [repeated_add(ring, g) for g in groups]
+    # reduce takes exact sums of raw values to their ring sums
+    pairs = list(zip(xs, reversed(xs)))
+    assert ring.reduce(x + y for x, y in pairs) == [ring.add(x, y) for x, y in pairs]
 
 
 def test_rank_examples():
