@@ -9,7 +9,8 @@ moduli such as Z/4 and Z/6 valid test rings.
 given invariant and agrees with an assignment on the free extension
 pattern; ``decompose`` splits an invariant into special summands along its
 last block row, one per block column, steered by an assignment on the free
-decomposition pattern.  Free values left unspecified default to zero.
+decomposition pattern.  An assignment is a dict from pattern entries to
+ring values; free values left unspecified default to zero.
 
 Since only addition and subtraction occur, ``extend``, ``decompose`` and
 ``express_in_permutation_span`` are fixed Z-linear maps for each (n, r).
@@ -19,26 +20,28 @@ operators (:class:`_Operator`).  Their inputs are tower coordinates
 rho^(r-k)(a) on the free pattern F(n, k), k = 1..r, which fix an invariant
 a because E(n,k) = E(n,k-1) + F(n,k); then the free values.  A build of
 the extension or decomposition operator runs the block recursion over Z
-on packed inputs (:func:`_build`), and its inner calls apply the
-operators one rank or one degree down; the recursion runs nowhere else.
-The express operator reads the coefficients off a synthesised invariant
-at r = n - 1, and below that is the sparse product of the decomposition
-operator and the express operator one rank down (:func:`_blockwise`).
-A public call applies the operator to integers or residues and reduces
-once.  Where nothing recurses there is no operator: extension at n <= r
-and decomposition at n <= r + 1 only copy, and from degree n - 1 on the
-coefficients of the permutation span are read off.  A process pays each
-build on its first call at an (n, r), so a process that makes one call
-pays all of them; the builds it needs are those of the cells below.
+on packed inputs (:func:`_build`); its inner calls apply the operators
+one rank or one degree down through :func:`_extend`, the unchecked core
+of ``extend``, and it runs nowhere else.  A failed build is remembered
+by its message.  The express operator reads the coefficients off a
+synthesised invariant at r = n - 1, and below that is the sparse product
+of the decomposition operator and the express operator one rank down
+(:func:`_blockwise`).  A public call applies the operator to integers or
+residues and reduces once.  Where nothing recurses there is no operator:
+extension at n <= r and decomposition at n <= r + 1 only copy, and from
+degree n - 1 on the coefficients of the permutation span are read off.
+A process pays each build on its first call at an (n, r), so a process
+that makes one call pays all of them; the builds it needs are those of
+the cells below.
 
-Every construction is verified before it is returned.  A verified output
-is unique, so a fault in an operator surfaces as
+Every public construction is verified before it is returned.  A verified
+output is unique, so a fault in an operator surfaces as
 :class:`ConstructionFailure`, never as a wrong answer; a failed build
-names the operation and the (n, r).  A non-invariant input is user error:
-the public entries refuse it with :class:`NotInvariantError` before
-anything is built.  With ``verify=False`` nothing is checked, and the
-output is defined only for invariant input.  Over Q each public entry
-runs, and verifies, on integers over one common denominator
+names the operation and the (n, r).  A non-invariant input is user
+error: ``express_in_permutation_span`` refuses it with
+:class:`NotInSpanError`, the other public entries with
+:class:`NotInvariantError` before anything is built.  Over Q each public
+entry runs, and verifies, on integers over one common denominator
 (:func:`.rings.clear_denominators`, which bounds it); values stay
 ``Fraction``.  A matrix with n < 1 is a ``ValueError``.
 
@@ -56,7 +59,6 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, count
 from operator import mul
@@ -77,7 +79,7 @@ from .invariants import (
     zero_rowcol_implies_special,
 )
 from .rings import Ring, clear_denominators, over_denominator
-from .tensor import TensorMatrix, matrix_sum
+from .tensor import TensorMatrix, _raw, matrix_sum
 
 _Z = Ring.integers()
 
@@ -87,28 +89,14 @@ class ConstructionFailure(RuntimeError):
     constructed invariant failed."""
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Values for the free entries of a pattern."""
-
-    pattern: pt.FreePattern
-    values: dict
-
-
-def _as_value_map(ring, f):
-    if f is None:
-        return {}
-    if isinstance(f, Assignment):
-        f = f.values
-    out = {}
-    for key, value in f.items():
-        out[key] = value.value if hasattr(value, "value") else value
-    return out
+def _values(f):
+    """An assignment as a dict of raw ring values; None is the empty one."""
+    return {key: _raw(value) for key, value in (f or {}).items()}
 
 
 def _on_integers(a, f):
     """Over Q: ``(L, L * a over Z, L * f)``, L one common denominator."""
-    f = _as_value_map(a.ring, f)
+    f = _values(f)
     den, ints = clear_denominators(list(f.values()) + a.data)
     return den, TensorMatrix(a.n, a.r, _Z, ints[len(f) :]), dict(zip(f, ints))
 
@@ -205,12 +193,28 @@ class _Operator:
         ]
 
 
+# (operation, n, r) -> the messages of its failed build and of the run that
+# failed it; a kept traceback would keep the run's packed matrices alive
+_FAILED_BUILDS = {}
+
+
+def _clear_operators():
+    """Forget every built operator and every failed build."""
+    for cached in (_extend_operator, _decompose_operator, _express_operator):
+        cached.cache_clear()
+    _FAILED_BUILDS.clear()
+
+
 def _build(name, n, r, width, run):
     """The operator of ``run``, a Z-linear map from ``width`` integers to a
     list of integers, read off runs of ``run`` on packed inputs.
 
     A run that raises ConstructionFailure fails the build, with the
-    operation and the (n, r) named in front of the run's message."""
+    operation and the (n, r) named in front of the run's message; a
+    build that failed before fails again with that message and no run."""
+    if (name, n, r) in _FAILED_BUILDS:
+        message, cause = _FAILED_BUILDS[name, n, r]
+        raise ConstructionFailure(message) from ConstructionFailure(cause)
     rows = None
     for start in range(0, width, _RUN_INPUTS):
         batch = min(_RUN_INPUTS, width - start)
@@ -219,9 +223,9 @@ def _build(name, n, r, width, run):
         try:
             outs = run(xs)
         except ConstructionFailure as exc:
-            raise ConstructionFailure(
-                "cannot build the %s operator at (n, r) = (%d, %d): %s" % (name, n, r, exc)
-            ) from exc
+            message = "cannot build the %s operator at (n, r) = (%d, %d): %s" % (name, n, r, exc)
+            _FAILED_BUILDS[name, n, r] = message, str(exc)
+            raise ConstructionFailure(message) from exc
         if rows is None:
             rows = [(array("I"), array("i")) for _ in outs]
         # adding 2^15 to every digit makes them all nonnegative; flipping
@@ -379,17 +383,15 @@ def _copy(b):
     return list(map(window.__getitem__, _copy_sources(b.n, b.r + 1)))
 
 
-def initialise(b, validate=True):
+def initialise(b):
     """Fill every entry of the degree r+1 matrix that the restriction pins.
 
     Value-type mismatches are zero; an entry whose row has a repeated value
     copies the restriction entry at the pair with one duplicate place
-    dropped.  Entries with both indices injective stay ``None``.  The input
-    must itself be an invariant (checked unless the caller has already
-    verified it).
+    dropped.  Entries with both indices injective stay ``None``.  A
+    non-invariant ``b`` is refused with :class:`NotInvariantError`.
     """
-    if validate:
-        _require_invariant(b)
+    _require_invariant(b)
     n, r = b.n, b.r + 1
     size = n**r
     data = _copy(b)
@@ -405,35 +407,40 @@ def initialise(b, validate=True):
 # ---------------------------------------------------------------------------
 
 
-def extend(b, f=None, verify=True):
+def extend(b, f=None):
     """The unique extension of an invariant with the given free values.
 
     ``b`` lives in degree r-1; ``f`` maps entries of the free pattern for
     degree r (pairs of injective multi-indices) to ring values, defaulting
-    to zero.  The result restricts to ``b`` and returns the pattern values
-    verbatim.  With ``verify`` set, a non-invariant ``b`` is refused with
-    :class:`NotInvariantError` before anything is built.
+    to zero.  A non-invariant ``b`` is refused with
+    :class:`NotInvariantError` before anything is built, and the result is
+    verified to be an invariant that restricts to ``b`` and returns the
+    pattern values verbatim.
     """
     require_positive_n(b)
     if b.ring.kind == "q":
         den, b, f = _on_integers(b, f)
-        return _over(den, extend(b, f, verify))
-    ring, n, r = b.ring, b.n, b.r + 1
-    f = _as_value_map(ring, f)
-    entries = pt.build_f(n, r).entries
-    allowed = set(entries)
+        return _over(den, extend(b, f))
+    f = _values(f)
+    allowed = set(pt.build_f(b.n, b.r + 1).entries)
     for key in f:
         if key not in allowed:
             raise ValueError("assignment key %r is not a free-pattern entry" % (key,))
-    if verify:
-        _require_invariant(b)
-    if n <= r:
-        a = _extend_direct(b)
-    else:
-        a = _synthesise(ring, n, r, _tower(b) + [f.get(key, ring.zero) for key in entries])
-    if verify:
-        _verify_extension(a, b, f)
+    _require_invariant(b)
+    a = _extend(b, f)
+    _verify_extension(a, b, f)
     return a
+
+
+def _extend(b, f):
+    """The construction behind :func:`extend`, checking nothing: ``b`` an
+    invariant over Z or Z/m, ``f`` raw values on the free pattern.  The
+    block recursion calls it inside operator builds."""
+    ring, n, r = b.ring, b.n, b.r + 1
+    if n <= r:
+        return _extend_direct(b)
+    entries = pt.build_f(n, r).entries
+    return _synthesise(ring, n, r, _tower(b) + [f.get(key, ring.zero) for key in entries])
 
 
 def _verify_extension(a, b, f):
@@ -510,7 +517,7 @@ def _extend_recursive(b, f):
                 g[y] = ring.sub(target, ring.sum(part.get(*x) for part in parts))
             else:
                 g[y] = ring.zero
-        parts.append(theta(extend(blocks[j - 1], g, verify=False), n, j))
+        parts.append(theta(_extend(blocks[j - 1], g), n, j))
     return matrix_sum(parts)
 
 
@@ -519,7 +526,7 @@ def _extend_recursive(b, f):
 # ---------------------------------------------------------------------------
 
 
-def decompose(a, f=None, basis="last-row", verify=True):
+def decompose(a, f=None, basis="last-row"):
     """Split an invariant into special summands along a block row or column.
 
     For the default last block row the summands ``[A(1), ..., A(n)]`` have
@@ -527,22 +534,21 @@ def decompose(a, f=None, basis="last-row", verify=True):
     are (i, j), and with ``basis="col:j"`` the k-th summand is special with
     tag (k, j).  The summands sum to ``a``, restrict blockwise to the
     blocks of ``a``, and agree with ``f`` on the free decomposition
-    pattern carried to the basis by :class:`patterns.Basis`.  With
-    ``verify`` set, a non-invariant ``a`` is refused with
-    :class:`NotInvariantError` before anything is built.
+    pattern carried to the basis by :class:`patterns.Basis`.  A
+    non-invariant ``a`` is refused with :class:`NotInvariantError` before
+    anything is built, and the summands are verified.
     """
     require_positive_n(a)
     if a.ring.kind == "q":
         den, a, f = _on_integers(a, f)
-        return [_over(den, s) for s in decompose(a, f, basis, verify)]
+        return [_over(den, s) for s in decompose(a, f, basis)]
     based = pt.parse_basis(basis, a.n)
-    if verify:
-        _require_invariant(a)
-    f = {based.key(key): v for key, v in _as_value_map(a.ring, f).items()}
-    return based.summands(_decompose_last_row(based.matrix(a), f, verify))
+    _require_invariant(a)
+    f = {based.key(key): v for key, v in _values(f).items()}
+    return based.summands(_decompose_last_row(based.matrix(a), f))
 
 
-def _decompose_last_row(a, f, verify):
+def _decompose_last_row(a, f):
     n, r = a.n, a.r
     if r < 1:
         raise ValueError("decomposition needs degree >= 1")
@@ -554,8 +560,7 @@ def _decompose_last_row(a, f, verify):
         summands = [a]
     else:
         summands = [theta(c, n, j) for j, c in enumerate(_parts(a, f), start=1)]
-    if verify:
-        _verify_decomposition(a, summands, f)
+    _verify_decomposition(a, summands, f)
     return summands
 
 
@@ -591,7 +596,7 @@ def _decompose_step(a, f):
             g = {y: f.get((j,) + x, ring.zero) for x, y in pt.per_block_labels(n, r, j)}
         else:
             g = _replay_forced_assignment(a, blocks_of_a[j - 1], residual, j, f)
-        parts[j - 1] = extend(eta(blocks_of_a[j - 1], n, j), g, verify=False)
+        parts[j - 1] = _extend(eta(blocks_of_a[j - 1], n, j), g)
         residual = residual.sub(theta(parts[j - 1], n, j))
     if not zero_rowcol_implies_special(residual, n, 1):
         raise ConstructionFailure(
@@ -684,7 +689,7 @@ class IncompatiblePrescription(ValueError):
     pass
 
 
-def extend_with_prescription(b, prescribed, basis="last-row", verify=True):
+def extend_with_prescription(b, prescribed, basis="last-row"):
     """Some extension agreeing with fully prescribed lines.
 
     ``prescribed`` maps full row indices inside the basis block row
@@ -707,14 +712,14 @@ def extend_with_prescription(b, prescribed, basis="last-row", verify=True):
         u = based.index(tuple(u))
         if u[0] != n:
             raise ValueError("prescribed rows must lie in the basis block row")
-        vector = [x.value if hasattr(x, "value") else x for x in vector]
+        vector = list(map(_raw, vector))
         if len(vector) != n**r:
             raise ValueError("prescribed row has wrong length")
         vector = based.vector(vector, r)
         norm[u] = vector
         for v in cols_by_row.get(u, ()):
             f[(u, v)] = vector[ix.index_rank(n, v)]
-    a = extend(based.matrix(b), f, verify=verify)
+    a = extend(based.matrix(b), f)
     for u, vector in norm.items():
         got = a.row(u)
         if got != vector:
@@ -740,18 +745,6 @@ class NotInSpanError(ValueError):
     pass
 
 
-def read_off_coefficients(a):
-    """Coefficients x_w with A = sum of x_w phi(w), read at degree r = n.
-
-    The column 1,2,...,n meets each permutation matrix in a distinct row,
-    so the row w(1)...w(n) of that column carries exactly x_w.  The result
-    is validated by exact reconstruction.
-    """
-    if a.r != a.n:
-        raise ValueError("read-off needs degree equal to the rank")
-    return _read_off(a)
-
-
 def _read_off(a):
     """The nonzero coefficients read at :func:`_read_off_positions`, in
     the order of :func:`_express_order`, checked by reconstruction."""
@@ -767,7 +760,8 @@ def _read_off_positions(n, r):
     """For r >= n - 1: the entry x_w is read at, for each w of
     :func:`_express_order`.  The column 1, 2, ..., min(n, r), padded with
     ones, meets the power of w in the row w of it alone, since the first
-    n - 1 values of a permutation fix it; that row holds x_w."""
+    n - 1 values of a permutation fix it; that row holds x_w.  At r = 0
+    the one entry is x_w for w the identity."""
     m = min(n, r)
     col = tuple(range(1, m + 1)) + (1,) * (r - m)
     rank = ix.index_rank(n, col)
@@ -801,7 +795,7 @@ def lift_permutation(wbar, j):
     return tuple(w)
 
 
-def express_in_permutation_span(a, verify=True):
+def express_in_permutation_span(a):
     """Exact coefficients expressing an invariant in the span of the
     Kronecker powers of permutation matrices, over any ring.
 
@@ -812,34 +806,28 @@ def express_in_permutation_span(a, verify=True):
     through the inflation, which sends the power of a permutation fixing
     nothing relevant to the power of its lift.  No ring division occurs.
     The coefficients are nonzero and listed in the order of
-    :func:`_express_order`.  With ``verify`` set they are checked by exact
-    reconstruction: a matrix outside the span raises
-    :class:`NotInSpanError`, an invariant that fails raises
-    :class:`ConstructionFailure`.
+    :func:`_express_order`, and checked by exact reconstruction: a matrix
+    outside the span raises :class:`NotInSpanError`, an invariant that
+    fails raises :class:`ConstructionFailure`.
     """
     require_positive_n(a)
     if a.ring.kind == "q":
         den, a, _ = _on_integers(a, None)
-        coeffs = express_in_permutation_span(a, verify)
+        coeffs = express_in_permutation_span(a)
         return dict(zip(coeffs, over_denominator(den, coeffs.values())))
     n, r, ring = a.n, a.r, a.ring
-    if n == 1 or r == 0:
-        coeffs = {ix.perm_identity(n): a.data[0]} if a.data[0] != ring.zero else {}
-        _check_reconstruction(a, coeffs)
-        return coeffs
-    if r >= n - 1:
+    if r == 0 or r >= n - 1:
         return _read_off(a)
     values = ring.reduce(_express_operator(n, r)(_tower(a)))
     coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != ring.zero}
-    if verify:
-        try:
-            _check_reconstruction(a, coeffs)
-        except NotInSpanError:
-            if is_invariant(a):
-                raise ConstructionFailure(
-                    "the permutation-span coefficients of an invariant do not rebuild it"
-                ) from None
-            raise
+    try:
+        _check_reconstruction(a, coeffs)
+    except NotInSpanError:
+        if is_invariant(a):
+            raise ConstructionFailure(
+                "the permutation-span coefficients of an invariant do not rebuild it"
+            ) from None
+        raise
     return coeffs
 
 

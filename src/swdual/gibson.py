@@ -61,35 +61,21 @@ def gibson_g(n, r, c):
     """The unique permutation supported in circulant-plus-identity away
     from the forced entry at (r, c); returned in one-line notation.
 
-    Away from column c, each column j maps to j or j+1 mod n; a
-    backtracking search finds the assignment, uniqueness is checked, and
-    the minor rule (deleting row r and column c leaves the descending
-    cycle when r < c, the identity when c < r) cross-validates the result.
+    Away from column c, each column j maps to j or j - 1 mod n.  Column c
+    maps to r, so the columns c+1, ..., r, read cyclically, map to j - 1
+    and every other column to j.  The minor rule (deleting row r and
+    column c leaves the descending cycle when r < c, the identity when
+    c < r) cross-validates the result.
     """
     if (r, c) not in set(gamma_set(n)):
         raise ValueError("(%d, %d) is not a zero position" % (r, c))
-    solutions = []
-
-    def search(j, used, images):
-        if j > n:
-            solutions.append(tuple(images))
-            return
-        if j == c:
-            candidates = [r]
-        else:
-            candidates = [c2 for c2 in (j, _mod1(j - 1, n)) if c2 != r]
-        for img in candidates:
-            if img not in used:
-                used.add(img)
-                images.append(img)
-                search(j + 1, used, images)
-                images.pop()
-                used.remove(img)
-
-    search(1, set(), [])
-    if len(solutions) != 1:
-        raise RuntimeError("support search found %d solutions" % len(solutions))
-    w = solutions[0]
+    w = list(range(1, n + 1))
+    w[c - 1] = r
+    j = c
+    while j != r:
+        j = _mod1(j + 1, n)
+        w[j - 1] = _mod1(j - 1, n)
+    w = tuple(w)
     _check_minor_rule(n, r, c, w)
     return w
 

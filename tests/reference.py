@@ -6,7 +6,8 @@ an independent oracle for the differential tests: nothing in this file
 calls a rank table of swdual.  The duality oracles' rows are kept the same
 way: psi rows by scanning every entry of the full psi matrices, span rows
 by testing w.j == i on the orbit representatives, live orbits by comparing
-value types and places of values on them.
+value types and places of values on them.  Gibson's G(r, c) is found by a
+backtracking search over its support instead of its closed form.
 """
 
 import itertools
@@ -286,3 +287,29 @@ def initialise(b):
             else:
                 data.append(get(b, ix.drop_place(i, dup), ix.drop_place(j, dup)))
     return data
+
+
+def gibson_g_by_search(n, r, c):
+    """Every permutation with column c at r and each other column j at j or
+    j - 1 mod n, row r excepted, by backtracking; the caller checks that
+    there is exactly one."""
+    solutions = []
+
+    def search(j, used, images):
+        if j > n:
+            solutions.append(tuple(images))
+            return
+        if j == c:
+            candidates = [r]
+        else:
+            candidates = [t for t in (j, (j - 2) % n + 1) if t != r]
+        for img in candidates:
+            if img not in used:
+                used.add(img)
+                images.append(img)
+                search(j + 1, used, images)
+                images.pop()
+                used.remove(img)
+
+    search(1, set(), [])
+    return solutions

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import reference as ref
+
 from swdual import gibson as gb
 from swdual import indices as ix
 from swdual.rings import Ring
@@ -72,6 +74,13 @@ def test_g_elements_support_uniqueness_and_minor_rule():
             assert positions - {(r, c)} <= support
     with pytest.raises(ValueError):
         gb.gibson_g(4, 1, 2)  # (1,2) is in the support, not a zero
+
+
+def test_closed_form_is_the_unique_support_search_solution():
+    positions = [(n, r, c) for n in range(3, 11) for (r, c) in gb.gamma_set(n)]
+    assert len(positions) == 276
+    for n, r, c in positions:
+        assert ref.gibson_g_by_search(n, r, c) == [gb.gibson_g(n, r, c)]
 
 
 def test_basis_size_and_distinctness():

@@ -6,8 +6,10 @@ down; the express operator is their product.  The properties here check,
 on random invariants over Z/4, Z/6, Z and Q, that a public call equals the
 recursion on the same input by ``repr`` (which pins the raw value type
 and the order of the express coefficients), that the round-trip laws
-hold over random moduli, that every operator is built once per (n, r),
-and that self-verification still catches a corrupted coefficient.
+hold over random moduli, that every operator is built once per (n, r)
+without going through the public ``extend``, that a failed build is
+remembered, and that self-verification still catches a corrupted
+coefficient.
 ``construction_golden`` pins the outputs of the whole recursion.
 """
 
@@ -159,8 +161,7 @@ def test_each_operator_is_built_once_per_cell(monkeypatch):
         return build(name, n, r, width, run)
 
     monkeypatch.setattr(ex, "_build", recording)
-    for name in OPERATORS:
-        getattr(ex, name).cache_clear()
+    ex._clear_operators()
 
     def calls():
         for ring in (Z6, Z, Ring.rationals()):
@@ -204,6 +205,24 @@ def test_a_corrupted_coefficient_fails_verification(monkeypatch, name, call):
         call()
 
 
+def test_the_recursion_never_calls_the_public_extend(monkeypatch):
+    def public(*args, **kwargs):
+        raise AssertionError("a build called extension.extend")
+
+    def clear():
+        for name in OPERATORS:
+            getattr(ex, name).cache_clear()
+
+    clear()
+    monkeypatch.setattr(ex, "extend", public)
+    try:
+        for name, n, r in [("_extend_operator", 5, 3), ("_decompose_operator", 5, 3),
+                           ("_express_operator", 5, 2)]:
+            assert len(getattr(ex, name)(n, r).starts) > 1
+    finally:
+        clear()  # drop what was built under the patch
+
+
 def test_a_failing_build_names_the_operation_and_the_cell():
     with pytest.raises(ex.ConstructionFailure) as err:
         ex.decompose(tn.TensorMatrix.identity(6, 2, Z6))
@@ -212,6 +231,30 @@ def test_a_failing_build_names_the_operation_and_the_cell():
     )
     assert isinstance(err.value.__cause__, ex.ConstructionFailure)
     assert str(err.value.__cause__).startswith("forced chain for block 2")
+
+
+def test_a_failed_build_is_not_run_again(monkeypatch):
+    chain = "forced chain for block 2 row 32 column 43 passed through an undetermined entry"
+    at_62 = "cannot build the decompose operator at (n, r) = (6, 2): " + chain
+    at_63 = ("cannot build the decompose operator at (n, r) = (6, 3): "
+             "cannot build the extend operator at (n, r) = (6, 3): " + at_62)
+
+    def failure(n, r):
+        with pytest.raises(ex.ConstructionFailure) as err:
+            ex.decompose(tn.TensorMatrix.identity(n, r, Z6))
+        return str(err.value), str(err.value.__cause__)
+
+    ex._clear_operators()
+    assert failure(6, 2) == (at_62, chain)
+    steps = []
+    step = ex._decompose_step
+    monkeypatch.setattr(ex, "_decompose_step", lambda a, f: steps.append(a.n) or step(a, f))
+    assert failure(6, 2) == (at_62, chain)
+    assert failure(6, 3) == (at_63, at_63.split(": ", 1)[1])
+    assert steps == []
+    ex._clear_operators()
+    assert failure(6, 2) == (at_62, chain)
+    assert steps  # a cleared memo runs the build again
 
 
 def test_membership_and_construction_read_only_the_compact_orbit_table():
@@ -238,7 +281,7 @@ N_ZERO = [
     ("check_membership", lambda: iv.check_membership(tn.TensorMatrix(0, 2, Z6, []))),
     ("restrict", lambda: iv.restrict(tn.TensorMatrix(0, 2, Z6, []))),
     ("extend", lambda: ex.extend(tn.TensorMatrix(0, 1, Z6, []))),
-    ("extend-q", lambda: ex.extend(tn.TensorMatrix(0, 1, Ring.rationals(), []), verify=False)),
+    ("extend-q", lambda: ex.extend(tn.TensorMatrix(0, 1, Ring.rationals(), []))),
     ("decompose", lambda: ex.decompose(tn.TensorMatrix(0, 2, Z6, []))),
     ("express", lambda: ex.express_in_permutation_span(tn.TensorMatrix(0, 2, Z6, []))),
 ]
