@@ -35,15 +35,16 @@ that makes one call pays all of them; the builds it needs are those of
 the cells below.
 
 Every public construction is verified before it is returned.  A verified
-output is unique, so a fault in an operator surfaces as
-:class:`ConstructionFailure`, never as a wrong answer; a failed build
-names the operation and the (n, r).  A non-invariant input is user
-error: ``express_in_permutation_span`` refuses it with
-:class:`NotInSpanError`, the other public entries with
-:class:`NotInvariantError` before anything is built.  Over Q each public
-entry runs, and verifies, on integers over one common denominator
-(:func:`.rings.clear_denominators`, which bounds it); values stay
-``Fraction``.  A matrix with n < 1 is a ``ValueError``.
+output is unique, so a fault in an operator or in a read-off position
+surfaces as :class:`ConstructionFailure`, never as a wrong answer; a
+failed build names the operation and the (n, r).  A non-invariant input
+is user error: ``express_in_permutation_span`` refuses it with
+:class:`NotInSpanError` from its one reconstruction check, the other
+public entries with :class:`NotInvariantError` from the invariance gate
+:func:`.invariants.require_invariant` before anything is built.  Over Q
+each public entry runs, and verifies, on integers over one common
+denominator (:func:`.rings.clear_denominators`, which bounds it); values
+stay ``Fraction``.  A matrix with n < 1 is a ``ValueError``.
 
 The restriction b pins one copy rule, built once per (n, r) as a rank
 table: an entry at a value-type mismatch is zero, and any other entry
@@ -56,7 +57,6 @@ n <= r.
 
 from __future__ import annotations
 
-import json
 import sys
 from array import array
 from functools import lru_cache
@@ -68,13 +68,14 @@ from . import patterns as pt
 from .invariants import (
     NotInvariantError,
     _h_mask,
+    _restrict,
     block,
     check_membership,
     eta,
     is_invariant,
     is_special,
+    require_invariant,
     require_positive_n,
-    restrict,
     theta,
     zero_rowcol_implies_special,
 )
@@ -146,7 +147,7 @@ def _tower(a):
     dim E(n, r) values fix a."""
     levels = [a]
     for _ in range(a.r):
-        levels.append(restrict(levels[-1], validate=False))
+        levels.append(_restrict(levels[-1]))
     xs = list(levels[-1].data)
     for k in range(1, min(a.r, a.n - 1) + 1):
         xs.extend(map(levels[a.r - k].data.__getitem__, _free_positions(a.n, k)))
@@ -339,17 +340,6 @@ def _blockwise(inner, outer, blocks, width, cut):
 # ---------------------------------------------------------------------------
 
 
-def _require_invariant(a):
-    """Raise NotInvariantError naming the first violation unless ``a`` is
-    an invariant."""
-    report = check_membership(a, stop_early=True)
-    if not report.in_E:
-        raise NotInvariantError(
-            "input is not an invariant; first violation: %s"
-            % json.dumps(report.first_violation, sort_keys=True)
-        )
-
-
 @lru_cache(maxsize=None)
 def _copy_sources(n, r):
     """The copy rule of degree r as a gather table over ``[zero] + b.data``.
@@ -391,7 +381,7 @@ def initialise(b):
     dropped.  Entries with both indices injective stay ``None``.  A
     non-invariant ``b`` is refused with :class:`NotInvariantError`.
     """
-    _require_invariant(b)
+    require_invariant(b)
     n, r = b.n, b.r + 1
     size = n**r
     data = _copy(b)
@@ -426,7 +416,7 @@ def extend(b, f=None):
     for key in f:
         if key not in allowed:
             raise ValueError("assignment key %r is not a free-pattern entry" % (key,))
-    _require_invariant(b)
+    require_invariant(b)
     a = _extend(b, f)
     _verify_extension(a, b, f)
     return a
@@ -447,7 +437,7 @@ def _verify_extension(a, b, f):
     report = check_membership(a)
     if not report.in_E:
         raise ConstructionFailure("extension fails membership: %r" % (report.first_violation,))
-    if restrict(a, validate=False) != b:
+    if _restrict(a) != b:
         raise ConstructionFailure("extension does not restrict to the input")
     for key, value in f.items():
         if a.get(*key) != value:
@@ -543,7 +533,7 @@ def decompose(a, f=None, basis="last-row"):
         den, a, f = _on_integers(a, f)
         return [_over(den, s) for s in decompose(a, f, basis)]
     based = pt.parse_basis(basis, a.n)
-    _require_invariant(a)
+    require_invariant(a)
     f = {based.key(key): v for key, v in _values(f).items()}
     return based.summands(_decompose_last_row(based.matrix(a), f))
 
@@ -615,7 +605,7 @@ def _verify_decomposition(a, summands, f):
             raise ConstructionFailure("summand %d is not special" % j)
         if not check_membership(s).in_E:
             raise ConstructionFailure("summand %d fails membership" % j)
-        if restrict(s, validate=False) != block(a, n, j):
+        if _restrict(s) != block(a, n, j):
             raise ConstructionFailure("summand %d does not restrict to its block" % j)
     for (j, p, q), value in f.items():
         if summands[j - 1].get(p, q) != value:
@@ -745,16 +735,6 @@ class NotInSpanError(ValueError):
     pass
 
 
-def _read_off(a):
-    """The nonzero coefficients read at :func:`_read_off_positions`, in
-    the order of :func:`_express_order`, checked by reconstruction."""
-    n, r, zero = a.n, a.r, a.ring.zero
-    values = map(a.data.__getitem__, _read_off_positions(n, r))
-    coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != zero}
-    _check_reconstruction(a, coeffs)
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def _read_off_positions(n, r):
     """For r >= n - 1: the entry x_w is read at, for each w of
@@ -800,15 +780,16 @@ def express_in_permutation_span(a):
     Kronecker powers of permutation matrices, over any ring.
 
     From degree n - 1 on, where the first n - 1 values of a permutation
-    fix it, the coefficients are read off directly (:func:`_read_off`).
-    Below that the invariant is decomposed into special summands whose
-    excisions live one rank lower; their recursive expressions lift back
-    through the inflation, which sends the power of a permutation fixing
-    nothing relevant to the power of its lift.  No ring division occurs.
-    The coefficients are nonzero and listed in the order of
-    :func:`_express_order`, and checked by exact reconstruction: a matrix
-    outside the span raises :class:`NotInSpanError`, an invariant that
-    fails raises :class:`ConstructionFailure`.
+    fix it, the coefficients are read off directly
+    (:func:`_read_off_positions`).  Below that the invariant is decomposed
+    into special summands whose excisions live one rank lower; their
+    recursive expressions lift back through the inflation, which sends the
+    power of a permutation fixing nothing relevant to the power of its
+    lift, and :func:`_express_operator` applies that map.  No ring
+    division occurs.  The coefficients are nonzero and listed in the order
+    of :func:`_express_order`.  Either way one exact reconstruction checks
+    them: a matrix outside the span raises :class:`NotInSpanError`, an
+    invariant that fails raises :class:`ConstructionFailure`.
     """
     require_positive_n(a)
     if a.ring.kind == "q":
@@ -817,8 +798,9 @@ def express_in_permutation_span(a):
         return dict(zip(coeffs, over_denominator(den, coeffs.values())))
     n, r, ring = a.n, a.r, a.ring
     if r == 0 or r >= n - 1:
-        return _read_off(a)
-    values = ring.reduce(_express_operator(n, r)(_tower(a)))
+        values = map(a.data.__getitem__, _read_off_positions(n, r))
+    else:
+        values = ring.reduce(_express_operator(n, r)(_tower(a)))
     coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != ring.zero}
     try:
         _check_reconstruction(a, coeffs)

@@ -22,13 +22,21 @@ the value-type mismatches, S on the position of each entry's orbit
 leader, and G on the one slice-sum kernel (:func:`_context_sums`), which
 reads a context's n rows against every q at once and also gives
 :func:`common_b` its value; another place alpha is read through a table
-that moves place alpha last.  The restriction sums the n column chunks of
-each row of the first block row, and the excision, inflation and
-specialness maps work on precomputed rank tables instead of tuples.
+that moves place alpha last.  The excision, inflation and specialness
+maps work on precomputed rank tables instead of tuples.
+
+One invariance gate, :func:`require_invariant`, refuses a non-invariant
+with :class:`NotInvariantError` naming the first violation of
+:func:`check_membership`: ``restrict`` and the public constructions of
+:mod:`.extension` run it on their input.  The restriction itself,
+:func:`_restrict`, sums the n column chunks of each row of the first
+block row and checks nothing; the library calls it on matrices already
+checked, or on the way to a result that is verified afterwards.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
@@ -223,6 +231,17 @@ def is_invariant(a):
     return check_membership(a, stop_early=True).in_E
 
 
+def require_invariant(a):
+    """Raise NotInvariantError naming the first violation unless ``a`` is
+    an invariant."""
+    report = check_membership(a, stop_early=True)
+    if not report.in_E:
+        raise NotInvariantError(
+            "input is not an invariant; first violation: %s"
+            % json.dumps(report.first_violation, sort_keys=True)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Slice sums, restriction, blocks
 # ---------------------------------------------------------------------------
@@ -304,40 +323,32 @@ def block(a, i, j):
     return out
 
 
-def _block_sum(a, offsets):
-    """Entrywise sum, one degree lower, of the blocks whose top-left
-    entries sit at ``offsets`` in ``a.data``."""
+def _restrict(a):
+    """The restriction of an invariant, checking nothing: the first block
+    row sum, one degree lower, read straight from the n column chunks of
+    each row of the first block row."""
     n, size, data = a.n, a.size, a.data
     width = size // n
     sums = a.ring.sums
+    offsets = range(0, size, width)
     out = []
     for k in range(0, width * size, size):
         out.extend(sums(zip(*[data[k + o : k + o + width] for o in offsets])))
     return TensorMatrix(n, a.r - 1, a.ring, out)
 
 
-def restrict(a, validate=True):
+def restrict(a):
     """The restriction: the matrix of common slice sums, one degree lower.
 
-    Computed as a block row sum, read straight from the n column chunks of
-    each row of the first block row; when ``validate`` is set, the last
-    block row and the first block column are summed independently and
-    compared, so a non-invariant input is rejected instead of silently
-    restricted.
+    The input is checked first (n, then the degree, then membership), so a
+    non-invariant is refused with :class:`NotInvariantError` naming its
+    first violation instead of being restricted.
     """
     require_positive_n(a)
-    n, r = a.n, a.r
-    if r < 1:
+    if a.r < 1:
         raise ValueError("cannot restrict a degree-zero matrix")
-    width = a.size // n
-    down = width * a.size  # from one block row to the next
-    out = _block_sum(a, [j * width for j in range(n)])
-    if validate:
-        second = _block_sum(a, [(n - 1) * down + j * width for j in range(n)])
-        colsum = _block_sum(a, [i * down for i in range(n)])
-        if second != out or colsum != out:
-            raise NotInvariantError("input not invariant: block sums disagree")
-    return out
+    require_invariant(a)
+    return _restrict(a)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +458,7 @@ def theta(c, p, q):
     n1, r, ring = c.n, c.r, c.ring
     towers = [c]
     for _ in range(r):
-        towers.append(restrict(towers[-1], validate=False))
+        towers.append(_restrict(towers[-1]))
     zero = [ring.zero]
     data = []
     for k, start, width, columns in _theta_rows(n1 + 1, r, p, q):
@@ -458,7 +469,7 @@ def theta(c, p, q):
 
 def theta_rho_commute_check(c, p, q):
     """Verify restrict(theta(C)) == theta(restrict(C))."""
-    return restrict(theta(c, p, q), validate=False) == theta(restrict(c), p, q)
+    return _restrict(theta(c, p, q)) == theta(restrict(c), p, q)
 
 
 # ---------------------------------------------------------------------------

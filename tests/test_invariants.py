@@ -145,7 +145,16 @@ def test_restrict_examples():
 
 def test_restrict_rejects_non_invariants():
     bad = tn.TensorMatrix(2, 2, Q, [Q.from_int(k) for k in range(16)])
-    with pytest.raises(iv.NotInvariantError, match="not invariant"):
+    with pytest.raises(iv.NotInvariantError, match="not an invariant"):
+        iv.restrict(bad)
+    # equal first block row, last block row and first block column sums,
+    # but H fails: the identity with a +-1 square on rows 12, 22 and
+    # columns 13, 23
+    bad = tn.TensorMatrix.identity(3, 2, Z)
+    for i, j, v in [("12", "13", 1), ("22", "23", 1), ("12", "23", -1), ("22", "13", -1)]:
+        bad.data[bad.rank_of(ix.parse_index(i)) * bad.size + bad.rank_of(ix.parse_index(j))] += v
+    with pytest.raises(iv.NotInvariantError,
+                       match='not an invariant.*"col": "13", "kind": "H", "row": "22"'):
         iv.restrict(bad)
 
 

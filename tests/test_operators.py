@@ -9,7 +9,7 @@ and the order of the express coefficients), that the round-trip laws
 hold over random moduli, that every operator is built once per (n, r)
 without going through the public ``extend``, that a failed build is
 remembered, and that self-verification still catches a corrupted
-coefficient.
+coefficient or a corrupted read-off position.
 ``construction_golden`` pins the outputs of the whole recursion.
 """
 
@@ -203,6 +203,17 @@ def test_a_corrupted_coefficient_fails_verification(monkeypatch, name, call):
     monkeypatch.setattr(ex, name, lambda n, r: bad)
     with pytest.raises(ex.ConstructionFailure):
         call()
+
+
+def test_a_corrupted_read_off_position_fails_verification(monkeypatch):
+    # at (4, 3) the coefficients are read off, not computed by an operator
+    positions = array("I", ex._read_off_positions(4, 3))
+    k = ex._express_order(4, 3).index(ix.perm_identity(4))
+    other = k - 1 if k else k + 1
+    positions[k], positions[other] = positions[other], positions[k]
+    monkeypatch.setattr(ex, "_read_off_positions", lambda n, r: positions)
+    with pytest.raises(ex.ConstructionFailure):
+        ex.express_in_permutation_span(tn.TensorMatrix.identity(4, 3, Z6))
 
 
 def test_the_recursion_never_calls_the_public_extend(monkeypatch):

@@ -120,7 +120,7 @@ def test_many_distinct_large_denominators_are_refused_in_linear_memory():
     n, r = 4, 3
     a = tn.TensorMatrix(n, r, Q, [Fraction(1, d) for d in large_denominators(4096)])
     b = tn.TensorMatrix(n, r - 1, Q, a.data[: (n ** (r - 1)) ** 2])
-    calls = [lambda: iv.check_membership(a), lambda: ex.decompose(a),
+    calls = [lambda: iv.check_membership(a), lambda: iv.restrict(a), lambda: ex.decompose(a),
              lambda: ex.express_in_permutation_span(a)]
     tracemalloc.start()
     try:
@@ -146,7 +146,7 @@ def test_an_invariant_past_the_bound_is_refused_too():
     for k, w in enumerate(ix.all_permutations(n)):
         den = math.prod(dens[100 * k : 100 * k + 100])
         a = a.add(tn.phi(w, n, r, Q).scale(Fraction(1, den)))
-    for call in (iv.check_membership, ex.decompose, ex.express_in_permutation_span):
+    for call in (iv.check_membership, iv.restrict, ex.decompose, ex.express_in_permutation_span):
         with pytest.raises(ValueError, match="common denominator of 4096 values over 65536 bits"):
             call(a)
 
