@@ -30,11 +30,15 @@ class UsageError(Exception):
     pass
 
 
-def _ring(args):
+def _non_negative(text):
+    """An argparse type: an integer of at least zero."""
     try:
-        return Ring.parse(args.ring)
-    except ValueError as e:
-        raise UsageError(str(e))
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative, got %d" % value)
+    return value
 
 
 def _emit(args, doc, text=None):
@@ -59,7 +63,7 @@ def _report_lines(doc):
 
 
 def cmd_verify(args):
-    ring = _ring(args)
+    ring = Ring.parse(args.ring)
     if args.half:
         report = vf.verify_half(args.n, args.r, ring, unsafe_large=args.unsafe_large)
     else:
@@ -72,7 +76,7 @@ def cmd_verify(args):
 
 
 def cmd_dims(args):
-    ring = _ring(args)
+    ring = Ring.parse(args.ring)
     if not ring.is_field():
         raise UsageError("dims requires a field ring")
     doc = {
@@ -126,7 +130,7 @@ def cmd_colouring(args):
 
 
 def cmd_gibson(args):
-    ring = _ring(args)
+    ring = Ring.parse(args.ring)
     basis = gb.gibson_basis(args.n)
     doc = {
         "schema": SCHEMA,
@@ -246,7 +250,7 @@ def build_parser():
     # options of more than one subcommand; each takes only those it reads
     shared = {
         "n": (("--n",), {"type": int, "required": True}),
-        "r": (("--r",), {"type": int, "required": True}),
+        "r": (("--r",), {"type": _non_negative, "required": True}),
         "ring": (("--ring",), {"default": "q", "help": "z, q, or z/M"}),
         "format": (("--format",), {"choices": ["json", "table"], "default": "json"}),
         "unsafe-large": (
@@ -325,11 +329,10 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
     try:
+        if getattr(args, "n", 0) < 0:  # on every subcommand that reads --n
+            raise UsageError("n must be non-negative, got %d" % args.n)
         return args.func(args)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as e:
+    except (UsageError, ValueError, KeyError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except ext.ConstructionFailure as e:

@@ -34,7 +34,11 @@ A process pays each build on its first call at an (n, r), so a process
 that makes one call pays all of them; the builds it needs are those of
 the cells below.
 
-Every public construction is verified before it is returned.  A verified
+Every public construction is verified before it is returned.  ``extend``
+checks its output's membership, restriction and free values; ``decompose``
+checks what it builds, the excisions one rank down, one membership check
+each, then that their inflations add up and the free values, since theta
+carries E(n-1, r) onto the special invariants of its tag.  A verified
 output is unique, so a fault in an operator or in a read-off position
 surfaces as :class:`ConstructionFailure`, never as a wrong answer; a
 failed build names the operation and the (n, r).  A non-invariant input
@@ -73,7 +77,6 @@ from .invariants import (
     check_membership,
     eta,
     is_invariant,
-    is_special,
     require_invariant,
     require_positive_n,
     theta,
@@ -526,7 +529,7 @@ def decompose(a, f=None, basis="last-row"):
     blocks of ``a``, and agree with ``f`` on the free decomposition
     pattern carried to the basis by :class:`patterns.Basis`.  A
     non-invariant ``a`` is refused with :class:`NotInvariantError` before
-    anything is built, and the summands are verified.
+    anything is built, and the summands are verified on their excisions.
     """
     require_positive_n(a)
     if a.ring.kind == "q":
@@ -547,10 +550,21 @@ def _decompose_last_row(a, f):
         if key not in allowed:
             raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
     if n == 1:  # the one summand, special with tag (1, 1), is a itself
-        summands = [a]
-    else:
-        summands = [theta(c, n, j) for j, c in enumerate(_parts(a, f), start=1)]
-    _verify_decomposition(a, summands, f)
+        return [a]
+    parts = _parts(a, f)
+    # theta(c, n, j) is special, in E(n, r) exactly when c is in E(n-1, r),
+    # and, once the summands add up to a, restricts to block (n, j) of a
+    for j, c in enumerate(parts, start=1):
+        if not is_invariant(c):
+            raise ConstructionFailure("excision %d fails membership" % j)
+    summands = [theta(c, n, j) for j, c in enumerate(parts, start=1)]
+    if matrix_sum(summands) != a:
+        raise ConstructionFailure("decomposition summands do not add up")
+    for (j, p, q), value in f.items():
+        if summands[j - 1].get(p, q) != value:
+            raise ConstructionFailure(
+                "decomposition free entry %r not returned verbatim" % ((j, p, q),)
+            )
     return summands
 
 
@@ -594,24 +608,6 @@ def _decompose_step(a, f):
         )
     parts[0] = eta(residual, n, 1)
     return parts
-
-
-def _verify_decomposition(a, summands, f):
-    n, r = a.n, a.r
-    if matrix_sum(summands) != a:
-        raise ConstructionFailure("decomposition summands do not add up")
-    for j, s in enumerate(summands, start=1):
-        if not is_special(s, n, j):
-            raise ConstructionFailure("summand %d is not special" % j)
-        if not check_membership(s).in_E:
-            raise ConstructionFailure("summand %d fails membership" % j)
-        if _restrict(s) != block(a, n, j):
-            raise ConstructionFailure("summand %d does not restrict to its block" % j)
-    for (j, p, q), value in f.items():
-        if summands[j - 1].get(p, q) != value:
-            raise ConstructionFailure(
-                "decomposition free entry %r not returned verbatim" % ((j, p, q),)
-            )
 
 
 def _insert_place(ctx, alpha, t):

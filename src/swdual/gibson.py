@@ -48,6 +48,8 @@ def gamma_set(n):
     These are the pairs with row neither equal to the column nor one less
     modulo n; there are n(n-2) of them (empty for n = 2).
     """
+    if n < 2:
+        raise ValueError("need n >= 2")
     out = []
     for r in range(1, n + 1):
         for c in range(1, n + 1):

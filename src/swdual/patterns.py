@@ -346,10 +346,10 @@ def parse_basis(basis, n):
 
 def _grid(rows, cols, marks, cell):
     width = max([len(ix.format_index(c)) for c in cols] + [1]) + 1
-    head = " " * (max(len(ix.format_index(r)) for r in rows) + 2)
+    label_w = max((len(ix.format_index(r)) for r in rows), default=0)
+    head = " " * (label_w + 2)
     head += "".join(ix.format_index(c).rjust(width) for c in cols)
     lines = [head.rstrip()]
-    label_w = max(len(ix.format_index(r)) for r in rows)
     for row in rows:
         line = ix.format_index(row).ljust(label_w) + " |"
         for col in cols:
@@ -400,7 +400,7 @@ def render_decomposition_pattern(pattern, columns="used"):
 def render_colouring(colouring):
     """One 0/1 row under the lexicographic column labels."""
     cols = ix.injective_indices(colouring.n, colouring.r)
-    width = max(len(ix.format_index(c)) for c in cols) + 1
+    width = max((len(ix.format_index(c)) for c in cols), default=0) + 1
     head = "".join(ix.format_index(c).rjust(width) for c in cols)
     row = "".join(str(colouring.colour[c]).rjust(width) for c in cols)
     return head.rstrip() + "\n" + row.rstrip()

@@ -214,10 +214,57 @@ def test_common_denominator_past_the_bound_is_a_usage_error(tmp_path, command):
 
 
 def test_negative_n_is_a_usage_error():
-    for args in (("dims", "--n", "-1", "--r", "3"), ("verify", "--n", "-1", "--r", "2")):
-        result = run_swd(*args, "--ring", "q")
+    for args in (("dims", "--n", "-1", "--r", "3", "--ring", "q"),
+                 ("verify", "--n", "-1", "--r", "2", "--ring", "q"),
+                 ("verify", "--n", "-1", "--r", "2", "--ring", "z/6"),
+                 ("dims", "--n", "-1", "--r", "0"), ("free-pattern", "--n", "-1", "--r", "2"),
+                 ("colouring", "--n", "-1", "--r", "2"), ("gibson", "--n", "-1")):
+        result = run_swd(*args)
         assert result.returncode == 2
         assert result.stderr == "error: n must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_empty_patterns_and_colourings_render(capsys, fmt):
+    from swdual import cli
+
+    # F(n, r) is empty for n <= r, where the extension is unique; at n < r
+    # no index is injective, so the colouring has no columns
+    runs = [("free-pattern", "--n", str(n), "--r", str(r))
+            for n, r in [(1, 1), (2, 2), (2, 3), (3, 3)]]
+    runs += [("free-pattern", "--n", "2", "--r", "2", "--columns", "all"),
+             ("colouring", "--n", "2", "--r", "3"), ("colouring", "--n", "1", "--r", "2")]
+    for argv in runs:
+        assert cli.main([*argv, "--format", fmt]) == 0, argv
+        out, err = capsys.readouterr()
+        assert err == ""
+        if fmt == "table":  # at most a header: no row, no mark
+            assert "|" not in out and "x" not in out
+        else:
+            doc = json.loads(out)
+            assert doc["entries" if argv[0] == "free-pattern" else "ones"] == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_negative_r_is_a_usage_error(capsys, fmt):
+    from swdual import cli
+
+    for argv in (["verify", "--n", "3", "--ring", "z/6"], ["verify", "--n", "3", "--ring", "q"],
+                 ["dims", "--n", "3"], ["free-pattern", "--n", "3"], ["colouring", "--n", "3"],
+                 ["enumerate-diagrams"]):
+        assert cli.main([*argv, "--r", "-1", "--format", fmt]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: argument --r: must be non-negative, got -1\n"), argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_gibson_at_n_one_is_a_usage_error(fmt):
+    for n in ("1", "0"):
+        result = run_swd("gibson", "--n", n, "--format", fmt)
+        assert result.returncode == 2
+        assert result.stderr == "error: need n >= 2\n"
+        assert result.stdout == ""
 
 
 def test_cap_guard_reported_as_usage_error():

@@ -349,6 +349,33 @@ def test_decompose_round_trip_with_assignments():
                 assert parts[j - 1].get(p, q) == value
 
 
+def test_a_non_invariant_excision_fails_verification(monkeypatch):
+    # d restricts to zero and theta(d, 4, 1) == theta(d, 4, 2), so moving d
+    # from the second excision to the first keeps the summands' sum and every
+    # restriction: only the excisions' membership check can see it
+    n, r = 4, 2
+    size = (n - 1) ** r
+    data = [Z6.zero] * (size * size)
+    data[ix.index_rank(n - 1, (1, 1)) * size + ix.index_rank(n - 1, (2, 2))] = Z6.one
+    data[ix.index_rank(n - 1, (1, 1)) * size + ix.index_rank(n - 1, (3, 2))] = Z6.neg(Z6.one)
+    d = tn.TensorMatrix(n - 1, r, Z6, data)
+    assert not iv.is_invariant(d)
+    assert iv._restrict(d).is_zero()
+    assert iv.theta(d, n, 1) == iv.theta(d, n, 2)
+
+    parts = ex._parts
+
+    def shifted(a, f):
+        c = parts(a, f)
+        return [c[0].add(d), c[1].sub(d)] + c[2:]
+
+    a = random_invariant(n, r, Z6, random.Random(59))
+    ex.decompose(a)  # verifies, and builds every operator before the patch
+    monkeypatch.setattr(ex, "_parts", shifted)
+    with pytest.raises(ex.ConstructionFailure, match="excision 1 fails membership"):
+        ex.decompose(a)
+
+
 def test_decompose_along_other_block_rows_and_columns():
     rng = random.Random(47)
     n, r = 4, 2

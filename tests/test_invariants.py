@@ -314,6 +314,17 @@ def test_eta_theta_round_trips():
                 assert iv.eta(a, p, q) == c
                 assert iv.is_special(a, p, q)
                 assert iv.is_invariant(a)
+    # the excision cells of decompose at (4,3), (5,2) and (5,3), every tag
+    # (n, j): theta is special and invariant, and restricts to its one block
+    for n, r in [(4, 3), (5, 2), (5, 3)]:
+        for ring in (Q, Z6, Z):
+            c = random_invariant(n - 1, r, ring, rng)
+            for j in range(1, n + 1):
+                a = iv.theta(c, n, j)
+                assert iv.is_invariant(a)
+                assert iv.is_special(a, n, j)
+                assert iv.eta(a, n, j) == c
+                assert iv._restrict(a) == iv.block(a, n, j)
 
 
 def test_theta_eta_identity_on_specials():

@@ -52,6 +52,12 @@ def test_negative_n_is_refused():
         vf.verify_duality(-2, 2, Q)
 
 
+@pytest.mark.parametrize("ring", [Q, F3, Z6, Ring.integers()], ids=lambda ring: ring.name)
+def test_negative_r_is_refused_on_every_ring(ring):
+    with pytest.raises(ValueError, match=r"^r must be non-negative, got -1$"):
+        vf.verify_duality(3, -1, ring)
+
+
 def test_span_subgroup_variant():
     full = vf.span_dimension_w(3, 1, Q)
     sub = vf.span_dimension_w(3, 1, Q, subgroup="w_n_minus_1")
