@@ -8,7 +8,7 @@ and dimension oracles verifying that the permutation powers span the
 centraliser over any commutative coefficient ring.
 """
 
-from .rings import Ring, RingElement
+from .rings import Ring
 
-__all__ = ["Ring", "RingElement"]
+__all__ = ["Ring"]
 __version__ = "0.1.0"

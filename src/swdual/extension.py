@@ -70,7 +70,6 @@ from operator import mul
 from . import indices as ix
 from . import patterns as pt
 from .invariants import (
-    NotInvariantError,
     _h_mask,
     _restrict,
     block,
@@ -83,7 +82,7 @@ from .invariants import (
     zero_rowcol_implies_special,
 )
 from .rings import Ring, clear_denominators, over_denominator
-from .tensor import TensorMatrix, _raw, matrix_sum
+from .tensor import TensorMatrix, matrix_sum, phi_sum
 
 _Z = Ring.integers()
 
@@ -93,14 +92,9 @@ class ConstructionFailure(RuntimeError):
     constructed invariant failed."""
 
 
-def _values(f):
-    """An assignment as a dict of raw ring values; None is the empty one."""
-    return {key: _raw(value) for key, value in (f or {}).items()}
-
-
 def _on_integers(a, f):
     """Over Q: ``(L, L * a over Z, L * f)``, L one common denominator."""
-    f = _values(f)
+    f = dict(f or {})
     den, ints = clear_denominators(list(f.values()) + a.data)
     return den, TensorMatrix(a.n, a.r, _Z, ints[len(f) :]), dict(zip(f, ints))
 
@@ -414,7 +408,7 @@ def extend(b, f=None):
     if b.ring.kind == "q":
         den, b, f = _on_integers(b, f)
         return _over(den, extend(b, f))
-    f = _values(f)
+    f = dict(f or {})
     allowed = set(pt.build_f(b.n, b.r + 1).entries)
     for key in f:
         if key not in allowed:
@@ -537,7 +531,7 @@ def decompose(a, f=None, basis="last-row"):
         return [_over(den, s) for s in decompose(a, f, basis)]
     based = pt.parse_basis(basis, a.n)
     require_invariant(a)
-    f = {based.key(key): v for key, v in _values(f).items()}
+    f = {based.key(key): v for key, v in (f or {}).items()}
     return based.summands(_decompose_last_row(based.matrix(a), f))
 
 
@@ -698,7 +692,7 @@ def extend_with_prescription(b, prescribed, basis="last-row"):
         u = based.index(tuple(u))
         if u[0] != n:
             raise ValueError("prescribed rows must lie in the basis block row")
-        vector = list(map(_raw, vector))
+        vector = list(vector)
         if len(vector) != n**r:
             raise ValueError("prescribed row has wrong length")
         vector = based.vector(vector, r)
@@ -747,16 +741,8 @@ def _read_off_positions(n, r):
 
 
 def _check_reconstruction(a, coeffs):
-    """Rebuild the sum of x_w phi(w) entry by entry: phi(w) holds a one at
-    (w.j, j) for each column j."""
-    ring, size = a.ring, a.size
-    add = ring.add
-    total = [ring.zero] * (size * size)
-    for w, x in coeffs.items():
-        for rj, ri in enumerate(ix.act_ranks(w, a.r)):
-            pos = ri * size + rj
-            total[pos] = add(total[pos], x)
-    if total != a.data:
+    """Rebuild the sum of x_w phi(w) and compare it with ``a``."""
+    if phi_sum(coeffs, a.n, a.r, a.ring).data != a.data:
         raise NotInSpanError("matrix is not the claimed permutation combination")
 
 
@@ -821,28 +807,3 @@ def _express_order(n, r):
     return tuple(
         lift_permutation(wbar, j) for j in range(1, n + 1) for wbar in _express_order(n - 1, r)
     )
-
-
-# ---------------------------------------------------------------------------
-# Kernel of the restriction map
-# ---------------------------------------------------------------------------
-
-
-def kernel_of_rho_dimension(n, r, ring):
-    """dim ker(rho) over a field, computed two independent ways.
-
-    The rank oracle gives dim E(n,r) - dim E(n,r-1); the free-pattern size
-    must match exactly, else an error flags a bug.
-    """
-    from .verify import centraliser_dimension
-
-    if not ring.is_field():
-        raise ValueError("kernel dimension requires a field")
-    by_rank = centraliser_dimension(n, r, ring) - centraliser_dimension(n, r - 1, ring)
-    by_pattern = len(pt.build_f(n, r))
-    if by_rank != by_pattern:
-        raise ConstructionFailure(
-            "kernel dimension mismatch: rank oracle %d, pattern %d"
-            % (by_rank, by_pattern)
-        )
-    return by_rank

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import indices as ix
 from .invariants import is_gds
-from .rings import rank_over_field
+from .rings import sparse_rank
 
 
 def _mod1(i, n):
@@ -158,9 +158,7 @@ def reconstruct(ring, n, coeffs):
 
 
 def linear_independence_check(n, ring):
-    """Rank of the vectorised basis equals its size, over a field."""
-    vecs = []
-    for _, w in gibson_basis(n):
-        rows = perm_rows(ring, w)
-        vecs.append([v for row in rows for v in row])
-    return rank_over_field(ring, vecs) == (n - 1) ** 2 + 1
+    """Rank of the vectorised basis equals its size, over a field: the
+    permutation matrix of w has a one at (w(j), j) for each column j."""
+    vecs = [{(w[j] - 1) * n + j: ring.one for j in range(n)} for _, w in gibson_basis(n)]
+    return sparse_rank(ring, vecs) == (n - 1) ** 2 + 1

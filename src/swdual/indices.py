@@ -1,4 +1,4 @@
-"""Multi-indices I(n,r), value types, weights, and the two group actions.
+"""Multi-indices I(n,r), value types, the left W_n action and S_r orbits.
 
 Multi-indices are plain tuples of 1-based values, always listed and stored
 in lexicographic order -- the single global row/column order used by every
@@ -48,7 +48,7 @@ def parse_index(text):
     return tuple(int(ch) for ch in t)
 
 
-# -- statistics -------------------------------------------------------------
+# -- value types ------------------------------------------------------------
 
 
 def value_type(idx):
@@ -58,24 +58,6 @@ def value_type(idx):
         positions.setdefault(v, []).append(place)
     blocks = sorted(tuple(b) for b in positions.values())
     return tuple(blocks)
-
-
-def weight(idx, n):
-    """Composition (mu_1, ..., mu_n) counting occurrences of each value."""
-    mu = [0] * n
-    for v in idx:
-        mu[v - 1] += 1
-    return tuple(mu)
-
-
-def sharp(idx):
-    """Number of distinct values in the multi-index."""
-    return len(set(idx))
-
-
-def places_of(idx, v):
-    """The set of places where value v appears (Lambda_v)."""
-    return frozenset(p for p, x in enumerate(idx, start=1) if x == v)
 
 
 # -- group actions ----------------------------------------------------------
@@ -106,15 +88,6 @@ def act_ranks(w, r):
     return map_ranks(w, len(w), r)
 
 
-def act_right(idx, sigma):
-    """Place permutation: the value at place a moves to place sigma(a)."""
-    r = len(idx)
-    out = [0] * r
-    for a in range(r):
-        out[sigma[a] - 1] = idx[a]
-    return tuple(out)
-
-
 def perm_identity(n):
     return tuple(range(1, n + 1))
 
@@ -126,19 +99,9 @@ def perm_inverse(w):
     return tuple(inv)
 
 
-def perm_compose(p, q):
-    """Composite x -> p(q(x))."""
-    return tuple(p[q[x - 1] - 1] for x in range(1, len(p) + 1))
-
-
 def all_permutations(n):
     """W_n in lexicographic one-line order."""
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-
-
-def w0(n):
-    """The order-reversing permutation j -> n + 1 - j."""
-    return tuple(range(n, 0, -1))
 
 
 # -- injective indices and their slices --------------------------------------
@@ -147,16 +110,6 @@ def w0(n):
 def injective_indices(n, r):
     """I'(n,r): multi-indices with r distinct values, lexicographic."""
     return [idx for idx in all_indices(n, r) if len(set(idx)) == r]
-
-
-def slice_members(n, idx, alpha):
-    """The alpha-slice of I'(n,r) through ``idx`` (1-based place alpha)."""
-    used = set(idx) - {idx[alpha - 1]}
-    out = []
-    for t in range(1, n + 1):
-        if t not in used:
-            out.append(idx[: alpha - 1] + (t,) + idx[alpha:])
-    return out
 
 
 def alpha_slices(n, r):
@@ -241,15 +194,9 @@ def omega_orbits(n, r):
     ]
 
 
-def l_set(n, r, j):
-    """L_j: injective indices fixing the first j places to 1..j."""
-    if j > r:
-        return []
-    return [idx for idx in injective_indices(n, r) if idx[:j] == tuple(range(1, j + 1))]
-
-
 def l_closure(n, r, j):
-    """Place-permutation closure of L_j: injective indices containing 1..j."""
+    """Injective indices containing 1..j: the place-permutation closure of
+    L_j, the injective indices whose first j places hold 1..j."""
     need = set(range(1, j + 1))
     return [idx for idx in injective_indices(n, r) if need <= set(idx)]
 
@@ -262,16 +209,5 @@ def embed_avoiding(v, skip):
     return v if v < skip else v + 1
 
 
-def collapse_avoiding(v, skip):
-    """Inverse of :func:`embed_avoiding`; v must differ from ``skip``."""
-    if v == skip:
-        raise ValueError("value %d is excised" % v)
-    return v if v < skip else v - 1
-
-
 def embed_index(idx, skip):
     return tuple(embed_avoiding(v, skip) for v in idx)
-
-
-def collapse_index(idx, skip):
-    return tuple(collapse_avoiding(v, skip) for v in idx)

@@ -43,7 +43,7 @@ from itertools import compress
 
 from . import indices as ix
 from .rings import Ring, clear_denominators
-from .tensor import TensorMatrix, gather, matmul
+from .tensor import TensorMatrix, gather
 
 
 class NotInvariantError(ValueError):
@@ -76,20 +76,6 @@ def is_gds(ring, rows):
         if ring.sum(row[j] for row in rows) != s:
             return None
     return s
-
-
-def gds_iff_commutes_with_j(ring, rows):
-    """Evaluate both sides of the all-ones-matrix characterisation (n > 1)."""
-    m = len(rows)
-    if m <= 1:
-        raise ValueError("lemma requires n > 1")
-    gds = is_gds(ring, rows) is not None
-    # J*M has the column sums of M constant down each column; M*J the row sums
-    col_sums = [ring.sum(rows[i][j] for i in range(m)) for j in range(m)]
-    row_sums = [ring.sum(rows[i]) for i in range(m)]
-    jm = [[col_sums[j] for j in range(m)] for _ in range(m)]
-    mj = [[row_sums[i] for _ in range(m)] for i in range(m)]
-    return gds, jm == mj
 
 
 # ---------------------------------------------------------------------------
@@ -465,32 +451,3 @@ def theta(c, p, q):
         window = zero + towers[k].data[start : start + width]
         data.extend(map(window.__getitem__, columns))
     return TensorMatrix(n1 + 1, r, ring, data)
-
-
-def theta_rho_commute_check(c, p, q):
-    """Verify restrict(theta(C)) == theta(restrict(C))."""
-    return _restrict(theta(c, p, q)) == theta(restrict(c), p, q)
-
-
-# ---------------------------------------------------------------------------
-# Half-algebra identification
-# ---------------------------------------------------------------------------
-
-
-def commutes_with_half_algebra(a, half_psi_matrices):
-    """Whether a matrix on I(n,r), viewed on the v_n-fixed subspace,
-    commutes with every supplied restricted diagram matrix."""
-    return all(matmul(a, m) == matmul(m, a) for m in half_psi_matrices)
-
-
-def half_algebra_invariants_iso(a, half_psi_matrices):
-    """Both sides of the half-algebra identification for one matrix.
-
-    Returns ``(commutes, special)`` where ``commutes`` says the matrix
-    centralises the restricted half-algebra action and ``special`` says the
-    re-indexed matrix is an invariant that fixes the value n on both sides.
-    The two must agree for every matrix.
-    """
-    comm = commutes_with_half_algebra(a, half_psi_matrices)
-    special = is_invariant(a) and is_special(a, a.n, a.n)
-    return comm, special

@@ -120,8 +120,10 @@ def modified_colouring(n, r, j, policy="largest", zero_l_closure=True):
     Entries containing j are pre-zeroed, being zero by specialness; with
     ``zero_l_closure`` (the reading used by the pattern construction) the
     place-permutation closure of the prescribed-column labels L_{j-1} is
-    pre-zeroed as well.
+    pre-zeroed as well.  A block column j outside 1..n is a ``ValueError``.
     """
+    if not 1 <= j <= n:
+        raise ValueError("block column j must lie in 1..%d, got %d" % (n, j))
     zeros = {idx for idx in ix.injective_indices(n, r) if j in idx}
     if zero_l_closure:
         zeros.update(ix.l_closure(n, r, j - 1))

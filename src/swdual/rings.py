@@ -7,21 +7,16 @@ No floating point is used anywhere.
 
 A :class:`Ring` is a descriptor plus arithmetic on *raw* values (int,
 Fraction, or residue int).  Matrices elsewhere in the package store raw
-values alongside one shared descriptor.  :class:`RingElement` is a boxed
-value for call sites that want operator syntax and descriptor checking.
+values alongside one shared descriptor; rows handed to the elimination
+engine are sparse dicts of raw values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from math import gcd, lcm
-
-
-class RingMismatchError(ValueError):
-    pass
 
 
 # the first twelve primes; as Miller-Rabin bases they decide primality
@@ -80,7 +75,7 @@ class Ring:
             raise ValueError("modulus only allowed for modular rings")
         self.kind = kind
         self.modulus = modulus
-        # decided once: inv() consults it on every pivot
+        # decided once: every elimination consults it
         self._field = kind == "q" or (kind == "mod" and _is_prime(modulus))
 
     # -- constructors ------------------------------------------------------
@@ -166,19 +161,6 @@ class Ring:
     def neg(self, a):
         return (-a) % self.modulus if self.kind == "mod" else -a
 
-    def inv(self, a):
-        """Multiplicative inverse; only meaningful over a field."""
-        if not self.is_field():
-            raise ValueError("inverse requires a field")
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.kind == "q":
-            return Fraction(1) / a
-        return pow(a, self.modulus - 2, self.modulus)
-
-    def is_zero(self, a):
-        return a == self.zero
-
     def sum(self, values):
         if self.kind == "mod":
             return sum(values) % self.modulus
@@ -201,7 +183,7 @@ class Ring:
             return list(map(sum, groups, repeat(Fraction(0))))
         return self.reduce(map(sum, groups))
 
-    # -- element serialisation ----------------------------------------------
+    # -- value serialisation ------------------------------------------------
 
     def format_value(self, a):
         """Integers and residues as decimal strings, rationals as "p/q"."""
@@ -221,45 +203,6 @@ class Ring:
                 return Fraction(num, den)
             return Fraction(int(t))
         return self.from_int(int(t))
-
-    def element(self, m):
-        return RingElement(self, self.from_int(m))
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """A raw value boxed with its ring descriptor.
-
-    Arithmetic between elements of different rings raises
-    ``RingMismatchError("ring mismatch")``; equality is exact.
-    """
-
-    ring: Ring
-    value: object
-
-    def _check(self, other):
-        if not isinstance(other, RingElement):
-            raise TypeError("expected RingElement, got %r" % (other,))
-        if other.ring != self.ring:
-            raise RingMismatchError("ring mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return RingElement(self.ring, self.ring.mul(self.value, other.value))
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.value))
-
-    def __str__(self):
-        return self.ring.format_value(self.value)
 
 
 def clear_denominators(values):
@@ -489,79 +432,3 @@ def sparse_nullspace(ring, rows, n_vars):
     pivots = sparse_echelon(ring, rows)
     _back_substitute(ring, pivots)
     return _nullspace_basis(ring, pivots, n_vars)
-
-
-def _sparse_rows(rows):
-    """Dense rows of raw values or RingElements as sparse dicts."""
-    out = []
-    for row in rows:
-        vec = {}
-        for col, v in enumerate(row):
-            if isinstance(v, RingElement):
-                v = v.value
-            if v:
-                vec[col] = v
-        out.append(vec)
-    return out
-
-
-def rank_over_field(ring, rows):
-    """Rank of the row span of ``rows`` over a field ring."""
-    if not ring.is_field():
-        raise ValueError("rank requires a field")
-    return len(sparse_echelon(ring, _sparse_rows(rows)))
-
-
-def nullspace_over_field(ring, rows, n_cols=None):
-    """Deterministic basis of the right nullspace of the row system."""
-    if not ring.is_field():
-        raise ValueError("nullspace requires a field")
-    if n_cols is None:
-        if not rows:
-            raise ValueError("empty system needs explicit n_cols")
-        n_cols = len(rows[0])
-    return sparse_nullspace(ring, _sparse_rows(rows), n_cols)
-
-
-def solve_linear_system_over_field(ring, a_rows, b):
-    """Solve A x = b exactly over a field.
-
-    Returns ``None`` when inconsistent, else a pair
-    ``(particular_solution, nullspace_basis)``; free variables of the
-    particular solution are set to zero.
-    """
-    if not ring.is_field():
-        raise ValueError("solve requires a field")
-    if len(a_rows) != len(b):
-        raise ValueError("dimension mismatch")
-    if not a_rows:
-        raise ValueError("empty system")
-    n_cols = len(a_rows[0])
-    aug = _sparse_rows([list(row) + [rhs] for row, rhs in zip(a_rows, b)])
-    pivots = sparse_echelon(ring, aug)
-    if n_cols in pivots:
-        return None  # pivot in the augmented column
-    _back_substitute(ring, pivots)
-    particular = [ring.zero] * n_cols
-    for pc, (lead, tail) in pivots.items():
-        x = tail.get(n_cols)
-        if x is not None:
-            particular[pc] = _reduced_value(ring, x, lead)
-    return particular, _nullspace_basis(ring, pivots, n_cols)
-
-
-def determinant(ring, rows):
-    """Exact determinant by cofactor expansion; test oracle for small sizes."""
-    m = len(rows)
-    if m == 0:
-        return ring.one
-    if m == 1:
-        return rows[0][0]
-    total = ring.zero
-    for j in range(m):
-        if rows[0][j] == ring.zero:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = ring.mul(rows[0][j], determinant(ring, minor))
-        total = ring.add(total, ring.neg(term) if j % 2 else term)
-    return total

@@ -21,7 +21,7 @@ import operator
 from itertools import chain
 
 from . import indices as ix
-from .rings import Ring, RingElement
+from .rings import Ring
 
 
 # matrices with more rows are refused unless the caller opts in
@@ -34,10 +34,6 @@ class ShapeMismatchError(ValueError):
 
 class CapExceeded(ValueError):
     pass
-
-
-def _raw(value):
-    return value.value if isinstance(value, RingElement) else value
 
 
 class TensorMatrix:
@@ -79,7 +75,7 @@ class TensorMatrix:
     @staticmethod
     def scalar(n, ring, value):
         """The unique element of the degree-zero algebra, a 1x1 matrix."""
-        return TensorMatrix(n, 0, ring, [_raw(value)])
+        return TensorMatrix(n, 0, ring, [value])
 
     # -- entry access ---------------------------------------------------------
 
@@ -131,8 +127,7 @@ class TensorMatrix:
 
     def scale(self, value):
         mul = self.ring.mul
-        c = _raw(value)
-        return TensorMatrix(self.n, self.r, self.ring, [mul(c, a) for a in self.data])
+        return TensorMatrix(self.n, self.r, self.ring, [mul(value, a) for a in self.data])
 
     def transpose(self):
         size, data = self.size, self.data
@@ -288,12 +283,16 @@ def phi(w, n, r, ring):
     return m
 
 
-def left_act(w, a):
-    return matmul(phi(w, a.n, a.r, a.ring), a)
-
-
-def right_act(a, w):
-    return matmul(a, phi(w, a.n, a.r, a.ring))
+def phi_sum(coeffs, n, r, ring):
+    """The sum of x_w phi(w) over the items (w, x_w) of ``coeffs``, built
+    entry by entry: phi(w) holds a one at (w.j, j) for each column j."""
+    m = TensorMatrix(n, r, ring)
+    data, size, add = m.data, m.size, ring.add
+    for w, x in coeffs.items():
+        for rj, ri in enumerate(ix.act_ranks(w, r)):
+            pos = ri * size + rj
+            data[pos] = add(data[pos], x)
+    return m
 
 
 def psi_on_fixed_last(d, n, ring):

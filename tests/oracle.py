@@ -13,7 +13,7 @@ import itertools
 import reference as ref
 
 from swdual import indices as ix
-from swdual.rings import solve_linear_system_over_field
+from swdual.rings import _back_substitute, _nullspace_basis, _reduced_value, sparse_echelon
 
 
 def extension_system(b):
@@ -74,7 +74,7 @@ def extension_system(b):
     for i in inj:
         for j in inj:
             for sigma in sigmas:
-                i2, j2 = ix.act_right(i, sigma), ix.act_right(j, sigma)
+                i2, j2 = ref.act_right(i, sigma), ref.act_right(j, sigma)
                 if (i2, j2) <= (i, j):
                     continue
                 row = [ring.zero] * n_vars
@@ -107,6 +107,35 @@ def solve_extension(b, f=None):
         return None
     particular, basis = solution
     return particular, basis, var_of
+
+
+def solve_linear_system_over_field(ring, a_rows, b):
+    """Solve A x = b exactly over a field, on the sparse engine.
+
+    Returns ``None`` when inconsistent, else a pair
+    ``(particular_solution, nullspace_basis)``; free variables of the
+    particular solution are set to zero.
+    """
+    if not ring.is_field():
+        raise ValueError("solve requires a field")
+    if len(a_rows) != len(b):
+        raise ValueError("dimension mismatch")
+    if not a_rows:
+        raise ValueError("empty system")
+    n_cols = len(a_rows[0])
+    aug = [{c: v for c, v in enumerate(row) if v} for row in a_rows]
+    for row, rhs in zip(aug, b):
+        if rhs:
+            row[n_cols] = rhs
+    pivots = sparse_echelon(ring, aug)
+    if n_cols in pivots:
+        return None  # pivot in the augmented column
+    _back_substitute(ring, pivots)
+    particular = [ring.zero] * n_cols
+    for pc, (lead, tail) in pivots.items():
+        if n_cols in tail:
+            particular[pc] = _reduced_value(ring, tail[n_cols], lead)
+    return particular, _nullspace_basis(ring, pivots, n_cols)
 
 
 def matrix_entries_from_solution(b, particular, var_of):

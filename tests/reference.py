@@ -7,7 +7,10 @@ calls a rank table of swdual.  The duality oracles' rows are kept the same
 way: psi rows by scanning every entry of the full psi matrices, span rows
 by testing w.j == i on the orbit representatives, live orbits by comparing
 value types and places of values on them.  Gibson's G(r, c) is found by a
-backtracking search over its support instead of its closed form.
+backtracking search over its support instead of its closed form.  The
+index helpers below (the place action, composition, the collapsing
+renumbering and the places of a value) and the cofactor determinant live
+here because only tests use them.
 """
 
 import itertools
@@ -16,6 +19,52 @@ from swdual import diagrams as dg
 from swdual import indices as ix
 from swdual import tensor as tn
 from swdual.tensor import TensorMatrix
+
+
+def act_right(idx, sigma):
+    """Place permutation: the value at place a moves to place sigma(a)."""
+    out = [0] * len(idx)
+    for a, v in enumerate(idx):
+        out[sigma[a] - 1] = v
+    return tuple(out)
+
+
+def perm_compose(p, q):
+    """Composite x -> p(q(x))."""
+    return tuple(p[q[x - 1] - 1] for x in range(1, len(p) + 1))
+
+
+def places_of(idx, v):
+    """The set of places where value v appears (Lambda_v)."""
+    return frozenset(p for p, x in enumerate(idx, start=1) if x == v)
+
+
+def collapse_avoiding(v, skip):
+    """Inverse of ``indices.embed_avoiding``; v must differ from ``skip``."""
+    if v == skip:
+        raise ValueError("value %d is excised" % v)
+    return v if v < skip else v - 1
+
+
+def collapse_index(idx, skip):
+    return tuple(collapse_avoiding(v, skip) for v in idx)
+
+
+def determinant(ring, rows):
+    """Exact determinant by cofactor expansion, for small sizes."""
+    m = len(rows)
+    if m == 0:
+        return ring.one
+    if m == 1:
+        return rows[0][0]
+    out = ring.zero
+    for j in range(m):
+        if rows[0][j] == ring.zero:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = ring.mul(rows[0][j], determinant(ring, minor))
+        out = ring.add(out, ring.neg(term) if j % 2 else term)
+    return out
 
 
 def total(ring, values):
@@ -79,7 +128,7 @@ def is_special(a, i, j):
     idxs = ix.all_indices(a.n, a.r)
     for u in idxs:
         for v in idxs:
-            if get(a, u, v) != a.ring.zero and ix.places_of(u, i) != ix.places_of(v, j):
+            if get(a, u, v) != a.ring.zero and places_of(u, i) != places_of(v, j):
                 return False
     return True
 
@@ -102,12 +151,12 @@ def theta(c, p, q):
     out = TensorMatrix(n, r, ring)
     idxs = ix.all_indices(n, r)
     for ri, u in enumerate(idxs):
-        lam_p = ix.places_of(u, p)
-        u_bar = ix.collapse_index(tuple(x for x in u if x != p), p)
+        lam_p = places_of(u, p)
+        u_bar = collapse_index(tuple(x for x in u if x != p), p)
         for rj, v in enumerate(idxs):
-            if ix.places_of(v, q) != lam_p:
+            if places_of(v, q) != lam_p:
                 continue
-            v_bar = ix.collapse_index(tuple(x for x in v if x != q), q)
+            v_bar = collapse_index(tuple(x for x in v if x != q), q)
             out.data[ri * out.size + rj] = get(towers[len(lam_p)], u_bar, v_bar)
     return out
 
@@ -136,7 +185,7 @@ def membership(a):
     sigmas = list(itertools.permutations(range(1, r + 1)))
     first_s = next(
         ((u, v) for u, v in pairs
-         if get(a, u, v) != get(a, *min((ix.act_right(u, s), ix.act_right(v, s))
+         if get(a, u, v) != get(a, *min((act_right(u, s), act_right(v, s))
                                         for s in sigmas))),
         None,
     )
@@ -238,7 +287,7 @@ def live_orbits(reps, special_tag=None):
             continue
         if special_tag is not None:
             p, q = special_tag
-            if ix.places_of(i, p) != ix.places_of(j, q):
+            if places_of(i, p) != places_of(j, q):
                 continue
         live[oid] = len(live)
     return live
@@ -257,8 +306,8 @@ def omega_orbits(n, r):
             if orbit_of[ri * size + rj] >= 0:
                 continue
             for sigma in sigmas:
-                a = ix.index_rank(n, ix.act_right(i, sigma))
-                b = ix.index_rank(n, ix.act_right(j, sigma))
+                a = ix.index_rank(n, act_right(i, sigma))
+                b = ix.index_rank(n, act_right(j, sigma))
                 orbit_of[a * size + b] = len(reps)
             reps.append((i, j))
     return orbit_of, reps

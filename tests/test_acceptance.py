@@ -13,6 +13,7 @@ line per criterion.
 import random
 import time
 
+import reference as ref
 from oracle import matrix_entries_from_solution, solve_extension
 
 from swdual import extension as ex
@@ -212,7 +213,7 @@ def test_criterion_06_integral_round_trips():
 def test_criterion_07_uniqueness_regime():
     for (n, r) in [(2, 2), (2, 3), (3, 3), (4, 4)]:
         assert len(pt.build_f(n, r)) == 0
-        assert ex.kernel_of_rho_dimension(n, r, Q) == 0
+        assert vf.kernel_of_rho_dimension(n, r, Q) == 0
     report(7, True, "rho injective (kernel 0 over Q) and F(n,r) empty for "
                     "n <= r in {(2,2),(2,3),(3,3),(4,4)}")
 
@@ -280,7 +281,7 @@ def test_criterion_10_half_algebra():
         for i in ix.all_indices(4, 2)
         for j in ix.all_indices(4, 2)
         if ix.value_type(i) == ix.value_type(j)
-        and ix.places_of(i, 4) == ix.places_of(j, 4)
+        and ref.places_of(i, 4) == ref.places_of(j, 4)
     }
     lower_shape = {
         (i, j)

@@ -73,6 +73,25 @@ def test_colouring_subcommand():
     assert doc["ones"] == ["54"]
 
 
+@pytest.mark.parametrize("block_j", ["0", "-1", "6"])
+def test_block_j_outside_one_to_n_is_a_usage_error(capsys, block_j):
+    from swdual import cli
+
+    assert cli.main(["colouring", "--n", "5", "--r", "2", "--block-j", block_j]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: block column j must lie in 1..5, got %s\n" % block_j
+
+
+def test_block_j_at_one_and_n_prints_a_colouring(capsys):
+    from swdual import cli
+
+    for block_j in ("1", "5"):
+        assert cli.main(["colouring", "--n", "5", "--r", "2", "--block-j", block_j]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["schema"] == "swd/1"
+
+
 def test_gibson_subcommand():
     result = run_swd("gibson", "--n", "4")
     doc = json.loads(result.stdout)

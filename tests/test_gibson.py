@@ -40,7 +40,7 @@ def test_circulant_display_and_order():
     for n in (2, 3, 5):
         acc = ix.perm_identity(n)
         for _ in range(n):
-            acc = ix.perm_compose(gb.circulant_q(n), acc)
+            acc = ref.perm_compose(gb.circulant_q(n), acc)
         assert acc == ix.perm_identity(n)
     with pytest.raises(ValueError):
         gb.circulant_q(1)
@@ -104,6 +104,8 @@ def test_linear_independence():
     assert gb.linear_independence_check(4, Q)
     assert gb.linear_independence_check(3, F2)
     assert gb.linear_independence_check(2, Q)
+    with pytest.raises(ValueError, match="requires a field"):
+        gb.linear_independence_check(3, Z)
     for n in (5, 6):
         assert gb.linear_independence_check(n, Q)
 

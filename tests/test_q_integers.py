@@ -133,7 +133,7 @@ def test_many_distinct_large_denominators_are_refused_in_linear_memory():
     assert peak < 4 * 2**20  # 4096 scaled entries would take about 70 MB
     # b has 256 values, whose L of about 8,400 bits is under the bound: the
     # integer path runs and refuses b as a non-invariant
-    with pytest.raises(ex.NotInvariantError):
+    with pytest.raises(iv.NotInvariantError):
         ex.extend(b)
 
 
@@ -196,7 +196,7 @@ def members_and_broken_copies(draw):
         pairs = {(u, v)}
         if kind == "G":  # the whole orbit moves: S holds
             pairs = {
-                (ix.act_right(u, s), ix.act_right(v, s))
+                (ref.act_right(u, s), ref.act_right(v, s))
                 for s in itertools.permutations(range(1, r + 1))
             }
         for x, y in pairs:

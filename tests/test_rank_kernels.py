@@ -72,7 +72,7 @@ def orbit_perturbed(draw, cells=MEMBERSHIP_CELLS):
     u, v = draw(st.sampled_from(idxs)), draw(st.sampled_from(idxs))
     delta = a.ring.from_int(draw(st.integers(1, 5)))
     orbit = {
-        (ix.act_right(u, s), ix.act_right(v, s))
+        (ref.act_right(u, s), ref.act_right(v, s))
         for s in itertools.permutations(range(1, a.r + 1))
     }
     data = list(a.data)

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
+import reference as ref
+
 from swdual import diagrams as dg
 from swdual import indices as ix
 from swdual import tensor as tn
+from swdual import verify as vf
 from swdual.rings import Ring
 
 Q = Ring.rationals()
+Z = Ring.integers()
 Z6 = Ring.modular(6)
 
 
@@ -67,15 +71,15 @@ def test_left_right_actions():
     rng = random.Random(1)
     n, r = 3, 2
     a = tn.TensorMatrix(n, r, Q, [Q.from_int(rng.randrange(-3, 4)) for _ in range(81)])
-    assert tn.left_act(ix.perm_identity(n), a) == a
-    w = (2, 3, 1)
-    left = tn.left_act(w, a)
+    assert tn.matmul(tn.phi(ix.perm_identity(n), n, r, Q), a) == a
+    w, v = (2, 3, 1), (3, 1, 2)
+    pw, pv = tn.phi(w, n, r, Q), tn.phi(v, n, r, Q)
+    left = tn.matmul(pw, a)
     winv = ix.perm_inverse(w)
     for i in ix.all_indices(n, r):
         for j in ix.all_indices(n, r):
             assert left.get(i, j) == a.get(ix.act_left(winv, i), j)
-    v = (3, 1, 2)
-    assert tn.right_act(tn.left_act(w, a), v) == tn.left_act(w, tn.right_act(a, v))
+    assert tn.matmul(left, pv) == tn.matmul(pw, tn.matmul(a, pv))
 
 
 def test_representation_law_exhaustive_r2():
@@ -116,8 +120,22 @@ def test_phi_is_a_homomorphism():
             for w1 in perms:
                 for w2 in perms:
                     assert tn.matmul(tn.phi(w1, n, r, Q), tn.phi(w2, n, r, Q)) == (
-                        tn.phi(ix.perm_compose(w1, w2), n, r, Q)
+                        tn.phi(ref.perm_compose(w1, w2), n, r, Q)
                     )
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (5, 2), (3, 2)])
+@pytest.mark.parametrize("ring", [Z6, Z, Q], ids=["z/6", "z", "q"])
+def test_phi_sum_is_the_dense_sum(n, r, ring):
+    for seed in range(3):
+        rng = random.Random(seed)
+        coeffs = {w: ring.from_int(rng.randrange(-3, 4)) for w in ix.all_permutations(n)}
+        dense = tn.TensorMatrix.zeros(n, r, ring)
+        for w, x in coeffs.items():
+            dense = dense.add(tn.phi(w, n, r, ring).scale(x))
+        assert tn.phi_sum(coeffs, n, r, ring) == dense
+        # random_invariant draws the same coefficients in the same order
+        assert vf.random_invariant(n, r, ring, random.Random(seed)) == dense
 
 
 def test_half_diagrams_fix_the_subspace():
