@@ -72,6 +72,8 @@ def cmd_verify(args):
         )
     doc = report.to_json()
     _emit(args, doc, _report_lines(doc))
+    if args.timings:
+        print("timings: %s" % json.dumps(report.timings, sort_keys=True), file=sys.stderr)
     return 0 if report.ok else 1
 
 
@@ -165,7 +167,10 @@ def _load_doc(args):
     if not args.infile:
         raise UsageError("--in <file> is required")
     with open(args.infile) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise UsageError("the input file must hold a JSON object")
+    return doc
 
 
 def _load_matrix(args, doc):
@@ -188,9 +193,13 @@ def cmd_check_membership(args):
 
 def _parse_assignment(ring, values, decomposition=False):
     """Assignment values keyed "(row,col)" or, for decompositions,
-    "(j,row,col)"; entry values use the ring's element syntax."""
+    "(j,row,col)"; entry values are strings in the ring's element syntax."""
+    if values is not None and not isinstance(values, dict):
+        raise UsageError('"values" must be an object')
     out = {}
     for key, v in (values or {}).items():
+        if not isinstance(v, str):
+            raise UsageError("value of %s must be a string, got %s" % (key, json.dumps(v)))
         key = key.strip()
         if not (key.startswith("(") and key.endswith(")")):
             raise UsageError("malformed assignment key %r" % key)
@@ -275,6 +284,9 @@ def build_parser():
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--half", action="store_true")
+    p.add_argument(
+        "--timings", action="store_true", help="seconds per stage, one line on stderr"
+    )
 
     command(
         "dims", cmd_dims, "centraliser and span dimensions",

@@ -326,25 +326,34 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(doc, unsafe_large=False):
-    """The matrix of a JSON document; more than DEFAULT_SIZE_CAP rows are
-    refused with CapExceeded unless ``unsafe_large`` is set."""
-    rows = doc["rows"]
+    """The matrix of a JSON document: an object with a string "ring" and
+    "rows" a list of lists of strings, else a ValueError.  More than
+    DEFAULT_SIZE_CAP rows are refused with CapExceeded unless
+    ``unsafe_large`` is set."""
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ShapeMismatchError('a matrix needs "rows", a list of lists')
     if len(rows) > DEFAULT_SIZE_CAP and not unsafe_large:
         raise CapExceeded(
             "matrix has %d rows, more than the default cap %d"
             % (len(rows), DEFAULT_SIZE_CAP)
         )
+    if not isinstance(doc.get("ring"), str):
+        raise ValueError('a matrix needs "ring", a string')
     ring = Ring.parse(doc["ring"])
     n, r = doc["n"], doc["r"]
     if not _is_power(len(rows), n, r) or any(len(row) != len(rows) for row in rows):
         raise ShapeMismatchError("row data does not match n^r")
-    data = [ring.parse_value(v) for row in rows for v in row]
+    try:
+        data = [ring.parse_value(v) for row in rows for v in row]
+    except AttributeError:  # parse_value strips its text; no other JSON value has strip
+        raise ValueError("matrix entries must be strings") from None
     return TensorMatrix(n, r, ring, data)
 
 
 def _is_power(size, n, r):
     """size == n**r, without building n**r when r is large."""
-    if not (isinstance(n, int) and isinstance(r, int) and n >= 1 and r >= 0):
+    if not (type(n) is int and type(r) is int and n >= 1 and r >= 0):  # not bool
         return False
     return power_within(n, r, size) == size
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -80,43 +81,37 @@ def _slice_equations(n, r, orbit_of, live):
     (alpha, p, q) equations onto (r, p', q') equations over the same
     variables, so the last place alone already yields every equation.
     Inserting at the last place turns the context rank p into the n
-    consecutive ranks p*n, ..., p*n + n - 1.
+    consecutive ranks p*n, ..., p*n + n - 1.  A permutation of the first
+    r - 1 places likewise carries the minor of context (p, q) onto one
+    with the same sums, so one context per orbit of
+    :func:`indices.orbit_table` one rank down suffices (at n = 1 the one
+    context (0, 0)).
     """
     size = n**r
     rows = set()
     lower = n ** (r - 1)
-    for p in range(lower):
-        row_ranks = range(p * n, p * n + n)
-        for q in range(lower):
-            col_ranks = range(q * n, q * n + n)
-            sums = []
-            for j in range(n):  # column sums of the (r, p, q) minor
-                vec = {}
-                for i in range(n):
-                    oid = orbit_of[row_ranks[i] * size + col_ranks[j]]
-                    var = live.get(oid)
-                    if var is not None:
-                        vec[var] = vec.get(var, 0) + 1
-                sums.append(vec)
-            for i in range(n):  # row sums
-                vec = {}
-                for j in range(n):
-                    oid = orbit_of[row_ranks[i] * size + col_ranks[j]]
-                    var = live.get(oid)
-                    if var is not None:
-                        vec[var] = vec.get(var, 0) + 1
-                sums.append(vec)
-            ref = sums[0]
-            for vec in sums[1:]:
-                diff = dict(ref)
-                for var, c in vec.items():
-                    nc = diff.get(var, 0) - c
-                    if nc:
-                        diff[var] = nc
-                    else:
-                        diff.pop(var, None)
-                if diff:
-                    rows.add(tuple(sorted(diff.items())))
+    for lead in ix.orbit_table(n, r - 1)[1] if n > 1 else [0]:
+        p, q = divmod(lead, lower)
+        minor = [[live.get(orbit_of[i * size + j]) for j in range(q * n, q * n + n)]
+                 for i in range(p * n, p * n + n)]
+        sums = []
+        for line in [*zip(*minor), *minor]:  # column sums, then row sums
+            vec = {}
+            for var in line:
+                if var is not None:
+                    vec[var] = vec.get(var, 0) + 1
+            sums.append(vec)
+        ref = sums[0]
+        for vec in sums[1:]:
+            diff = dict(ref)
+            for var, c in vec.items():
+                nc = diff.get(var, 0) - c
+                if nc:
+                    diff[var] = nc
+                else:
+                    diff.pop(var, None)
+            if diff:
+                rows.add(tuple(sorted(diff.items())))
     return [dict(row) for row in sorted(rows)]
 
 
@@ -204,32 +199,45 @@ def _span_rows(n, r, perms, orbit_of, live):
 # ---------------------------------------------------------------------------
 
 
-def _wn_orbit_classes(n, r):
-    """One word i + j per diagonal W_n orbit on I(n,r) x I(n,r): the orbit
-    of a pair is the pattern of equal letters along i + j, so the orbits
-    are the restricted-growth words of length 2r in at most n letters,
-    each letter at most one more than the largest before it."""
+def _wn_orbit_classes(n, length):
+    """The restricted-growth words of the given length in at most n
+    letters, each letter at most one more than the largest before it, in
+    lexicographic order.  At length 2r they are the diagonal W_n orbits on
+    I(n,r) x I(n,r), one word i + j per orbit: the orbit of a pair is the
+    pattern of equal letters along i + j."""
     words = [()]
-    for _ in range(2 * r):
+    for _ in range(length):
         words = [w + (a,) for w in words
                  for a in range(min(max(w, default=-1) + 2, n))]
     return words
 
 
-def _psi_rows(r, words):
-    """The row of psi(d) on the W_n classes for each diagram d of rank r.
+def _psi_rows(n, r, words):
+    """The row of psi(d) on the W_n classes ``words`` for each diagram d of
+    rank r.
 
     Entry (i, j) of psi(d) is 1 exactly when the word i + j is constant on
     every block of d (vertex v reads letter v), and psi(d) commutes with
     W_n, so its value at one word of a class decides the whole class.
+    Those words are the coarsenings of d: a letter g[b] per block b, read
+    along the vertices.  The blocks are ordered by least vertex, so the
+    read word is restricted-growth, hence a class word, exactly when g is,
+    and lexicographic order on g is that on the words.
     """
+    column = {word: c for c, word in enumerate(words)}
+    coarsenings = {}
     rows = []
     for d in dg.enumerate_diagrams(r):
-        links = [(v, block[0]) for block in d.blocks for v in block[1:]]
-        rows.append({
-            c: 1 for c, word in enumerate(words)
-            if all(word[u] == word[v] for u, v in links)
-        })
+        block_of = [0] * (2 * r)
+        for b, block in enumerate(d.blocks):
+            for v in block:
+                block_of[v] = b
+        k = len(d.blocks)
+        if k not in coarsenings:
+            coarsenings[k] = _wn_orbit_classes(n, k)
+        # 2r >= 2 vertices make itemgetter return a tuple; at r = 0 the word is ()
+        pick = operator.itemgetter(*block_of) if r else tuple
+        rows.append(dict.fromkeys(map(column.__getitem__, map(pick, coarsenings[k])), 1))
     return rows
 
 
@@ -239,8 +247,8 @@ def psi_side_dimensions(n, r, ring, unsafe_large=False):
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    words = _wn_orbit_classes(n, r)
-    return len(words), _sparse_rank(ring, _psi_rows(r, words))
+    words = _wn_orbit_classes(n, 2 * r)
+    return len(words), _sparse_rank(ring, _psi_rows(n, r, words))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +312,9 @@ class VerificationReport:
     psi_side: dict | None = None
     membership_checks: dict | None = None
     witnesses: list = field(default_factory=list)
-    # wall-clock seconds per stage; deliberately left out of to_json so that
-    # serialised reports stay deterministic for a given (n, r, ring, seed)
+    # seconds per stage by time.perf_counter (swd verify --timings prints
+    # them); deliberately left out of to_json so that serialised reports
+    # stay deterministic for a given (n, r, ring, seed)
     timings: dict = field(default_factory=dict)
 
     @property
@@ -358,23 +367,23 @@ def verify_duality(n, r, ring, seed=0, samples=5, unsafe_large=False):
     if r < 0:
         raise ValueError("r must be non-negative, got %d" % r)
     report = VerificationReport(n=n, r=r, ring=ring.name)
-    start = time.time()
+    start = time.perf_counter()
     if ring.is_field():
         report.dim_span_w = span_dimension_w(n, r, ring, unsafe_large=unsafe_large)
-        report.timings["span"] = time.time() - start
+        report.timings["span"] = time.perf_counter() - start
         report.dim_centraliser = centraliser_dimension(
             n, r, ring, unsafe_large=unsafe_large
         )
-        report.timings["centraliser"] = time.time() - start - report.timings["span"]
+        report.timings["centraliser"] = time.perf_counter() - start - report.timings["span"]
         report.surjective_phi = report.dim_span_w == report.dim_centraliser
         if not report.surjective_phi:
             report.witnesses.append(
                 {"kind": "dimension-mismatch", "span": report.dim_span_w,
                  "centraliser": report.dim_centraliser}
             )
-        psi_start = time.time()
+        psi_start = time.perf_counter()
         psi_dim, psi_rank = psi_side_dimensions(n, r, ring, unsafe_large=unsafe_large)
-        report.timings["psi"] = time.time() - psi_start
+        report.timings["psi"] = time.perf_counter() - psi_start
         report.psi_side = {
             "dim_end_wn": psi_dim,
             "rank_diagram_span": psi_rank,
@@ -387,7 +396,7 @@ def verify_duality(n, r, ring, seed=0, samples=5, unsafe_large=False):
             a = ext.extend(random_invariant(n, r - 1, ring, rng))
             ext.express_in_permutation_span(a)
         report.membership_checks = {"ok": True, "samples": checked}
-    report.timings["total"] = time.time() - start
+    report.timings["total"] = time.perf_counter() - start
     return report
 
 
@@ -401,6 +410,7 @@ def verify_half(n, r, ring, unsafe_large=False):
     """
     if n < 2:
         raise ValueError("half algebra needs n >= 2")
+    start = time.perf_counter()
     report = VerificationReport(n=n, r="%d+1/2" % r, ring=ring.name)
     if not ring.is_field():
         raise ValueError("verify-half requires a field ring")
@@ -425,6 +435,7 @@ def verify_half(n, r, ring, unsafe_large=False):
             {"kind": "half-dimension-mismatch", "special": dim_special,
              "lower": dim_lower}
         )
+    report.timings["total"] = time.perf_counter() - start
     return report
 
 

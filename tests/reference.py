@@ -4,9 +4,11 @@ Each function here walks multi-indices as tuples, the way the package did
 before its construction path moved onto flat rank tables, and is kept as
 an independent oracle for the differential tests: nothing in this file
 calls a rank table of swdual.  The duality oracles' rows are kept the same
-way: psi rows by scanning every entry of the full psi matrices, span rows
-by testing w.j == i on the orbit representatives, live orbits by comparing
-value types and places of values on them.  Gibson's G(r, c) is found by a
+way: psi rows by scanning every entry of the full psi matrices or by
+testing every class against every diagram, slice equations at every
+place or at every context of the last place, span rows by testing
+w.j == i on the orbit representatives, live orbits by comparing value
+types and places of values on them.  Gibson's G(r, c) is found by a
 backtracking search over its support instead of its closed form.  The
 index helpers below (the place action, composition, the collapsing
 renumbering and the places of a value) and the cofactor determinant live
@@ -265,6 +267,46 @@ def psi_rows_dense(n, r, ring):
         m = tn.psi(d, n, ring)
         rows.append({class_of[pos]: 1 for pos, v in enumerate(m.data) if v != ring.zero})
     return rows
+
+
+def psi_rows_filter(r, words):
+    """The classes ``words`` on which each diagram's word is constant on
+    every block, by testing every class against every diagram."""
+    rows = []
+    for d in dg.enumerate_diagrams(r):
+        links = [(v, block[0]) for block in d.blocks for v in block[1:]]
+        rows.append({
+            c: 1 for c, word in enumerate(words)
+            if all(word[u] == word[v] for u, v in links)
+        })
+    return rows
+
+
+def slice_equations_all_contexts(n, r, orbit_of, live):
+    """Sorted, deduplicated slice-sum difference equations at the last
+    place, walking every context (p, q) of I(n,r-1) x I(n,r-1)."""
+    size = n**r
+    rows = set()
+    lower = n ** (r - 1)
+    for p in range(lower):
+        for q in range(lower):
+            cells = [[live.get(orbit_of[(p * n + i) * size + q * n + j]) for j in range(n)]
+                     for i in range(n)]
+            sums = []
+            for line in list(zip(*cells)) + cells:
+                vec = {}
+                for var in line:
+                    if var is not None:
+                        vec[var] = vec.get(var, 0) + 1
+                sums.append(vec)
+            for vec in sums[1:]:
+                diff = dict(sums[0])
+                for var, c in vec.items():
+                    diff[var] = diff.get(var, 0) - c
+                diff = {var: c for var, c in diff.items() if c}
+                if diff:
+                    rows.add(tuple(sorted(diff.items())))
+    return [dict(row) for row in sorted(rows)]
 
 
 def span_rows_act_left(n, r, perms, reps, live):

@@ -407,3 +407,81 @@ def test_an_internal_failure_exits_3_with_one_error_line(tmp_path, monkeypatch, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: internal failure: ") and err.count("\n") == 1
+
+
+def _matrix_doc(**changes):
+    doc = {"n": 1, "r": 1, "ring": "q", "rows": [["1"]]}
+    doc.update(changes)
+    return {"matrix": doc}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_matrix_doc(rows=[[3]]), "matrix entries must be strings"),
+        (_matrix_doc(rows=[[None]]), "matrix entries must be strings"),
+        (_matrix_doc(rows=[[1.5]]), "matrix entries must be strings"),
+        (_matrix_doc(ring=3), 'a matrix needs "ring", a string'),
+        (_matrix_doc(rows=None), 'a matrix needs "rows", a list of lists'),
+        ([["1"]], "the input file must hold a JSON object"),
+        ({"matrix": [["1"]]}, 'a matrix needs "rows", a list of lists'),
+        (_matrix_doc(rows=["3"]), 'a matrix needs "rows", a list of lists'),
+        (_matrix_doc(n=2, rows=["12", "34"]), 'a matrix needs "rows", a list of lists'),
+        (_matrix_doc(n=True), "row data does not match n^r"),
+    ],
+    ids=["number", "null", "float", "ring-number", "rows-null", "top-level-list",
+         "matrix-list", "row-string", "rows-strings-n2", "n-boolean"],
+)
+def test_a_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, doc, message):
+    from swdual import cli
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check-membership", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([["(32,32)", "1"]], '"values" must be an object'),
+        ([], '"values" must be an object'),
+        ({"(32,32)": 1}, "value of (32,32) must be a string, got 1"),
+        ({"(32,32)": None}, "value of (32,32) must be a string, got null"),
+    ],
+    ids=["list", "empty-list", "number", "null"],
+)
+def test_malformed_values_are_a_usage_error(tmp_path, capsys, values, message):
+    from swdual import cli
+
+    path = tmp_path / "in.json"
+    doc = {"matrix": tn.matrix_to_json(tn.phi((2, 3, 1), 3, 1, Q)), "values": values}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["extend", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "3", "--r", "2", "--ring", "q"], ["--n", "3", "--r", "2", "--ring", "z/6"],
+     ["--n", "3", "--r", "1", "--half"]],
+    ids=["field", "non-field", "half"],
+)
+def test_verify_timings_go_to_stderr_and_leave_stdout_alone(capsys, argv):
+    from swdual import cli
+
+    assert cli.main(["verify", *argv]) == 0
+    plain, err = capsys.readouterr()
+    assert err == ""
+    assert cli.main(["verify", *argv, "--timings"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain
+    assert err.startswith("timings: ") and err.count("\n") == 1
+    timings = json.loads(err[len("timings: "):])
+    assert "total" in timings and all(t >= 0 for t in timings.values())
+    if argv[-1] == "q":
+        assert set(timings) == {"span", "centraliser", "psi", "total"}

@@ -140,7 +140,7 @@ def test_both_pivot_rules_agree_on_the_duality_systems(n, r, ring):
     systems = [
         vf._slice_equations(n, r, orbit_of, live),
         vf._span_rows(n, r, ix.all_permutations(n), orbit_of, live),
-        vf._psi_rows(r, vf._wn_orbit_classes(n, r)),
+        vf._psi_rows(n, r, vf._wn_orbit_classes(n, 2 * r)),
     ]
     for rows in systems:
         assert rg.sparse_rank(ring, rows) == len(rg.sparse_echelon(ring, rows))
@@ -224,7 +224,7 @@ def test_centraliser_basis_is_the_reduced_nullspace(n, r, ring):
 @pytest.mark.parametrize("ring", [Q, Ring.modular(3)], ids=["q", "z/3"])
 def test_psi_rows_match_dense_scan(n, r, ring):
     # one restricted-growth word per class of the reference's pair scan
-    words = vf._wn_orbit_classes(n, r)
+    words = vf._wn_orbit_classes(n, 2 * r)
     class_of = ref.wn_orbit_classes(n, r)
     pairs = [i + j for i in ix.all_indices(n, r) for j in ix.all_indices(n, r)]
     first = {}
@@ -240,8 +240,8 @@ def test_psi_rows_match_dense_scan(n, r, ring):
     assert len(words) == vf.wn_end_dimension(n, r)
     column = {c: words.index(pattern(w)) for c, w in first.items()}
     dense = [{column[c]: 1 for c in row} for row in ref.psi_rows_dense(n, r, ring)]
-    assert vf._psi_rows(r, words) == dense
-    assert rg.sparse_rank(ring, vf._psi_rows(r, words)) == rg.sparse_rank(ring, dense)
+    assert vf._psi_rows(n, r, words) == dense
+    assert rg.sparse_rank(ring, vf._psi_rows(n, r, words)) == rg.sparse_rank(ring, dense)
 
 
 @pytest.mark.parametrize("n,r", [(4, 3), (5, 2)])

@@ -3,7 +3,8 @@
 ``reference`` holds tuple-walking versions of theta, eta, is_special, the
 matmul conjugation, the phi-sum reconstruction, the restriction, the
 G/H/S predicates with their witnesses, the place-permutation orbit table,
-the duality oracles' live orbits and the initialisation; every property here asserts that the rank-table
+the duality oracles' live orbits, slice equations and psi rows and the
+initialisation; every property here asserts that the rank-table
 code gives the same answer on random invariants and on perturbations of
 them.
 """
@@ -264,6 +265,22 @@ def test_last_place_slice_equations_are_complete(n, r):
     assert vf._slice_equations(n, r, orbit_of, live) == ref.slice_equations_all_places(
         n, r, orbit_of, live
     )
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (4, 4), (6, 2), (2, 4), (2, 1), (1, 3)])
+def test_slice_equations_on_context_orbits_match_every_context(n, r):
+    for tag in (None, (n, n)):
+        orbit_of, _, live = vf._live_orbits(n, r, tag)
+        assert vf._slice_equations(n, r, orbit_of, live) == ref.slice_equations_all_contexts(
+            n, r, orbit_of, live
+        )
+
+
+@pytest.mark.parametrize("n,r", [(4, 3), (5, 3), (3, 3), (2, 4), (1, 3)])
+def test_psi_rows_by_coarsening_match_the_filter_scan(n, r):
+    words = vf._wn_orbit_classes(n, 2 * r)
+    got, want = vf._psi_rows(n, r, words), ref.psi_rows_filter(r, words)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
 
 
 @pytest.mark.parametrize("ring", SUM_RINGS, ids=lambda ring: ring.name)

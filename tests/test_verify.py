@@ -1,3 +1,6 @@
+import itertools
+import types
+
 import pytest
 
 from swdual import verify as vf
@@ -75,6 +78,12 @@ def test_psi_side_oracle():
     assert dim == rank == 14  # 1 + 7 + 6
     dim, rank = vf.psi_side_dimensions(4, 2, Q)
     assert dim == rank == 15  # B(4): full partition algebra acts faithfully
+
+
+@pytest.mark.parametrize("n,r,ring", [(4, 4, Q), (5, 4, F3)], ids=["4-4-q", "5-4-z/3"])
+def test_psi_side_at_rank_four_matches_the_stirling_sum(n, r, ring):
+    dim = vf.wn_end_dimension(n, r)
+    assert vf.psi_side_dimensions(n, r, ring) == (dim, dim)
 
 
 def test_verify_duality_field():
@@ -175,3 +184,13 @@ def test_timings_cover_every_stage_and_stay_out_of_json():
     assert "timings" not in doc
     assert not set(report.timings) & set(doc)
     assert set(vf.verify_duality(2, 1, Z6, samples=1).timings) == {"total"}
+
+
+def test_stage_timings_read_the_monotonic_clock(monkeypatch):
+    # a fake clock ticking by one per read; time.time() would raise
+    ticks = itertools.count()
+    monkeypatch.setattr(vf, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    report = vf.verify_duality(3, 2, Q)
+    assert report.timings == {"span": 1, "centraliser": 1, "psi": 1, "total": 5}
+    assert vf.verify_duality(3, 2, Z6).timings == {"total": 1}
+    assert vf.verify_half(3, 1, Q).timings == {"total": 1}
