@@ -52,14 +52,6 @@ class Diagram:
     def __repr__(self):
         return "Diagram(%r)" % self.format()
 
-    # -- vertex helpers: top a <-> a-1, bottom a' <-> r+a-1 ------------------
-
-    def block_of(self, vertex):
-        for b in self.blocks:
-            if vertex in b:
-                return b
-        raise KeyError(vertex)
-
     def format(self):
         """Text form "{1,3,3',4'}|{2,1'}|{4}|{5,2',5'}"."""
         parts = []
@@ -215,34 +207,32 @@ def multiply(d1, d2):
 # ---------------------------------------------------------------------------
 
 
-def set_partitions(elements):
-    """All set partitions of ``elements`` in restricted-growth-string order."""
-    elements = list(elements)
-    m = len(elements)
-    if m == 0:
-        return [()]
-    out = []
-
-    def grow(pos, blocks):
-        if pos == m:
-            out.append(tuple(tuple(b) for b in blocks))
-            return
-        x = elements[pos]
-        for b in blocks:
-            b.append(x)
-            grow(pos + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        grow(pos + 1, blocks)
-        blocks.pop()
-
-    grow(1, [[elements[0]]])
-    return out
+def restricted_growth_words(length, letters):
+    """The words of the given length in at most ``letters`` letters 0, 1,
+    ..., each at most one more than the largest before it, in lexicographic
+    order.  Such a word names the set partition with v in block word[v]:
+    at length 2r in 2r letters the diagrams of rank r, and at length 2r in
+    n letters, read as i + j, the diagonal W_n orbits on I(n,r) x I(n,r).
+    """
+    words = [()]
+    for _ in range(length):
+        words = [w + (a,) for w in words
+                 for a in range(min(max(w, default=-1) + 2, letters))]
+    return words
 
 
 def enumerate_diagrams(r):
-    """All B(2r) diagrams of rank r in a deterministic order."""
-    return [Diagram(r, blocks) for blocks in set_partitions(range(2 * r))]
+    """All B(2r) diagrams of rank r, in the order of their restricted-growth
+    words."""
+    diagrams = []
+    for word in restricted_growth_words(2 * r, 2 * r):
+        blocks = []
+        for v, b in enumerate(word):
+            if b == len(blocks):
+                blocks.append([])
+            blocks[b].append(v)
+        diagrams.append(Diagram(r, blocks))
+    return diagrams
 
 
 def is_half_algebra_member(d):
@@ -251,6 +241,4 @@ def is_half_algebra_member(d):
     Diagrams of rank r+1 with this property span the half partition algebra
     sitting inside the rank-(r+1) algebra.
     """
-    top_last = d.r - 1
-    bottom_last = 2 * d.r - 1
-    return bottom_last in d.block_of(top_last)
+    return any(d.r - 1 in b and 2 * d.r - 1 in b for b in d.blocks)

@@ -225,30 +225,40 @@ def commutes(a, b):
 # ---------------------------------------------------------------------------
 
 
+def psi_positions(d, n, r):
+    """Flat positions of the ones of psi(d) on I(n,r) x I(n,r), d of rank
+    at least r, with the value n at every place from r on.
+
+    Top place a < r weighs n^(r-1-a) n^r and bottom place a < r weighs
+    n^(r-1-a); a block of weight W (the sum over its vertices) with value
+    t + 1 adds t W.  A block holding a place >= r takes the value n.
+    """
+    size = n**r
+    positions = [0]
+    for block in d.blocks:
+        weight, pinned = 0, False
+        for v in block:
+            place = v % d.r
+            if place >= r:
+                pinned = True
+            else:
+                weight += n ** (r - 1 - place) * (size if v < d.r else 1)
+        values = [n - 1] if pinned else range(n)
+        positions = [p + t * weight for p in positions for t in values]
+    return positions
+
+
 def psi(d, n, ring):
     """Matrix of a diagram: entry (i, j) is 1 when the assignment sending
     the top row to i and the bottom row to j is constant on every block."""
-    r = d.r
+    return _ones_at(n, d.r, ring, psi_positions(d, n, d.r))
+
+
+def _ones_at(n, r, ring, positions):
     m = TensorMatrix(n, r, ring)
     one = ring.one
-    blocks = d.blocks
-    size = m.size
-    # walk over one value choice per block; each choice contributes one entry
-    def assign(b, top, bot):
-        if b == len(blocks):
-            ri = ix.index_rank(n, tuple(top))
-            rj = ix.index_rank(n, tuple(bot))
-            m.data[ri * size + rj] = one
-            return
-        for v in range(1, n + 1):
-            for vertex in blocks[b]:
-                if vertex < r:
-                    top[vertex] = v
-                else:
-                    bot[vertex - r] = v
-            assign(b + 1, top, bot)
-
-    assign(0, [0] * r, [0] * r)
+    for pos in positions:
+        m.data[pos] = one
     return m
 
 
@@ -299,17 +309,10 @@ def psi_on_fixed_last(d, n, ring):
     """Restriction of psi(d) to the subspace with last tensor factor v_n.
 
     ``d`` has rank r+1; rows and columns of the result are indexed by
-    I(n,r) via i |-> i . n, whose rank in I(n, r+1) is k n + n - 1 for i
-    of rank k, so the result is psi(d) sliced at those rows and columns.
-    Half-algebra diagrams fix the subspace setwise, so this is their matrix
-    as endomorphisms of it.
+    I(n,r) via i |-> i . n.  Half-algebra diagrams fix the subspace
+    setwise, so this is their matrix as endomorphisms of it.
     """
-    full = psi(d, n, ring)
-    big = full.size
-    return TensorMatrix(n, d.r - 1, ring, [
-        v for k in range(n - 1, big, n)
-        for v in full.data[k * big + n - 1 : (k + 1) * big : n]
-    ])
+    return _ones_at(n, d.r - 1, ring, psi_positions(d, n, d.r - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,8 @@ def _check_cap(n, r, unsafe_large):
         )
     if r > MAX_R:
         raise ValueError("r must be at most %d, got %d" % (MAX_R, r))
+    if n == 0:
+        raise ValueError("n must be positive, got 0")
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +166,16 @@ def _invariant_dimension(n, r, ring, tag, with_basis, unsafe_large):
     return len(basis), basis
 
 
-def span_dimension_w(n, r, ring, subgroup="w_n", unsafe_large=False):
+def span_dimension_w(n, r, ring, unsafe_large=False):
     """Rank of the span of the r-th Kronecker powers of the permutation
-    matrices of the chosen subgroup."""
+    matrices of W_n."""
     if not ring.is_field():
         raise ValueError("span dimension requires a field")
     if r == 0:
         return 1
     _check_cap(n, r, unsafe_large)
-    if subgroup == "w_n":
-        perms = ix.all_permutations(n)
-    elif subgroup == "w_n_minus_1":
-        perms = [w for w in ix.all_permutations(n) if w[n - 1] == n]
-    else:
-        raise ValueError("unknown subgroup %r" % (subgroup,))
     orbit_of, reps, live = _live_orbits(n, r)
-    return _sparse_rank(ring, _span_rows(n, r, perms, orbit_of, live))
+    return _sparse_rank(ring, _span_rows(n, r, ix.all_permutations(n), orbit_of, live))
 
 
 def _span_rows(n, r, perms, orbit_of, live):
@@ -199,42 +195,25 @@ def _span_rows(n, r, perms, orbit_of, live):
 # ---------------------------------------------------------------------------
 
 
-def _wn_orbit_classes(n, length):
-    """The restricted-growth words of the given length in at most n
-    letters, each letter at most one more than the largest before it, in
-    lexicographic order.  At length 2r they are the diagonal W_n orbits on
-    I(n,r) x I(n,r), one word i + j per orbit: the orbit of a pair is the
-    pattern of equal letters along i + j."""
-    words = [()]
-    for _ in range(length):
-        words = [w + (a,) for w in words
-                 for a in range(min(max(w, default=-1) + 2, n))]
-    return words
-
-
 def _psi_rows(n, r, words):
     """The row of psi(d) on the W_n classes ``words`` for each diagram d of
-    rank r.
+    rank r, walked as its restricted-growth word (the block of each vertex).
 
     Entry (i, j) of psi(d) is 1 exactly when the word i + j is constant on
     every block of d (vertex v reads letter v), and psi(d) commutes with
     W_n, so its value at one word of a class decides the whole class.
     Those words are the coarsenings of d: a letter g[b] per block b, read
-    along the vertices.  The blocks are ordered by least vertex, so the
+    along the vertices.  The blocks are numbered by least vertex, so the
     read word is restricted-growth, hence a class word, exactly when g is,
     and lexicographic order on g is that on the words.
     """
     column = {word: c for c, word in enumerate(words)}
     coarsenings = {}
     rows = []
-    for d in dg.enumerate_diagrams(r):
-        block_of = [0] * (2 * r)
-        for b, block in enumerate(d.blocks):
-            for v in block:
-                block_of[v] = b
-        k = len(d.blocks)
+    for block_of in dg.restricted_growth_words(2 * r, 2 * r):
+        k = max(block_of, default=-1) + 1
         if k not in coarsenings:
-            coarsenings[k] = _wn_orbit_classes(n, k)
+            coarsenings[k] = dg.restricted_growth_words(k, n)
         # 2r >= 2 vertices make itemgetter return a tuple; at r = 0 the word is ()
         pick = operator.itemgetter(*block_of) if r else tuple
         rows.append(dict.fromkeys(map(column.__getitem__, map(pick, coarsenings[k])), 1))
@@ -247,7 +226,7 @@ def psi_side_dimensions(n, r, ring, unsafe_large=False):
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    words = _wn_orbit_classes(n, 2 * r)
+    words = dg.restricted_growth_words(2 * r, n)
     return len(words), _sparse_rank(ring, _psi_rows(n, r, words))
 
 
@@ -440,35 +419,40 @@ def verify_half(n, r, ring, unsafe_large=False):
 
 
 def half_commutant_dimension(n, r, ring, unsafe_large=False):
-    """dim of the commutant of the restricted half-algebra action,
-    computed directly from all half diagrams of rank r+1 on
-    place-permutation orbit variables: X commutes with m when the (a, b)
-    entries of m X and X m agree, sums over the nonzeros of row a and of
-    column b of m."""
+    """dim of the commutant of the restricted half-algebra action, from
+    all half diagrams of rank r+1 on place-permutation orbit variables."""
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    orbit_of, _ = ix.omega_orbits(n, r)
+    return len(ix.orbit_table(n, r)[1]) - _sparse_rank(ring, _half_commutant_rows(n, r))
+
+
+def _half_commutant_rows(n, r):
+    """Sorted equations for X commuting with each restricted half diagram
+    m: the (a, b) entries of m X and X m agree, sums over the nonzeros of
+    row a and of column b of m.  Only each orbit's lead (a, b) is walked: a
+    permutation of the first r places permutes the half diagrams by
+    conjugation and fixes X, so it carries the equations at (a, b) onto
+    those at its image."""
+    orbit_of, leads = ix.orbit_table(n, r)
     size = n**r
     rows = set()
     half = [d for d in dg.enumerate_diagrams(r + 1) if dg.is_half_algebra_member(d)]
     for d in half:
         cols_by_row, rows_by_col = [[] for _ in range(size)], [[] for _ in range(size)]
-        for k, v in enumerate(tn.psi_on_fixed_last(d, n, ring).data):
-            if v != ring.zero:
-                cols_by_row[k // size].append(k % size)
-                rows_by_col[k % size].append(k // size)
-        for a in range(size):
-            for b in range(size):
-                vec = {}
-                for k in cols_by_row[a]:
-                    var = orbit_of[k * size + b]
-                    vec[var] = vec.get(var, 0) + 1
-                for k in rows_by_col[b]:
-                    var = orbit_of[a * size + k]
-                    vec[var] = vec.get(var, 0) - 1
-                vec = {v: c for v, c in vec.items() if c}
-                if vec:
-                    rows.add(tuple(sorted(vec.items())))
-    orbits = len(ix.orbit_table(n, r)[1])
-    return orbits - _sparse_rank(ring, [dict(row) for row in sorted(rows)])
+        for pos in tn.psi_positions(d, n, r):
+            a, b = divmod(pos, size)
+            cols_by_row[a].append(b)
+            rows_by_col[b].append(a)
+        for a, b in (divmod(lead, size) for lead in leads):
+            vec = {}
+            for k in cols_by_row[a]:
+                var = orbit_of[k * size + b]
+                vec[var] = vec.get(var, 0) + 1
+            for k in rows_by_col[b]:
+                var = orbit_of[a * size + k]
+                vec[var] = vec.get(var, 0) - 1
+            vec = {v: c for v, c in vec.items() if c}
+            if vec:
+                rows.add(tuple(sorted(vec.items())))
+    return [dict(row) for row in sorted(rows)]

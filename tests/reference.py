@@ -8,7 +8,10 @@ way: psi rows by scanning every entry of the full psi matrices or by
 testing every class against every diagram, slice equations at every
 place or at every context of the last place, span rows by testing
 w.j == i on the orbit representatives, live orbits by comparing value
-types and places of values on them.  Gibson's G(r, c) is found by a
+types and places of values on them, and the half-commutant equations at
+every pair (a, b) instead of one per orbit.  The diagrams are walked as
+nested set partitions instead of restricted-growth words, and psi is read
+off its definition entry by entry.  Gibson's G(r, c) is found by a
 backtracking search over its support instead of its closed form.  The
 index helpers below (the place action, composition, the collapsing
 renumbering and the places of a value) and the cofactor determinant live
@@ -256,6 +259,76 @@ def wn_orbit_classes(n, r):
             key = tuple(relabel[v] for v in i + j)
             class_of.append(classes.setdefault(key, len(classes)))
     return class_of
+
+
+def set_partitions(elements):
+    """All set partitions of ``elements`` in restricted-growth-string order,
+    each a tuple of blocks, by growing the blocks one element at a time."""
+    elements = list(elements)
+    m = len(elements)
+    if m == 0:
+        return [()]
+    out = []
+
+    def grow(pos, blocks):
+        if pos == m:
+            out.append(tuple(tuple(b) for b in blocks))
+            return
+        x = elements[pos]
+        for b in blocks:
+            b.append(x)
+            grow(pos + 1, blocks)
+            b.pop()
+        blocks.append([x])
+        grow(pos + 1, blocks)
+        blocks.pop()
+
+    grow(1, [[elements[0]]])
+    return out
+
+
+def psi_support(d, n, fixed_last=False):
+    """Whether each entry of psi(d) is 1, in row-major order: entry (i, j)
+    is 1 when the word i + j, vertex v reading letter v, is constant on
+    every block of d.  With ``fixed_last`` the entries are those of
+    psi_on_fixed_last, indexed by I(n, d.r - 1), and the word is
+    i.n + j.n."""
+    r = d.r - 1 if fixed_last else d.r
+    cap = (n,) if fixed_last else ()
+    links = [(v, block[0]) for block in d.blocks for v in block[1:]]
+    return [
+        all(word[u] == word[v] for u, v in links)
+        for word in (i + cap + j + cap
+                     for i in ix.all_indices(n, r) for j in ix.all_indices(n, r))
+    ]
+
+
+def half_commutant_rows_all_pairs(n, r, ring):
+    """Sorted, deduplicated equations for X on orbit variables commuting
+    with every restricted half diagram, at every pair (a, b) of ranks."""
+    orbit_of, _ = ix.omega_orbits(n, r)
+    size = n**r
+    rows = set()
+    half = [d for d in dg.enumerate_diagrams(r + 1) if dg.is_half_algebra_member(d)]
+    for d in half:
+        cols_by_row, rows_by_col = [[] for _ in range(size)], [[] for _ in range(size)]
+        for k, v in enumerate(tn.psi_on_fixed_last(d, n, ring).data):
+            if v != ring.zero:
+                cols_by_row[k // size].append(k % size)
+                rows_by_col[k % size].append(k // size)
+        for a in range(size):
+            for b in range(size):
+                vec = {}
+                for k in cols_by_row[a]:
+                    var = orbit_of[k * size + b]
+                    vec[var] = vec.get(var, 0) + 1
+                for k in rows_by_col[b]:
+                    var = orbit_of[a * size + k]
+                    vec[var] = vec.get(var, 0) - 1
+                vec = {v: c for v, c in vec.items() if c}
+                if vec:
+                    rows.add(tuple(sorted(vec.items())))
+    return [dict(row) for row in sorted(rows)]
 
 
 def psi_rows_dense(n, r, ring):

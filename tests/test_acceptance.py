@@ -268,7 +268,7 @@ def test_criterion_09_bimodule_and_representation_laws():
 
 
 def test_criterion_10_half_algebra():
-    for (n, r) in [(3, 1), (3, 2), (4, 2), (5, 2)]:
+    for (n, r) in [(3, 1), (3, 2), (4, 2), (5, 2), (4, 3), (6, 2)]:
         lower = vf.centraliser_dimension(n - 1, r, Q)
         assert vf.special_invariant_dimension(n, r, Q) == lower
         assert vf.half_commutant_dimension(n, r, Q) == lower
@@ -294,4 +294,4 @@ def test_criterion_10_half_algebra():
     }
     assert excised == lower_shape
     report(10, True, "dim E(n, r+1/2) = dim E(n-1, r) for (3,1), (3,2), "
-                     "(4,2), (5,2); excision reproduces the lower shape")
+                     "(4,2), (5,2), (4,3), (6,2); excision reproduces the lower shape")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import resource
 import subprocess
@@ -241,6 +242,43 @@ def test_negative_n_is_a_usage_error():
         result = run_swd(*args)
         assert result.returncode == 2
         assert result.stderr == "error: n must be non-negative, got -1\n"
+
+
+def test_zero_n_is_a_usage_error_from_rank_one():
+    for args in (("dims", "--n", "0", "--r", "1", "--ring", "q"),
+                 ("dims", "--n", "0", "--r", "3", "--ring", "z/3"),
+                 ("verify", "--n", "0", "--r", "1", "--ring", "q")):
+        result = run_swd(*args)
+        assert result.returncode == 2
+        assert result.stderr == "error: n must be positive, got 0\n"
+    result = run_swd("dims", "--n", "0", "--r", "0", "--ring", "q")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["centraliser"] == 1
+
+
+# sha256 of the output of enumerate-diagrams --r 0..4 in each format
+ENUMERATION_DIGESTS = {
+    "json": ["f6d9b49e7eb1546b6e1d8f3cd24257c312f4ef362e06b0908cd2c75ad96eb110",
+             "6061a5ea741356830dd0d2f6798c3d764b089bfe1d3a44b4f348cece89650370",
+             "15fc52375d6f8394ee48c19582143fb40cb9f8a638576f5973398020205537a5",
+             "fbe3dfc7769f6ef954df5dda76d754c718ae6f3d2fdfbc658e181325fc88afc1",
+             "a6fee8a0fc2c21d3d9e307cf298a4d090293909e328c41912d1ec3b5f883d65a"],
+    "table": ["01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+              "9f7cfce90afd26b1118835bc7709cba47694a8a75c38e64677357698a8c1d6ba",
+              "ab36b7f93bb72414692f388d49d9c96a91d4bcc3f1855183946e52db2311e5a4",
+              "8c347f4a0cc68806c531e5ad481041d18ff6e8c4c3175b4c274c292eba631902",
+              "4a16f877ddbc1cc00bcb7cc57c87e81079877035b112745942833e2805b0593f"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_enumerate_diagrams_output_is_pinned(capsys, fmt):
+    from swdual import cli
+
+    for r, digest in enumerate(ENUMERATION_DIGESTS[fmt]):
+        assert cli.main(["enumerate-diagrams", "--r", str(r), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, r)
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

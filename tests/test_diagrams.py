@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import reference as ref
+
 from swdual import diagrams as dg
 
 
@@ -108,6 +110,20 @@ def test_enumeration_counts_are_bell_numbers():
     again = [d.format() for d in dg.enumerate_diagrams(2)]
     assert first == again
     assert len(set(first)) == 15
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_enumeration_follows_the_set_partition_walk(r):
+    want = [dg.Diagram(r, blocks) for blocks in ref.set_partitions(range(2 * r))]
+    assert dg.enumerate_diagrams(r) == want
+
+
+def test_restricted_growth_words():
+    assert dg.restricted_growth_words(0, 0) == [()]
+    assert dg.restricted_growth_words(2, 0) == []
+    assert dg.restricted_growth_words(3, 2) == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    assert len(dg.restricted_growth_words(3, 3)) == 5
 
 
 def test_half_algebra_membership():

@@ -21,6 +21,7 @@ import reference as ref
 from oracle import solve_linear_system_over_field
 from reference import determinant
 
+from swdual import diagrams as dg
 from swdual import indices as ix
 from swdual import rings as rg
 from swdual import verify as vf
@@ -140,7 +141,7 @@ def test_both_pivot_rules_agree_on_the_duality_systems(n, r, ring):
     systems = [
         vf._slice_equations(n, r, orbit_of, live),
         vf._span_rows(n, r, ix.all_permutations(n), orbit_of, live),
-        vf._psi_rows(n, r, vf._wn_orbit_classes(n, 2 * r)),
+        vf._psi_rows(n, r, dg.restricted_growth_words(2 * r, n)),
     ]
     for rows in systems:
         assert rg.sparse_rank(ring, rows) == len(rg.sparse_echelon(ring, rows))
@@ -224,7 +225,7 @@ def test_centraliser_basis_is_the_reduced_nullspace(n, r, ring):
 @pytest.mark.parametrize("ring", [Q, Ring.modular(3)], ids=["q", "z/3"])
 def test_psi_rows_match_dense_scan(n, r, ring):
     # one restricted-growth word per class of the reference's pair scan
-    words = vf._wn_orbit_classes(n, 2 * r)
+    words = dg.restricted_growth_words(2 * r, n)
     class_of = ref.wn_orbit_classes(n, r)
     pairs = [i + j for i in ix.all_indices(n, r) for j in ix.all_indices(n, r)]
     first = {}

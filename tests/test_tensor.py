@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -136,6 +137,19 @@ def test_phi_sum_is_the_dense_sum(n, r, ring):
         assert tn.phi_sum(coeffs, n, r, ring) == dense
         # random_invariant draws the same coefficients in the same order
         assert vf.random_invariant(n, r, ring, random.Random(seed)) == dense
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_psi_and_its_fixed_last_restriction_match_the_definition(rank):
+    """Every diagram of the rank, at every n with n^(2 rank) <= 4096."""
+    for n in itertools.takewhile(lambda n: n ** (2 * rank) <= 4096, range(1, 65)):
+        for d in dg.enumerate_diagrams(rank):
+            for build, fixed_last in [(tn.psi, False), (tn.psi_on_fixed_last, True)][: rank + 1]:
+                hits = ref.psi_support(d, n, fixed_last)
+                for ring in (Q, Z6):
+                    one, zero = ring.one, ring.zero
+                    want = [one if hit else zero for hit in hits]
+                    assert build(d, n, ring).data == want, (n, d.format(), fixed_last)
 
 
 def test_half_diagrams_fix_the_subspace():

@@ -3,6 +3,8 @@ import types
 
 import pytest
 
+import reference as ref
+
 from swdual import verify as vf
 from swdual.rings import Ring
 
@@ -61,12 +63,8 @@ def test_negative_r_is_refused_on_every_ring(ring):
         vf.verify_duality(3, -1, ring)
 
 
-def test_span_subgroup_variant():
-    full = vf.span_dimension_w(3, 1, Q)
-    sub = vf.span_dimension_w(3, 1, Q, subgroup="w_n_minus_1")
-    assert full == 5 and sub <= full
-    with pytest.raises(ValueError):
-        vf.span_dimension_w(3, 1, Q, subgroup="w_0")
+def test_span_dimension_w_at_3_1():
+    assert vf.span_dimension_w(3, 1, Q) == 5
 
 
 def test_psi_side_oracle():
@@ -124,6 +122,11 @@ def test_half_commutant_direct_agrees():
         direct = vf.half_commutant_dimension(n, r, Q)
         assert direct == vf.centraliser_dimension(n - 1, r, Q)
         assert direct == vf.special_invariant_dimension(n, r, Q)
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+def test_half_commutant_rows_on_orbit_leads_match_every_pair(n, r):
+    assert vf._half_commutant_rows(n, r) == ref.half_commutant_rows_all_pairs(n, r, Q)
 
 
 def test_reports_deterministic_given_seed():
