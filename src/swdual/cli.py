@@ -21,7 +21,7 @@ from . import verify as vf
 from .diagrams import enumerate_diagrams
 from .invariants import check_membership
 from .rings import Ring
-from .tensor import CapExceeded, matrix_from_json, matrix_to_json
+from .tensor import CapExceeded, matrix_from_json, matrix_to_json, phi
 
 SCHEMA = "swd/1"
 
@@ -145,8 +145,9 @@ def cmd_gibson(args):
     lines = []
     for label, w in basis:
         lines.append(label)
-        for row in gb.perm_rows(ring, w):
-            lines.append(" ".join(ring.format_value(v) for v in row))
+        data = phi(w, args.n, 1, ring).data
+        for k in range(0, len(data), args.n):
+            lines.append(" ".join(map(ring.format_value, data[k : k + args.n])))
     _emit(args, doc, "\n".join(lines))
     return 0
 

@@ -245,19 +245,12 @@ def _build(name, n, r, width, run):
 
 
 def _synthesise(ring, n, r, xs):
-    """The invariant of degree r whose tower coordinates are ``xs``.
-
-    Degrees from n on add no coordinates: above min(r, n - 1) the copy
-    rule alone extends."""
-    top = min(r, n - 1)
-    if top >= 2:
-        a = _from_live(ring, n, top, ring.reduce(_extend_operator(n, top)(xs)))
-    else:
-        a = TensorMatrix.scalar(n, ring, xs[0])
-        if top == 1:
-            a = _extend_rank_one(a, dict(zip(pt.build_f(n, 1).entries, xs[1:])))
-    for _ in range(top, r):
-        a = _extend_direct(a)
+    """The invariant of degree r < n whose tower coordinates are ``xs``."""
+    if r >= 2:
+        return _from_live(ring, n, r, ring.reduce(_extend_operator(n, r)(xs)))
+    a = TensorMatrix.scalar(n, ring, xs[0])
+    if r == 1:
+        a = _extend_rank_one(a, dict(zip(pt.build_f(n, 1).entries, xs[1:])))
     return a
 
 

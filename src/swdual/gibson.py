@@ -4,16 +4,20 @@ matrices.
 The basis consists of the circulant of the descending n-cycle, the
 identity, and one permutation matrix G(r,c) for each zero position (r,c)
 of circulant-plus-identity; there are n(n-2) + 2 = (n-1)^2 + 1 of them and
-they span freely over any commutative ring.  Decomposition of a GDS matrix
-into the basis uses only subtraction of entries, so it works over Z/4 and
-Z/6 as well as over fields.
+they span freely over any commutative ring.  Matrices are degree-one
+:class:`.tensor.TensorMatrix` values: each basis element is built by
+:func:`.tensor.phi_sum`, and decomposition reads its coefficients off the
+entries of the input with no division, so it works over Z/4 and Z/6 as
+well as over fields.
 """
 
 from __future__ import annotations
 
 from . import indices as ix
-from .invariants import is_gds
+from .extension import ConstructionFailure
+from .invariants import is_invariant
 from .rings import sparse_rank
+from .tensor import phi_sum
 
 
 def _mod1(i, n):
@@ -31,15 +35,6 @@ def circulant_q(n):
     if n < 2:
         raise ValueError("need n >= 2")
     return tuple(_mod1(j - 1, n) for j in range(1, n + 1))
-
-
-def perm_rows(ring, w):
-    """Dense rows of the permutation matrix of w (entry 1 at (w(j), j))."""
-    n = len(w)
-    rows = [[ring.zero] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        rows[w[j - 1] - 1][j - 1] = ring.one
-    return rows
 
 
 def gamma_set(n):
@@ -94,7 +89,7 @@ def _check_minor_rule(n, r, c, w):
             else:
                 want = 1 if mi == mj else 0
             if entry != want:
-                raise RuntimeError(
+                raise ConstructionFailure(
                     "minor rule fails for G(%d,%d) at (%d,%d)" % (r, c, i, j)
                 )
 
@@ -109,52 +104,37 @@ def gibson_basis(n):
     return elements
 
 
-def gibson_decompose(ring, rows):
-    """Coefficients of a GDS matrix in the Gibson basis, over any ring.
+def gibson_decompose(a):
+    """Coefficients in the Gibson basis of a GDS matrix ``a``, a degree-one
+    TensorMatrix with n >= 2, over any ring.
 
-    Subtracts the forced-position multiples of the G(r,c), then reads the
-    circulant and identity coefficients off the last row of the remainder;
-    the remainder must vanish exactly, and the reconstruction is returned
-    alongside the coefficients for the caller to compare.
+    G(r,c) is the only basis element with a one at its forced position
+    (r,c): Q and I live on circulant-plus-identity, and every other G adds
+    only its own forced position.  So its coefficient is a(r,c), and those
+    of Q and I are the entries at (n,1) and (n,n) of a less the G part.
+    One reconstruction checks the result; a mismatch is a
+    :class:`.extension.ConstructionFailure`.
     """
-    n = len(rows)
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if is_gds(ring, rows) is None:
+    n, ring = a.n, a.ring
+    if a.r != 1 or n < 2:
+        raise ValueError("need a degree-one matrix with n >= 2")
+    if not is_invariant(a):
         raise ValueError("input is not generalised doubly-stochastic")
-    coeffs = {}
-    remainder = [row[:] for row in rows]
-    for (r, c) in gamma_set(n):
-        coeff = remainder[r - 1][c - 1]
-        coeffs["G(%d,%d)" % (r, c)] = coeff
-        if coeff != ring.zero:
-            g = gibson_g(n, r, c)
-            for j in range(1, n + 1):
-                i = g[j - 1]
-                remainder[i - 1][j - 1] = ring.sub(remainder[i - 1][j - 1], coeff)
-    coeffs["Q"] = remainder[n - 1][0]
-    coeffs["I"] = remainder[n - 1][n - 1]
-    qn = circulant_q(n)
-    for j in range(1, n + 1):
-        remainder[qn[j - 1] - 1][j - 1] = ring.sub(
-            remainder[qn[j - 1] - 1][j - 1], coeffs["Q"]
-        )
-        remainder[j - 1][j - 1] = ring.sub(remainder[j - 1][j - 1], coeffs["I"])
-    if any(v != ring.zero for row in remainder for v in row):
-        raise RuntimeError("Gibson residual is nonzero")
+    coeffs = {"G(%d,%d)" % (r, c): a.data[(r - 1) * n + c - 1] for (r, c) in gamma_set(n)}
+    rest = a.sub(reconstruct(ring, n, coeffs))
+    coeffs["Q"] = rest.data[(n - 1) * n]
+    coeffs["I"] = rest.data[n * n - 1]
+    if reconstruct(ring, n, coeffs) != a:
+        raise ConstructionFailure("Gibson residual is nonzero")
     return coeffs
 
 
 def reconstruct(ring, n, coeffs):
-    rows = [[ring.zero] * n for _ in range(n)]
-    for label, w in gibson_basis(n):
-        coeff = coeffs.get(label, ring.zero)
-        if coeff == ring.zero:
-            continue
-        for j in range(1, n + 1):
-            i = w[j - 1]
-            rows[i - 1][j - 1] = ring.add(rows[i - 1][j - 1], coeff)
-    return rows
+    """The sum of the basis elements weighted by ``coeffs``, a map from
+    labels to ring values (a missing label weighs zero)."""
+    return phi_sum(
+        {w: coeffs.get(label, ring.zero) for label, w in gibson_basis(n)}, n, 1, ring
+    )
 
 
 def linear_independence_check(n, ring):

@@ -57,28 +57,6 @@ def require_positive_n(a):
 
 
 # ---------------------------------------------------------------------------
-# Generalised doubly-stochastic matrices (square, raw-value rows)
-# ---------------------------------------------------------------------------
-
-
-def is_gds(ring, rows):
-    """Common value of all row and column sums, or None if they differ."""
-    m = len(rows)
-    if any(len(row) != m for row in rows):
-        raise ValueError("matrix must be square")
-    if m == 0:
-        return ring.zero
-    s = ring.sum(rows[0])
-    for row in rows[1:]:
-        if ring.sum(row) != s:
-            return None
-    for j in range(m):
-        if ring.sum(row[j] for row in rows) != s:
-            return None
-    return s
-
-
-# ---------------------------------------------------------------------------
 # Membership in the centraliser
 # ---------------------------------------------------------------------------
 

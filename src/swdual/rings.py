@@ -63,7 +63,7 @@ class Ring:
     and take and return ``Fraction`` values.
     """
 
-    __slots__ = ("kind", "modulus", "_field")
+    __slots__ = ("kind", "modulus", "_field", "zero", "one")
 
     def __init__(self, kind, modulus=None):
         if kind not in ("z", "q", "mod"):
@@ -77,6 +77,8 @@ class Ring:
         self.modulus = modulus
         # decided once: every elimination consults it
         self._field = kind == "q" or (kind == "mod" and _is_prime(modulus))
+        self.zero = self.from_int(0)
+        self.one = self.from_int(1)
 
     # -- constructors ------------------------------------------------------
 
@@ -137,14 +139,6 @@ class Ring:
         if self.kind == "q":
             return Fraction(m)
         return int(m) % self.modulus
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
 
     def add(self, a, b):
         c = a + b

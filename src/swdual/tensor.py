@@ -271,26 +271,11 @@ def psi_scaled(sd, n, ring):
     return psi(sd.diagram, n, ring).scale(coeff)
 
 
-def permutation_matrix(w, ring):
-    """P(w) with entry 1 at (w(j), j) for each column j."""
-    n = len(w)
-    m = TensorMatrix(n, 1, ring)
-    one = ring.one
-    for j in range(1, n + 1):
-        m.data[(w[j - 1] - 1) * n + (j - 1)] = one
-    return m
-
-
 def phi(w, n, r, ring):
     """The r-th Kronecker power of P(w), computed as a basis permutation."""
     if len(w) != n:
         raise ValueError("permutation size mismatch")
-    m = TensorMatrix(n, r, ring)
-    one = ring.one
-    size = m.size
-    for rj, ri in enumerate(ix.act_ranks(w, r)):
-        m.data[ri * size + rj] = one
-    return m
+    return phi_sum({w: ring.one}, n, r, ring)
 
 
 def phi_sum(coeffs, n, r, ring):

@@ -281,6 +281,34 @@ def test_enumerate_diagrams_output_is_pinned(capsys, fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, r)
 
 
+# sha256 of the output of gibson --n 2..7 in each format, the same on every ring
+GIBSON_DIGESTS = {
+    "json": ["6b8c723ee71bb9e3fc2b5002c22b277cc594050640bfc3eaada0a5313b546071",
+             "28a02e7613f45291d78185befd075801785d603a1d77d78c761d16be938c4571",
+             "d6e6708a133c407c4d4977987ef068e2c322e41d04f8c1732a9487fcf3c62dbb",
+             "11fffa0828aa3afffae1479846ada5e5983b72c1480f43297e1f7f30c22aac6a",
+             "d0702d62091c3843f9ec3dfcea8b6007df5cdc71d009ecc55dd5508e9fcd6ecd",
+             "35edca5e5cede437db916872e5c4bb4dea2d8b1330a9e5efa44eb6b39ebf8bc1"],
+    "table": ["425424983f5dbf4295140fc70b102f0df5ba902f2068478fd1a44d78f7bf5547",
+              "ee86b48c60376556dfa1c4797673f4170650a9fe4af30850a55bd6b24ef4694e",
+              "cf65da18d61a791a64691677679735571148b826db0e1e89d848d800403d2b86",
+              "e4c241f79f55e1aed2d8ab9c008dfe0797e7c3fc7fa29a457f85e84f9c97179a",
+              "b5519077072551030c0280520b5e0db3afa2ee74978eaf2dd550dc0eff5b8cd4",
+              "eb672f24147a6082512e428f52ceddc4873499f55026e3c88cc2530be41a31f7"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_gibson_output_is_pinned(capsys, fmt):
+    from swdual import cli
+
+    for ring in ("q", "z", "z/6"):
+        for n, digest in enumerate(GIBSON_DIGESTS[fmt], start=2):
+            assert cli.main(["gibson", "--n", str(n), "--ring", ring, "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, ring, n)
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_empty_patterns_and_colourings_render(capsys, fmt):
     from swdual import cli

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -368,6 +369,62 @@ def test_a_non_invariant_excision_fails_verification(monkeypatch):
         ex.decompose(a)
 
 
+def _run_cli(tmp_path, capsys, command, a, values):
+    """Exit code and stderr of ``swd command`` on a JSON file of a and values."""
+    from swdual import cli
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrix": tn.matrix_to_json(a), "values": values}))
+    code = cli.main([command, "--in", str(path)])
+    return code, capsys.readouterr().err
+
+
+def _add_to_extensions(monkeypatch, extra):
+    """Make the construction behind extend add ``extra`` to its result."""
+    build = ex._extend
+    monkeypatch.setattr(ex, "_extend", lambda b, f: build(b, f).add(extra))
+
+
+def test_an_extension_off_its_restriction_fails_verification(monkeypatch, tmp_path, capsys):
+    b = vf.random_invariant(3, 1, Z, random.Random(83))
+    ex.extend(b)  # builds every operator before the patch
+    # the identity is an invariant, and it restricts to 3 times the identity
+    _add_to_extensions(monkeypatch, tn.TensorMatrix.identity(3, 2, Z))
+    with pytest.raises(ex.ConstructionFailure, match="does not restrict to the input"):
+        ex.extend(b)
+    code, err = _run_cli(tmp_path, capsys, "extend", b, {})
+    assert code == 3 and "does not restrict to the input" in err
+
+
+def test_an_extension_off_its_free_values_fails_verification(monkeypatch, tmp_path, capsys):
+    b = vf.random_invariant(3, 1, Z, random.Random(89))
+    key = pt.build_f(3, 2).entries[0]
+    # an invariant that restricts to zero and is one at the free entry key
+    kernel = ex.extend(tn.TensorMatrix.zeros(3, 1, Z), {key: Z.one})
+    _add_to_extensions(monkeypatch, kernel)
+    with pytest.raises(ex.ConstructionFailure, match="free entry .* not returned verbatim"):
+        ex.extend(b, {key: Z.zero})
+    values = {"(%s,%s)" % tuple(map(ix.format_index, key)): "0"}
+    code, err = _run_cli(tmp_path, capsys, "extend", b, values)
+    assert code == 3 and "not returned verbatim" in err
+
+
+def test_a_decomposition_off_its_free_values_fails_verification(monkeypatch, tmp_path, capsys):
+    n, r = 4, 2
+    a = vf.random_invariant(n, r, Z6, random.Random(97))
+    summands = ex.decompose(a)  # builds every operator before the patch
+    j, p, q = key = pt.build_d(n, r).entries[0]
+    value = Z6.add(summands[j - 1].get(p, q), Z6.one)
+    parts = ex._parts
+    monkeypatch.setattr(ex, "_parts", lambda a, f: parts(a, {}))  # drops the free values
+    with pytest.raises(ex.ConstructionFailure,
+                       match="decomposition free entry .* not returned verbatim"):
+        ex.decompose(a, {key: value})
+    values = {"(%d,%s,%s)" % (j, ix.format_index(p), ix.format_index(q)): str(value)}
+    code, err = _run_cli(tmp_path, capsys, "decompose", a, values)
+    assert code == 3 and "not returned verbatim" in err
+
+
 def test_decompose_along_other_block_rows_and_columns():
     rng = random.Random(47)
     n, r = 4, 2
@@ -539,3 +596,11 @@ def test_kernel_of_rho_dimensions():
     assert vf.kernel_of_rho_dimension(4, 4, Q) == 0
     with pytest.raises(ValueError):
         vf.kernel_of_rho_dimension(3, 2, Z6)
+
+
+def test_a_kernel_dimension_mismatch_is_a_construction_failure(monkeypatch):
+    dimension = vf.centraliser_dimension
+    monkeypatch.setattr(vf, "centraliser_dimension",
+                        lambda n, r, ring: dimension(n, r, ring) + (r == 2))
+    with pytest.raises(ex.ConstructionFailure, match="rank oracle 2, pattern 1"):
+        vf.kernel_of_rho_dimension(3, 2, Q)

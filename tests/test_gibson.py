@@ -7,7 +7,10 @@ import reference as ref
 
 from swdual import gibson as gb
 from swdual import indices as ix
+from swdual.extension import ConstructionFailure
+from swdual.invariants import is_invariant, restrict
 from swdual.rings import Ring
+from swdual.tensor import TensorMatrix, phi, phi_sum
 
 Q = Ring.rationals()
 Z = Ring.integers()
@@ -15,18 +18,20 @@ F2 = Ring.modular(2)
 
 
 def matrix_of(ring, w):
-    return gb.perm_rows(ring, w)
+    """Dense rows of the permutation matrix of w."""
+    n = len(w)
+    data = phi(w, n, 1, ring).data
+    return [data[k : k + n] for k in range(0, n * n, n)]
 
 
 def random_gds(ring, n, rng, terms=8, bound=5):
-    rows = [[ring.zero] * n for _ in range(n)]
+    coeffs = {}
     perms = ix.all_permutations(n)
     for _ in range(terms):
         w = rng.choice(perms)
         c = ring.from_int(rng.randrange(-bound, bound + 1))
-        for j in range(1, n + 1):
-            rows[w[j - 1] - 1][j - 1] = ring.add(rows[w[j - 1] - 1][j - 1], c)
-    return rows
+        coeffs[w] = ring.add(coeffs.get(w, ring.zero), c)
+    return phi_sum(coeffs, n, 1, ring)
 
 
 def test_circulant_display_and_order():
@@ -93,11 +98,10 @@ def test_basis_size_and_distinctness():
 
 
 def test_every_basis_element_is_gds_with_sum_one():
-    from swdual.invariants import is_gds
-
     for n in (2, 3, 4):
         for _, w in gb.gibson_basis(n):
-            assert is_gds(Z, matrix_of(Z, w)) == Z.one
+            p = phi(w, n, 1, Z)
+            assert is_invariant(p) and restrict(p).data == [Z.one]
 
 
 def test_linear_independence():
@@ -111,25 +115,22 @@ def test_linear_independence():
 
 
 def test_decompose_identity():
-    coeffs = gb.gibson_decompose(Z, matrix_of(Z, ix.perm_identity(4)))
+    coeffs = gb.gibson_decompose(phi(ix.perm_identity(4), 4, 1, Z))
     assert coeffs["I"] == Z.one
     assert all(v == Z.zero for k, v in coeffs.items() if k != "I")
 
 
 def test_decompose_all_ones():
     n = 4
-    rows = [[Q.one] * n for _ in range(n)]
-    coeffs = gb.gibson_decompose(Q, rows)
-    assert gb.reconstruct(Q, n, coeffs) == rows
+    ones = TensorMatrix(n, 1, Q, [Q.one] * (n * n))
+    coeffs = gb.gibson_decompose(ones)
+    assert gb.reconstruct(Q, n, coeffs) == ones
 
 
 def test_decompose_reads_back_free_coefficients():
     n = 4
-    rows = [[Z.zero] * n for _ in range(n)]
-    for coeff, w in ((2, gb.circulant_q(n)), (3, gb.gibson_g(n, 1, 3))):
-        for j in range(1, n + 1):
-            rows[w[j - 1] - 1][j - 1] = Z.add(rows[w[j - 1] - 1][j - 1], coeff)
-    coeffs = gb.gibson_decompose(Z, rows)
+    a = phi_sum({gb.circulant_q(n): 2, gb.gibson_g(n, 1, 3): 3}, n, 1, Z)
+    coeffs = gb.gibson_decompose(a)
     assert coeffs["Q"] == 2 and coeffs["G(1,3)"] == 3
     assert all(v == 0 for k, v in coeffs.items() if k not in ("Q", "G(1,3)"))
 
@@ -140,11 +141,32 @@ def test_decompose_random_gds_over_four_rings():
     for ring in (Z, Q, Ring.modular(4), Ring.modular(6)):
         for n in range(2, 7):
             for _ in range(20):
-                rows = random_gds(ring, n, rng)
-                coeffs = gb.gibson_decompose(ring, rows)
-                assert gb.reconstruct(ring, n, coeffs) == rows
+                a = random_gds(ring, n, rng)
+                coeffs = gb.gibson_decompose(a)
+                assert gb.reconstruct(ring, n, coeffs) == a
 
 
 def test_decompose_rejects_non_gds():
     with pytest.raises(ValueError, match="doubly-stochastic"):
-        gb.gibson_decompose(Z, [[Z.one, Z.zero], [Z.zero, Z.from_int(2)]])
+        gb.gibson_decompose(TensorMatrix(2, 1, Z, [1, 0, 0, 2]))
+
+
+def test_a_wrong_closed_form_fails_the_minor_rule(monkeypatch, capsys):
+    from swdual import cli
+
+    check = gb._check_minor_rule
+    # the rule reads G(r,c) with the images of columns 1 and 2 swapped
+    monkeypatch.setattr(gb, "_check_minor_rule",
+                        lambda n, r, c, w: check(n, r, c, (w[1], w[0]) + w[2:]))
+    with pytest.raises(ConstructionFailure, match=r"minor rule fails for G\(1,3\)"):
+        gb.gibson_g(4, 1, 3)
+    assert cli.main(["gibson", "--n", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal failure: minor rule fails for G(1,3)")
+
+
+def test_a_non_gds_input_past_the_gate_fails_the_residual_check(monkeypatch):
+    monkeypatch.setattr(gb, "is_invariant", lambda a: True)
+    with pytest.raises(ConstructionFailure, match="Gibson residual is nonzero"):
+        gb.gibson_decompose(TensorMatrix(2, 1, Z, [1, 0, 0, 2]))

@@ -58,7 +58,7 @@ def test_phi_inverse_and_kronecker_power():
     assert tn.matmul(tn.phi(w, 3, 2, Q), tn.phi(ix.perm_inverse(w), 3, 2, Q)) == (
         tn.TensorMatrix.identity(3, 2, Q)
     )
-    p = tn.permutation_matrix(w, Q)
+    p = ref.phi(w, 3, 1, Q)
     assert tn.kronecker(p, p) == tn.phi(w, 3, 2, Q)
 
 

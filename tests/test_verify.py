@@ -1,4 +1,5 @@
 import itertools
+import json
 import types
 
 import pytest
@@ -197,3 +198,44 @@ def test_stage_timings_read_the_monotonic_clock(monkeypatch):
     assert report.timings == {"span": 1, "centraliser": 1, "psi": 1, "total": 5}
     assert vf.verify_duality(3, 2, Z6).timings == {"total": 1}
     assert vf.verify_half(3, 1, Q).timings == {"total": 1}
+
+
+def _verify_cli(capsys, *argv):
+    from swdual import cli
+
+    code = cli.main(["verify", "--ring", "q", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_a_dimension_mismatch_is_a_witness(monkeypatch, capsys):
+    span = vf.span_dimension_w
+    monkeypatch.setattr(vf, "span_dimension_w",
+                        lambda n, r, ring, unsafe_large=False: span(n, r, ring) - 1)
+    witness = {"kind": "dimension-mismatch", "span": 5, "centraliser": 6}
+    report = vf.verify_duality(3, 2, Q)
+    assert not report.ok and report.surjective_phi is False
+    assert report.witnesses == [witness]
+    code, doc = _verify_cli(capsys, "--n", "3", "--r", "2")
+    assert code == 1 and doc["witnesses"] == [witness]
+
+
+def test_an_excision_mismatch_is_a_witness(monkeypatch, capsys):
+    eta = vf.eta
+    monkeypatch.setattr(vf, "eta", lambda a, n, j: eta(a, n, j).scale(Q.from_int(2)))
+    witnesses = [{"kind": "excision-mismatch", "w": [1, 2, 3]},
+                 {"kind": "excision-mismatch", "w": [2, 1, 3]}]
+    report = vf.verify_half(3, 1, Q)
+    assert not report.ok and report.witnesses == witnesses
+    code, doc = _verify_cli(capsys, "--n", "3", "--r", "1", "--half")
+    assert code == 1 and doc["witnesses"] == witnesses
+
+
+def test_a_half_dimension_mismatch_is_a_witness(monkeypatch, capsys):
+    special = vf.special_invariant_dimension
+    monkeypatch.setattr(vf, "special_invariant_dimension",
+                        lambda n, r, ring, unsafe_large=False: special(n, r, ring) + 1)
+    witness = {"kind": "half-dimension-mismatch", "special": 3, "lower": 2}
+    report = vf.verify_half(3, 1, Q)
+    assert not report.ok and report.witnesses == [witness]
+    code, doc = _verify_cli(capsys, "--n", "3", "--r", "1", "--half")
+    assert code == 1 and doc["witnesses"] == [witness]
