@@ -23,6 +23,8 @@ from .invariants import check_membership
 from .rings import Ring
 from .tensor import CapExceeded, matrix_from_json, matrix_to_json, phi
 
+_encode = json.encoder.encode_basestring_ascii
+
 SCHEMA = "swd/1"
 
 
@@ -41,11 +43,29 @@ def _non_negative(text):
     return value
 
 
+def _dumps(doc, pad="\n"):
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for string-keyed
+    dicts, with each list of strings joined by the C string encoder (the
+    standard encoder runs in Python once ``indent`` is set)."""
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(doc, dict) and doc:
+        return "{%s%s%s}" % (inner, sep.join(
+            "%s: %s" % (_encode(k), _dumps(v, inner)) for k, v in sorted(doc.items())), pad)
+    if isinstance(doc, (list, tuple)) and doc:
+        try:
+            body = sep.join(map(_encode, doc))
+        except TypeError:  # not all strings
+            body = sep.join(_dumps(v, inner) for v in doc)
+        return "[%s%s%s]" % (inner, body, pad)
+    return json.dumps(doc)
+
+
 def _emit(args, doc, text=None):
     if getattr(args, "format", "json") == "table" and text is not None:
         payload = text if text.endswith("\n") else text + "\n"
     else:
-        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        payload = _dumps(doc) + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(payload)

@@ -191,6 +191,8 @@ class Ring:
         t = text.strip()
         if self.kind == "q":
             if "/" in t:
+                if t.count("/") > 1:
+                    raise ValueError("more than one '/' in %r" % (text,))
                 num, den = map(int, t.split("/"))
                 if not den:
                     raise ValueError("zero denominator in %r" % (text,))
@@ -212,8 +214,10 @@ def clear_denominators(values):
 
 
 def over_denominator(den, ints):
-    """The ``Fraction`` values x / den of the integers ``ints``."""
-    return [Fraction(x, den) for x in ints] if den != 1 else list(map(Fraction, ints))
+    """The ``Fraction`` values x / den of the integers ``ints`` (a sequence
+    or a dict view), one ``Fraction`` built per distinct integer."""
+    values = {x: Fraction(x, den) for x in set(ints)}
+    return list(map(values.__getitem__, ints))
 
 
 # ---------------------------------------------------------------------------

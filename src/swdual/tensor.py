@@ -329,14 +329,24 @@ def matrix_from_json(doc, unsafe_large=False):
     if not isinstance(doc.get("ring"), str):
         raise ValueError('a matrix needs "ring", a string')
     ring = Ring.parse(doc["ring"])
+    for key in ("n", "r"):
+        if key not in doc:
+            raise ShapeMismatchError('a matrix needs "%s", an integer' % key)
     n, r = doc["n"], doc["r"]
     if not _is_power(len(rows), n, r) or any(len(row) != len(rows) for row in rows):
         raise ShapeMismatchError("row data does not match n^r")
+    # each distinct entry is parsed once, in order of first appearance, so
+    # the first bad entry in row-major order decides the message
+    entries = list(chain.from_iterable(rows))
     try:
-        data = [ring.parse_value(v) for row in rows for v in row]
+        distinct = dict.fromkeys(entries)
+    except TypeError:  # an unhashable list or object is no string either: None stands in
+        distinct = dict.fromkeys(v if v.__hash__ else None for v in entries)
+    try:
+        values = {v: ring.parse_value(v) for v in distinct}
     except AttributeError:  # parse_value strips its text; no other JSON value has strip
         raise ValueError("matrix entries must be strings") from None
-    return TensorMatrix(n, r, ring, data)
+    return TensorMatrix(n, r, ring, list(map(values.__getitem__, entries)))
 
 
 def _is_power(size, n, r):

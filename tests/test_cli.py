@@ -1,13 +1,19 @@
 import hashlib
 import json
+import random
 import resource
 import subprocess
 import sys
 from array import array
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swdual import extension as ex
+from swdual import indices as ix
 from swdual import tensor as tn
 from swdual import verify as vf
 from swdual.rings import Ring
@@ -494,15 +500,40 @@ def _matrix_doc(**changes):
         (_matrix_doc(rows=["3"]), 'a matrix needs "rows", a list of lists'),
         (_matrix_doc(n=2, rows=["12", "34"]), 'a matrix needs "rows", a list of lists'),
         (_matrix_doc(n=True), "row data does not match n^r"),
+        (_matrix_doc(rows=[["1/2/3"]]), "more than one '/' in '1/2/3'"),
+        ({"matrix": {"r": 1, "ring": "q", "rows": [["1"]]}}, 'a matrix needs "n", an integer'),
+        ({"matrix": {"n": 1, "ring": "q", "rows": [["1"]]}}, 'a matrix needs "r", an integer'),
     ],
     ids=["number", "null", "float", "ring-number", "rows-null", "top-level-list",
-         "matrix-list", "row-string", "rows-strings-n2", "n-boolean"],
+         "matrix-list", "row-string", "rows-strings-n2", "n-boolean", "two-slashes",
+         "no-n", "no-r"],
 )
 def test_a_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, doc, message):
     from swdual import cli
 
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
+    assert cli.main(["check-membership", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([["x", "0"], ["0", [1]]], "invalid literal for int() with base 10: 'x'"),
+        ([[[1], "0"], ["0", "x"]], "matrix entries must be strings"),
+        ([["0", {}], [None, "x"]], "matrix entries must be strings"),
+        ([["0", "1"], ["y", "x"]], "invalid literal for int() with base 10: 'y'"),
+    ],
+    ids=["bad-string-first", "list-first", "object-first", "second-row"],
+)
+def test_the_first_bad_entry_in_row_major_order_decides_the_message(tmp_path, capsys, rows, message):
+    from swdual import cli
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(_matrix_doc(n=2, rows=rows)))
     assert cli.main(["check-membership", "--in", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -551,3 +582,92 @@ def test_verify_timings_go_to_stderr_and_leave_stdout_alone(capsys, argv):
     assert "total" in timings and all(t >= 0 for t in timings.values())
     if argv[-1] == "q":
         assert set(timings) == {"span", "centraliser", "psi", "total"}
+
+
+json_strings = st.text() | st.text(st.sampled_from('a"\\/\b\n\t\x00\x7f\xe9\u20ac\u2028\ud800\U0001f600'))
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80)
+                | st.floats(allow_nan=False) | json_strings)
+json_documents = st.recursive(
+    json_scalars | st.lists(json_strings),
+    lambda inner: st.lists(inner) | st.dictionaries(json_strings, inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(json_documents)
+def test_the_writer_equals_indented_sorted_json_dumps(doc):
+    from swdual import cli
+
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _seeded_runs(ring, seed):
+    """(argv without --in, input document, exit code) at (4, 3): extend
+    from (4, 2) with one free value, both decompositions and membership of
+    an invariant with seeded coefficients (fractions over Q), and
+    membership of a copy broken at (112, 112), which breaks S."""
+    rng = random.Random(seed)
+
+    def coefficient():
+        x = rng.randrange(-5, 6)
+        return Fraction(x, rng.randrange(1, 7)) if ring == Q else ring.from_int(x)
+
+    def invariant(r):
+        return tn.phi_sum({w: coefficient() for w in ix.all_permutations(4)}, 4, r, ring)
+
+    b, a = invariant(2), invariant(3)
+    broken = list(a.data)
+    k = ix.index_rank(4, (1, 1, 2))
+    broken[k * 64 + k] = ring.add(broken[k * 64 + k], ring.one)
+    values = {"(432,432)": ring.format_value(coefficient())}
+    a_doc = {"matrix": tn.matrix_to_json(a)}
+    return [
+        (["extend"], {"matrix": tn.matrix_to_json(b), "values": values}, 0),
+        (["decompose"], a_doc, 0),
+        (["decompose", "--basis", "col:1"], a_doc, 0),
+        (["check-membership"], a_doc, 0),
+        (["check-membership"], {"matrix": tn.matrix_to_json(tn.TensorMatrix(4, 3, ring, broken))}, 1),
+    ]
+
+
+# sha256 of each swd/1 output on _seeded_runs(ring, 7), as
+# json.dumps(doc, indent=2, sort_keys=True) wrote it
+SEEDED_DIGESTS = {
+    "z/6": ["7f4b4e0500d2ab98c5e9933e73296d78e9c1628063636810f73ad5420eaf0b4c",
+            "d8b55a19f815ebe28610ca6081cb89e4ea9452fd78cd89c638298842e38fa70d",
+            "799a4ce034f8bd7e974994e67511c0b34c7ed71ab67dfe2e10919fe452dcd72b",
+            "e211f896fb86862a80070bd1e86ef76a04e76595a06f641c1058e296609f4219",
+            "9a29d6677850ceaaea02505c29e6429fb93a924fdd9aff92b3270186eec8d8c0"],
+    "q": ["af7af2d91888d6834257dc827296aa531a36c15df9d2f82bdcbfdd883c7a16a8",
+          "3e4f304e19fe8bd9f67f15d6f51e7410f38055adf172ed80582c697fac3e01bc",
+          "41b014f9254094c8e78df266874076aa600420d0db7484a3f54986a529390e01",
+          "e211f896fb86862a80070bd1e86ef76a04e76595a06f641c1058e296609f4219",
+          "9a29d6677850ceaaea02505c29e6429fb93a924fdd9aff92b3270186eec8d8c0"],
+}
+
+
+@pytest.mark.parametrize("ring", ["z/6", "q"])
+def test_seeded_outputs_are_pinned(tmp_path, capsys, ring):
+    from swdual import cli
+
+    path = tmp_path / "in.json"
+    digests = []
+    for argv, doc, code in _seeded_runs(Ring.parse(ring), 7):
+        path.write_text(json.dumps(doc))
+        assert cli.main([*argv, "--in", str(path)]) == code
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert digests == SEEDED_DIGESTS[ring]
+
+
+# the digest the CI step "Installed swd command" pins for the same file
+FIXTURE_DECOMPOSE_DIGEST = "b636f32a37cd990604dea88c8a93e80fffae218c699a22300905772e87afe404"
+
+
+def test_decompose_of_the_q_fixture_is_pinned(capsys):
+    from swdual import cli
+
+    fixture = Path(__file__).parent / "fixtures" / "decompose_q32.json"
+    assert cli.main(["decompose", "--in", str(fixture)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DECOMPOSE_DIGEST

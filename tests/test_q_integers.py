@@ -88,6 +88,8 @@ def test_common_denominator_helpers():
     back = over_denominator(6, [3, -4, 30, 0])
     assert repr(back) == repr([Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(0)])
     assert repr(over_denominator(1, [2, 0])) == repr([Fraction(2), Fraction(0)])
+    repeated = {"a": 2, "b": -3, "c": 2, "d": 2}
+    assert over_denominator(4, repeated.values()) == [Fraction(1, 2), Fraction(-3, 4)] + [Fraction(1, 2)] * 2
 
 
 def test_common_denominator_bound_is_exact():

@@ -73,6 +73,12 @@ def test_zero_denominator_is_a_value_error():
             Q.parse_value(text)
 
 
+def test_more_than_one_slash_is_a_value_error_naming_the_entry():
+    for text in ("1/2/3", " 1//2 ", "/1/"):
+        with pytest.raises(ValueError, match="more than one '/' in %r" % text):
+            Q.parse_value(text)
+
+
 def test_serialisation_round_trip():
     for ring, samples in [
         (Z, ["-12", "0", "5"]),

@@ -195,6 +195,16 @@ def test_json_round_trip():
         assert tn.matrix_from_json(doc) == m
 
 
+def test_json_entries_equal_one_parse_per_entry():
+    rng = random.Random(9)
+    spellings = ["1/2", " 2/4", "-3", "0", "6/-4", "7 ", "-0", "12"]
+    for ring in (Q, Z6, Ring.integers()):
+        texts = [s for s in spellings if ring == Q or "/" not in s]
+        rows = [[rng.choice(texts) for _ in range(9)] for _ in range(9)]
+        m = tn.matrix_from_json({"n": 3, "r": 2, "ring": ring.name, "rows": rows})
+        assert m.data == [ring.parse_value(v) for row in rows for v in row]
+
+
 def test_json_golden_file():
     import json
     import os
