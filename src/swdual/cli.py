@@ -10,7 +10,9 @@ and internal failures print one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import sys
 
 from . import extension as ext
@@ -21,7 +23,7 @@ from . import verify as vf
 from .diagrams import enumerate_diagrams
 from .invariants import check_membership
 from .rings import Ring
-from .tensor import CapExceeded, matrix_from_json, matrix_to_json, phi
+from .tensor import DEFAULT_SIZE_CAP, CapExceeded, matrix_from_json, matrix_to_json, phi
 
 _encode = json.encoder.encode_basestring_ascii
 
@@ -30,6 +32,26 @@ SCHEMA = "swd/1"
 
 class UsageError(Exception):
     pass
+
+
+# the most diagrams or injective indices one invocation may hold
+MAX_HELD = DEFAULT_SIZE_CAP**2
+
+
+def _hold_at_most(count, owner, items):
+    """A usage error when ``owner`` holds ``count`` ``items``, more than
+    MAX_HELD.  Callers pass growing partial counts, so that a huge input is
+    refused after a few steps."""
+    if count > MAX_HELD:
+        raise UsageError("%s has more than %d %s, the most one invocation may hold"
+                         % (owner, MAX_HELD, items))
+
+
+def _hold_injective(n, r):
+    """Refuse more than MAX_HELD injective indices: n (n-1) ... (n-r+1) of
+    them, and none when r > n."""
+    for count in itertools.accumulate(range(n, n - r, -1), operator.mul) if r <= n else ():
+        _hold_at_most(count, "I'(%d,%d)" % (n, r), "injective indices")
 
 
 def _non_negative(text):
@@ -119,21 +141,16 @@ def cmd_dims(args):
 
 
 def cmd_free_pattern(args):
-    if args.flavour == "decomposition":
-        pattern = pt.build_d(args.n, args.r)
-    else:
-        pattern = pt.build_f(args.n, args.r)
-    pattern = pt.parse_basis(args.basis, args.n).pattern(pattern)
-    doc = {"schema": SCHEMA, **pattern.to_json()}
-    if pattern.flavour == "decomposition":
-        text = pt.render_decomposition_pattern(pattern, columns=args.columns)
-    else:
-        text = pt.render_pattern(pattern, columns=args.columns)
-    _emit(args, doc, text)
+    _hold_injective(args.n, args.r)
+    build, render = {"extension": (pt.build_f, pt.render_pattern),
+                     "decomposition": (pt.build_d, pt.render_decomposition_pattern)}[args.flavour]
+    pattern = pt.parse_basis(args.basis, args.n).pattern(build(args.n, args.r))
+    _emit(args, {"schema": SCHEMA, **pattern.to_json()}, render(pattern, columns=args.columns))
     return 0
 
 
 def cmd_colouring(args):
+    _hold_injective(args.n, args.r)
     if args.block_j is None:
         col = pt.colour(args.n, args.r, args.policy)
     else:
@@ -173,6 +190,10 @@ def cmd_gibson(args):
 
 
 def cmd_enumerate_diagrams(args):
+    row = [1]  # row m of the Bell triangle starts with B(m); there are B(2r) diagrams
+    for _ in range(2 * args.r):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        _hold_at_most(row[0], "rank %d" % args.r, "diagrams")
     diags = enumerate_diagrams(args.r)
     doc = {
         "schema": SCHEMA,
@@ -217,6 +238,8 @@ def _parse_assignment(ring, values, decomposition=False):
     "(j,row,col)"; entry values are strings in the ring's element syntax."""
     if values is not None and not isinstance(values, dict):
         raise UsageError('"values" must be an object')
+    kind, shape = ("decomposition", "(j,row,col)") if decomposition else (
+        "extension", "(row,col)")
     out = {}
     for key, v in (values or {}).items():
         if not isinstance(v, str):
@@ -225,16 +248,14 @@ def _parse_assignment(ring, values, decomposition=False):
         if not (key.startswith("(") and key.endswith(")")):
             raise UsageError("malformed assignment key %r" % key)
         parts = [p.strip() for p in key[1:-1].split(",")]
-        if decomposition:
-            if len(parts) != 3:
-                raise UsageError("decomposition keys need (j,row,col): %r" % key)
-            out[(int(parts[0]), ix.parse_index(parts[1]), ix.parse_index(parts[2]))] = (
-                ring.parse_value(v)
-            )
-        else:
-            if len(parts) != 2:
-                raise UsageError("extension keys need (row,col): %r" % key)
-            out[(ix.parse_index(parts[0]), ix.parse_index(parts[1]))] = ring.parse_value(v)
+        if len(parts) != (3 if decomposition else 2):
+            raise UsageError("%s keys need %s: %r" % (kind, shape, key))
+        value = ring.parse_value(v)
+        try:
+            idx = (ix.parse_index(parts[-2]), ix.parse_index(parts[-1]))
+            out[(int(parts[0]), *idx) if decomposition else idx] = value
+        except ValueError:  # a row, column or block that is no integer
+            raise UsageError("malformed assignment key %r" % key) from None
     return out
 
 

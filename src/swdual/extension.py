@@ -597,10 +597,6 @@ def _decompose_step(a, f):
     return parts
 
 
-def _insert_place(ctx, alpha, t):
-    return ctx[: alpha - 1] + (t,) + ctx[alpha - 1 :]
-
-
 def _replay_forced_assignment(a, b_j, residual, j, f):
     """Recover the full per-block assignment for a constrained block.
 
@@ -632,11 +628,10 @@ def _replay_forced_assignment(a, b_j, residual, j, f):
             else:
                 alpha, ctx = ev.forcing_slice
                 total = b_j.get(ix.drop_place(u, alpha), ctx)
-                used = set(ctx)
-                for t in range(1, n + 1):
-                    if t == v[alpha - 1] or t in used:
-                        continue  # t in ctx would duplicate: zero by value type
-                    other = vals[_insert_place(ctx, alpha, t)]
+                for other in colouring.slices[alpha, ctx]:
+                    if other == v:
+                        continue
+                    other = vals[other]
                     if other is _POISON:
                         total = _POISON
                         break

@@ -109,7 +109,7 @@ def all_permutations(n):
 
 def injective_indices(n, r):
     """I'(n,r): multi-indices with r distinct values, lexicographic."""
-    return [idx for idx in all_indices(n, r) if len(set(idx)) == r]
+    return list(itertools.permutations(range(1, n + 1), r))
 
 
 def alpha_slices(n, r):
@@ -178,20 +178,13 @@ def _key_rows(keys, size, n, power):
 def omega_orbits(n, r):
     """Orbits of the right S_r action on I(n,r) x I(n,r).
 
-    Returns ``(orbit_of, reps)`` where ``orbit_of`` maps a pair of
-    lexicographic ranks to its orbit id and ``reps`` lists one
-    lexicographically least representative pair per orbit.  Both are
-    lists read from :func:`orbit_table`.  The elimination oracles walk
-    ``orbit_of``, a list of shared ints, in their hot loops; no library
-    code reads ``reps`` any more, only the benchmark set-up and the tests.
+    Returns ``(orbit_of, leads)``, the tables of :func:`orbit_table` with
+    ``orbit_of`` copied to a list of shared ints, which the elimination
+    oracles walk in their hot loops.
     """
     orbit_of, leads = orbit_table(n, r)
     ids = list(range(len(leads)))  # one int object per orbit id
-    indices = all_indices(n, r)
-    size = len(indices)
-    return list(map(ids.__getitem__, orbit_of)), [
-        (indices[p // size], indices[p % size]) for p in leads
-    ]
+    return list(map(ids.__getitem__, orbit_of)), leads
 
 
 def l_closure(n, r, j):

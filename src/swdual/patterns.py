@@ -44,10 +44,9 @@ class ColourEvent:
 class Colouring:
     n: int
     r: int
-    policy: str
-    initial_zeros: frozenset
     colour: dict
     events: list = field(repr=False)
+    slices: dict = field(repr=False)  # ix.alpha_slices(n, r)
 
     @property
     def ones(self):
@@ -60,8 +59,8 @@ def colour(n, r, policy="largest", initial_zeros=()):
     ``initial_zeros`` are pre-coloured 0 before the main loop (their values
     are considered known, not free).  The returned events list records the
     colouring order and, for each cascade-forced element, the slice that
-    forced it; replaying the events turns known slice sums into entry
-    values by subtraction only.
+    forced it; replaying the events against the members in ``slices`` turns
+    known slice sums into entry values by subtraction only.
     """
     if policy not in ("largest", "smallest"):
         raise ValueError("unknown policy %r" % (policy,))
@@ -111,7 +110,7 @@ def colour(n, r, policy="largest", initial_zeros=()):
         mark(idx, 0 if forced_key else 1, forcing=forced_key)
         cascade(idx)
 
-    return Colouring(n, r, policy, initial_zeros, colours, events)
+    return Colouring(n, r, colours, events, slices)
 
 
 def modified_colouring(n, r, j, policy="largest", zero_l_closure=True):
@@ -346,7 +345,10 @@ def parse_basis(basis, n):
 # ---------------------------------------------------------------------------
 
 
-def _grid(rows, cols, marks, cell):
+def _grid(pattern, rows, marks, columns):
+    """Grid of the (row, column) ``marks``, ``columns`` as in :func:`render_pattern`."""
+    used = sorted({c for _, c in marks})
+    cols = ix.injective_indices(pattern.n, pattern.r) if columns == "all" else used
     width = max([len(ix.format_index(c)) for c in cols] + [1]) + 1
     label_w = max((len(ix.format_index(r)) for r in rows), default=0)
     head = " " * (label_w + 2)
@@ -354,8 +356,7 @@ def _grid(rows, cols, marks, cell):
     lines = [head.rstrip()]
     for row in rows:
         line = ix.format_index(row).ljust(label_w) + " |"
-        for col in cols:
-            line += cell(marks, row, col).rjust(width)
+        line += "".join(("x" if (row, c) in marks else ".").rjust(width) for c in cols)
         lines.append(line.rstrip())
     return "\n".join(lines)
 
@@ -367,14 +368,7 @@ def render_pattern(pattern, columns="used"):
     the larger reference grids) or "all" (every injective index).
     """
     entries = set(pattern.entries)
-    rows = sorted({e[0] for e in entries})
-    if columns == "all":
-        cols = ix.injective_indices(pattern.n, pattern.r)
-    else:
-        cols = sorted({e[1] for e in entries})
-    return _grid(
-        rows, cols, entries, lambda m, r_, c: "x" if (r_, c) in m else "."
-    )
+    return _grid(pattern, sorted({u for u, _ in entries}), entries, columns)
 
 
 def render_decomposition_pattern(pattern, columns="used"):
@@ -387,15 +381,7 @@ def render_decomposition_pattern(pattern, columns="used"):
     rows = sorted({e[1] for e in pattern.entries})
     sections = []
     for j in sorted(by_j):
-        marks = by_j[j]
-        if columns == "all":
-            cols = ix.injective_indices(pattern.n, pattern.r)
-        else:
-            cols = sorted({c for (_, c) in marks})
-        sections.append(label % j)
-        sections.append(
-            _grid(rows, cols, marks, lambda m, r_, c: "x" if (r_, c) in m else ".")
-        )
+        sections += [label % j, _grid(pattern, rows, by_j[j], columns)]
     return "\n".join(sections)
 
 

@@ -98,12 +98,15 @@ class Ring:
     def parse(text):
         """Parse a ring descriptor string: "z", "q", "z/4", "z/97"."""
         t = text.strip().lower()
-        if t == "z":
-            return Ring.integers()
-        if t == "q":
-            return Ring.rationals()
+        if t in ("z", "q"):
+            return Ring(t)
         if t.startswith("z/"):
-            return Ring.modular(int(t[2:]))
+            try:
+                modulus = int(t[2:])
+            except ValueError:
+                pass
+            else:
+                return Ring.modular(modulus)
         raise ValueError("cannot parse ring descriptor %r" % (text,))
 
     # -- descriptor protocol ----------------------------------------------
@@ -189,16 +192,19 @@ class Ring:
 
     def parse_value(self, text):
         t = text.strip()
-        if self.kind == "q":
-            if "/" in t:
-                if t.count("/") > 1:
-                    raise ValueError("more than one '/' in %r" % (text,))
-                num, den = map(int, t.split("/"))
-                if not den:
-                    raise ValueError("zero denominator in %r" % (text,))
-                return Fraction(num, den)
-            return Fraction(int(t))
-        return self.from_int(int(t))
+        try:
+            if self.kind != "q":
+                return self.from_int(int(t))
+            if "/" not in t:
+                return Fraction(int(t))
+            num, den = map(int, t.split("/"))
+        except ValueError:
+            if t.count("/") > 1:
+                raise ValueError("more than one '/' in %r" % (text,)) from None
+            raise ValueError("cannot parse %r as an element of %s" % (text, self.name)) from None
+        if not den:
+            raise ValueError("zero denominator in %r" % (text,))
+        return Fraction(num, den)
 
 
 def clear_denominators(values):

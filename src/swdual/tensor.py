@@ -66,11 +66,7 @@ class TensorMatrix:
 
     @staticmethod
     def identity(n, r, ring):
-        m = TensorMatrix(n, r, ring)
-        one = ring.one
-        for k in range(m.size):
-            m.data[k * m.size + k] = one
-        return m
+        return _ones_at(n, r, ring, range(0, n ** (2 * r), n**r + 1))
 
     @staticmethod
     def scalar(n, ring, value):

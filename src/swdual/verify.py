@@ -59,20 +59,20 @@ def _check_cap(n, r, unsafe_large):
 
 
 def _live_orbits(n, r, special_tag=None):
-    """Orbit variables surviving value-type preservation, the orbits of
-    :func:`extension._live_table` (and, optionally, the place-of-value
-    matching of a special-invariant tag (p, q), tested at each orbit's
-    lead pair with :func:`invariants.is_special`'s place masks)."""
-    orbit_of, reps = ix.omega_orbits(n, r)
+    """:func:`indices.omega_orbits` and ``live``, numbering the orbits of
+    :func:`extension._live_table` that pass, optionally, the place-of-value
+    matching of a special-invariant tag (p, q), tested at each orbit's lead
+    with :func:`invariants.is_special`'s place masks."""
+    orbit_of, leads = ix.omega_orbits(n, r)
     keep = ext._live_table(n, r)[1]
     if special_tag is not None:
         p, q = special_tag
         row_masks = [mask for mask, _ in _split_ranks(n, r, p)]
         off, size = _off_tag_columns(n, r, q), n**r
         keep = [s and not off[row_masks[lead // size]][lead % size]
-                for s, lead in zip(keep, ix.orbit_table(n, r)[1])]
+                for s, lead in zip(keep, leads)]
     live = dict(zip(itertools.compress(range(len(keep)), keep), itertools.count()))
-    return orbit_of, reps, live
+    return orbit_of, leads, live
 
 
 def _slice_equations(n, r, orbit_of, live):
@@ -174,7 +174,7 @@ def span_dimension_w(n, r, ring, unsafe_large=False):
     if r == 0:
         return 1
     _check_cap(n, r, unsafe_large)
-    orbit_of, reps, live = _live_orbits(n, r)
+    orbit_of, _, live = _live_orbits(n, r)
     return _sparse_rank(ring, _span_rows(n, r, ix.all_permutations(n), orbit_of, live))
 
 

@@ -408,6 +408,15 @@ def live_orbits(reps, special_tag=None):
     return live
 
 
+def lead_pairs(n, r, leads):
+    """The (row, column) multi-index pair at each entry position of
+    ``leads``, as :func:`swdual.indices.omega_orbits` returns them: the
+    orbit representatives of :func:`omega_orbits`."""
+    size = n**r
+    return [(ix.index_from_rank(n, r, p // size), ix.index_from_rank(n, r, p % size))
+            for p in leads]
+
+
 def omega_orbits(n, r):
     """(orbit_of, reps) by walking all r! place permutations from each
     pair not yet seen, in row-major order."""

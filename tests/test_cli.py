@@ -315,6 +315,89 @@ def test_gibson_output_is_pinned(capsys, fmt):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, ring, n)
 
 
+def _pattern_grid_runs(command, n, r):
+    """Every option combination of ``swd colouring`` (both policies and
+    formats, with and without each --block-j and --no-l-closure) or of
+    ``swd free-pattern --format table`` (each flavour, --columns and basis)
+    at one cell."""
+    cell = ["--n", str(n), "--r", str(r)]
+    if command == "colouring":
+        for policy in ("largest", "smallest"):
+            for fmt in ("json", "table"):
+                base = ["colouring", *cell, "--policy", policy, "--format", fmt]
+                yield base
+                for j in range(1, n + 1):
+                    yield base + ["--block-j", str(j)]
+                    yield base + ["--block-j", str(j), "--no-l-closure"]
+        return
+    for flavour in ("extension", "decomposition"):
+        for columns in ("used", "all"):
+            for basis in ("last-row", "row:1", "col:1", "col:%d" % n):
+                yield ["free-pattern", *cell, "--flavour", flavour, "--columns", columns,
+                       "--basis", basis, "--format", "table"]
+
+
+# sha256 of the stdout of every run of _pattern_grid_runs at (n, r), n = 1..6
+# and r = 1..3 in row-major order, joined in run order
+PATTERN_GRID_DIGESTS = {
+    "colouring": [
+        "31fdb436da75c5cfda85702eaf88ed7814d61ee7079cdee810876c8f390be963",
+        "5e17378a87369e13e11ff99c96c15fa9104ad31489fb3b6e98cf3739874d82bf",
+        "c50743436da7251454d5e26ac3940875d3c0d86357ba8f0e7d9e25436f940b08",
+        "e95553cc095d2a1a421789bb2089ea1a9f10d0aa949af75e7cdf869ff40a2c22",
+        "3c730a07cadfff545c80124be5e38653a8ecddfc860617ee36225fe37b9cff02",
+        "04138345b1477bdb202a999abb09b80f18d56e49ef1bdfa17aedf8d44981ec17",
+        "2be59a27df8aa6a34a77e60ac16cd6f669f664e7acef63ea10b1dd882ad038a3",
+        "1c39a9f7ae281a68910135d1947054e333ab17088eb876f8c59af91c78435223",
+        "cfc6f2f372cf6077995ddde9cf3394f81e2a9d9e006db964d687afc125d7c9e5",
+        "65f534675368a49233358941bed3e8ab89f9cfd020ab67e6833cbf033efe3359",
+        "9e74d97b16e0611cfc2e8431407adb0ad7a2720ac911daae18b7acc232fc1d3c",
+        "1ca0c177279e01a5364376525afb6ad1618c96dff2febd539c19d4c2a55a2090",
+        "6364003c0a861345d3836538a3a09a0316aac28a02f86eb3ab36098805027d58",
+        "f77cf55a14f15a5d05aa2a6bd725a1bec3fab34dea9ccc0ac061163bfdee794d",
+        "d3b0ae4914e7313f19d0006ee027a989c0cc85b7ae05b039ab9d9d695d8d6d1a",
+        "199b8d715560f2a2763c7af05b3ed6a463fd6733c2271008829c64503ace6cd5",
+        "d76ea9360bbaca65b857272d6c2d9d14f5cea3bf7d0354481454c091995714c1",
+        "a3ea17b9361b79d4ba046f116c5ec7def018bada9df49e1b89ef56a8533237fe",
+    ],
+    "free-pattern": [
+        "af6808617b7e5134e001af28e52c9f22bacaca722e06cea3ed22120fea85426d",
+        "d66fef87c0f962f116952b4fc318d76686d5625b8d43cf22d608bb20f79638ae",
+        "d66fef87c0f962f116952b4fc318d76686d5625b8d43cf22d608bb20f79638ae",
+        "7873b2d0d57e155ce7651d1571964a13d99705e2687f500ca13df45488c49896",
+        "c3942b24f8682bf603114fe2ad0c341bc60484cc0ef0c482dd4e51b95bb06504",
+        "d66fef87c0f962f116952b4fc318d76686d5625b8d43cf22d608bb20f79638ae",
+        "12d44f5f7e3f456492a6db44234404260aa0305d376b3b258ce0b981962be271",
+        "d399bc0aba9b785a1f7d1bab3049890438f8bf173026f08fcf70a68a291ed028",
+        "1de9904e297bf06b095874903cf38ec522f8bb3ecd156d3343d211abb5c2fc84",
+        "a7c74cac5d69f7b519ee0650177bbd5863527ed412b65d366dba57438a3e2453",
+        "f906dc4be9fc5c29cd748c7d8f430ba96bdb97094a22c1513c1400bd5658d494",
+        "d99216c2a106d780ae49b28f756810ecb97abc5ebb38ffd981a65e9c369e4491",
+        "19cb4199d431c69ac4bdc011954090c00070b358daa9d80884609f0ba6ef16a8",
+        "4b4e095a6e11b967f30561256a41d48beb9463f06abe4b61dfbe075590d23878",
+        "ea74093633689542c9be8b93eae4cc99da932d98193733da277117366557c07b",
+        "75e417a8044f0c1bd9bdc21a2c358e19a6196eb18af0f35891b3735e9a29b7ed",
+        "6d48e487eb46f9fb1e96bad57c4af2df79fa6cf68040335494483f826f28f888",
+        "68e3fed3ead6fa2e6ad57c3bb21ece604c00c284e1ba6b4e836938b9cd057d98",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["colouring", "free-pattern"])
+def test_colouring_and_pattern_grids_are_pinned(capsys, command):
+    from swdual import cli
+
+    cells = [(n, r) for n in range(1, 7) for r in range(1, 4)]
+    for (n, r), digest in zip(cells, PATTERN_GRID_DIGESTS[command], strict=True):
+        h = hashlib.sha256()
+        for argv in _pattern_grid_runs(command, n, r):
+            assert cli.main(argv) == 0, argv
+            out, err = capsys.readouterr()
+            assert err == ""
+            h.update(out.encode())
+        assert h.hexdigest() == digest, (command, n, r)
+
+
 @pytest.mark.parametrize("fmt", ["json", "table"])
 def test_empty_patterns_and_colourings_render(capsys, fmt):
     from swdual import cli
@@ -503,10 +586,14 @@ def _matrix_doc(**changes):
         (_matrix_doc(rows=[["1/2/3"]]), "more than one '/' in '1/2/3'"),
         ({"matrix": {"r": 1, "ring": "q", "rows": [["1"]]}}, 'a matrix needs "n", an integer'),
         ({"matrix": {"n": 1, "ring": "q", "rows": [["1"]]}}, 'a matrix needs "r", an integer'),
+        (_matrix_doc(ring="z/x"), "cannot parse ring descriptor 'z/x'"),
+        (_matrix_doc(ring="z", rows=[["x"]]), "cannot parse 'x' as an element of z"),
+        (_matrix_doc(ring="z/6", rows=[["x"]]), "cannot parse 'x' as an element of z/6"),
+        (_matrix_doc(rows=[["1/x"]]), "cannot parse '1/x' as an element of q"),
     ],
     ids=["number", "null", "float", "ring-number", "rows-null", "top-level-list",
          "matrix-list", "row-string", "rows-strings-n2", "n-boolean", "two-slashes",
-         "no-n", "no-r"],
+         "no-n", "no-r", "ring-modulus", "z-entry", "zm-entry", "q-denominator"],
 )
 def test_a_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, doc, message):
     from swdual import cli
@@ -522,10 +609,10 @@ def test_a_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, doc, message
 @pytest.mark.parametrize(
     "rows,message",
     [
-        ([["x", "0"], ["0", [1]]], "invalid literal for int() with base 10: 'x'"),
+        ([["x", "0"], ["0", [1]]], "cannot parse 'x' as an element of q"),
         ([[[1], "0"], ["0", "x"]], "matrix entries must be strings"),
         ([["0", {}], [None, "x"]], "matrix entries must be strings"),
-        ([["0", "1"], ["y", "x"]], "invalid literal for int() with base 10: 'y'"),
+        ([["0", "1"], ["y", "x"]], "cannot parse 'y' as an element of q"),
     ],
     ids=["bad-string-first", "list-first", "object-first", "second-row"],
 )
@@ -547,8 +634,11 @@ def test_the_first_bad_entry_in_row_major_order_decides_the_message(tmp_path, ca
         ([], '"values" must be an object'),
         ({"(32,32)": 1}, "value of (32,32) must be a string, got 1"),
         ({"(32,32)": None}, "value of (32,32) must be a string, got null"),
+        ({"(32,x)": "1"}, "malformed assignment key '(32,x)'"),
+        ({"(32,32)": "y"}, "cannot parse 'y' as an element of q"),
+        ({"(32,32,1)": "1"}, "extension keys need (row,col): '(32,32,1)'"),
     ],
-    ids=["list", "empty-list", "number", "null"],
+    ids=["list", "empty-list", "number", "null", "key-column", "value", "key-length"],
 )
 def test_malformed_values_are_a_usage_error(tmp_path, capsys, values, message):
     from swdual import cli
@@ -560,6 +650,80 @@ def test_malformed_values_are_a_usage_error(tmp_path, capsys, values, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ({"(x,1,1)": "1"}, "malformed assignment key '(x,1,1)'"),
+        ({"(1,3x,1)": "1"}, "malformed assignment key '(1,3x,1)'"),
+        ({"(2,3,1)": "y"}, "cannot parse 'y' as an element of z/6"),
+        ({"(3,1)": "1"}, "decomposition keys need (j,row,col): '(3,1)'"),
+    ],
+    ids=["key-block", "key-row", "value", "key-length"],
+)
+def test_malformed_decomposition_values_are_a_usage_error(tmp_path, capsys, values, message):
+    from swdual import cli
+
+    path = tmp_path / "in.json"
+    doc = {"matrix": tn.matrix_to_json(tn.TensorMatrix.identity(3, 1, Ring.modular(6))),
+           "values": values}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["decompose", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ["verify", "dims"])
+def test_an_unparsable_ring_names_the_descriptor(capsys, command):
+    from swdual import cli
+
+    assert cli.main([command, "--n", "2", "--r", "1", "--ring", "z/x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot parse ring descriptor 'z/x'\n"
+
+
+# the first refused size of each command: B(12) diagrams at rank 6, and at
+# r = 2 the first n with n (n - 1) > 2^20 injective indices
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["enumerate-diagrams", "--r", "6"], "rank 6 has more than 1048576 diagrams"),
+     (["colouring", "--n", "1025", "--r", "2"],
+      "I'(1025,2) has more than 1048576 injective indices"),
+     (["colouring", "--n", "1025", "--r", "2", "--block-j", "1"],
+      "I'(1025,2) has more than 1048576 injective indices"),
+     (["free-pattern", "--n", "1025", "--r", "2", "--flavour", "decomposition"],
+      "I'(1025,2) has more than 1048576 injective indices")],
+    ids=["enumerate-diagrams", "colouring", "colouring-block-j", "free-pattern"],
+)
+def test_an_invocation_past_the_size_bound_is_a_usage_error(capsys, argv, message):
+    from swdual import cli
+
+    assert cli.main([*argv, "--format", "table"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: %s, the most one invocation may hold\n" % message
+
+
+def test_the_size_bound_is_exact_and_costs_nothing_at_large_r(capsys):
+    from swdual import cli
+
+    assert cli.MAX_HELD == 2**20
+    cli._hold_injective(1024, 2)  # 1,047,552 indices: at the bound, not past it
+    cli._hold_injective(12, 6)  # 665,280; r = 7 would be 3,991,680
+    cli._hold_at_most(2**20, "x", "y")
+    with pytest.raises(cli.UsageError):
+        cli._hold_at_most(2**20 + 1, "x", "y")
+    # I'(n, r) is empty for r > n, and huge counts stop at the bound
+    for argv in (["colouring", "--n", "3", "--r", "40"], ["free-pattern", "--n", "3", "--r", "40"]):
+        assert cli.main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ones" if argv[0] == "colouring" else "entries"] == []
+    assert cli.main(["enumerate-diagrams", "--r", str(10**12)]) == 2
+    assert cli.main(["colouring", "--n", str(10**12), "--r", str(10**12)]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

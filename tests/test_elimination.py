@@ -137,7 +137,7 @@ def test_minimum_fill_rank_is_the_largest_nonzero_minor(case):
 @pytest.mark.parametrize("n,r", DUALITY_GRID)
 @pytest.mark.parametrize("ring", [Q, Ring.modular(3)], ids=["q", "z/3"])
 def test_both_pivot_rules_agree_on_the_duality_systems(n, r, ring):
-    orbit_of, reps, live = vf._live_orbits(n, r)
+    orbit_of, _, live = vf._live_orbits(n, r)
     systems = [
         vf._slice_equations(n, r, orbit_of, live),
         vf._span_rows(n, r, ix.all_permutations(n), orbit_of, live),
@@ -201,7 +201,8 @@ def test_centraliser_basis_is_the_reduced_nullspace(n, r, ring):
     assert dim == len(basis) == vf.span_dimension_w(n, r, ring)
     if ring is Q:
         assert dim == vf.closed_form_centraliser_dimension(n, r)
-    orbit_of, reps, live = vf._live_orbits(n, r)
+    orbit_of, leads, live = vf._live_orbits(n, r)
+    reps = ref.lead_pairs(n, r, leads)
     equations = [
         [ring.from_int(row.get(var, 0)) for var in range(len(live))]
         for row in vf._slice_equations(n, r, orbit_of, live)
@@ -247,7 +248,8 @@ def test_psi_rows_match_dense_scan(n, r, ring):
 
 @pytest.mark.parametrize("n,r", [(4, 3), (5, 2)])
 def test_span_rows_match_act_left(n, r):
-    orbit_of, reps, live = vf._live_orbits(n, r)
+    orbit_of, leads, live = vf._live_orbits(n, r)
+    reps = ref.lead_pairs(n, r, leads)
     perms = ix.all_permutations(n)
     for group in (perms, [w for w in perms if w[n - 1] == n]):
         assert vf._span_rows(n, r, group, orbit_of, live) == ref.span_rows_act_left(

@@ -63,6 +63,14 @@ def test_sharp_and_injective_indices():
     ]
 
 
+def test_injective_indices_are_the_distinct_value_filter_of_all_indices():
+    for n in range(7):
+        for r in range(8):
+            want = [idx for idx in ix.all_indices(n, r) if len(set(idx)) == r]
+            assert ix.injective_indices(n, r) == want, (n, r)
+    assert ix.injective_indices(3, 40) == []  # at once, with no 3^40 walk
+
+
 def test_alpha_slices():
     # element 12 of I'(3,2) lies in exactly the slices {12,32} and {12,13}
     assert sorted(m for m in ix.alpha_slices(3, 2).values() if (1, 2) in m) == [
@@ -78,12 +86,12 @@ def test_alpha_slices():
 
 
 def test_omega_orbit_counts():
-    _, reps = ix.omega_orbits(2, 1)
-    assert len(reps) == 4
-    _, reps = ix.omega_orbits(2, 2)
-    assert len(reps) == 10
+    _, leads = ix.omega_orbits(2, 1)
+    assert len(leads) == 4
+    _, leads = ix.omega_orbits(2, 2)
+    assert len(leads) == 10
     # orbit of (12, 21) contains (21, 12)
-    orbit_of, reps = ix.omega_orbits(2, 2)
+    orbit_of, _ = ix.omega_orbits(2, 2)
     size = 4
     a = orbit_of[ix.index_rank(2, (1, 2)) * size + ix.index_rank(2, (2, 1))]
     b = orbit_of[ix.index_rank(2, (2, 1)) * size + ix.index_rank(2, (1, 2))]

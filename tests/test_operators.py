@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import construction_golden
+import reference as ref
 
 from swdual import extension as ex
 from swdual import indices as ix
@@ -274,13 +275,12 @@ def test_membership_and_construction_read_only_the_compact_orbit_table():
     iv.check_membership(a)
     ex.decompose(a)
     ex.express_in_permutation_span(a)
-    assert ix.omega_orbits.cache_info().currsize == 0  # no representatives kept
+    assert ix.omega_orbits.cache_info().currsize == 0  # only orbit_table was read
     orbit_of, leads = ix.orbit_table(4, 3)
     assert orbit_of.typecode == leads.typecode == "I"
-    want_of, reps = ix.omega_orbits(4, 3)
-    assert list(orbit_of) == want_of
-    indices = ix.all_indices(4, 3)
-    assert [(indices[p // 64], indices[p % 64]) for p in leads] == reps
+    want_of, want_leads = ix.omega_orbits(4, 3)
+    assert list(orbit_of) == want_of and want_leads is leads
+    assert ref.lead_pairs(4, 3, leads) == ref.omega_orbits(4, 3)[1]
 
 
 def test_extension_at_n_one_is_the_copy_rule_at_any_degree():

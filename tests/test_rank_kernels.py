@@ -296,7 +296,8 @@ def test_initialise_matches_tuple_walk(n, r, ring, data):
 
 @pytest.mark.parametrize("n,r", [(1, 3), (2, 2), (3, 3), (4, 3), (5, 2), (3, 4)])
 def test_orbit_table_matches_permutation_walk(n, r):
-    assert ix.omega_orbits(n, r) == ref.omega_orbits(n, r)
+    orbit_of, leads = ix.omega_orbits(n, r)
+    assert (orbit_of, ref.lead_pairs(n, r, leads)) == ref.omega_orbits(n, r)
 
 
 LIVE_CELLS = [(n, r) for n in range(1, 6) for r in range(1, 4)] + [(3, 4), (4, 4), (6, 2)]
@@ -306,6 +307,6 @@ LIVE_CELLS = [(n, r) for n in range(1, 6) for r in range(1, 4)] + [(3, 4), (4, 4
 def test_live_orbits_match_the_tuple_walk(n, r):
     orbit_of, reps = ref.omega_orbits(n, r)
     for tag in (None, (n, n), (n, 1), (1, 2)):
-        got_of, got_reps, live = vf._live_orbits(n, r, tag)
-        assert (got_of, got_reps) == (orbit_of, reps)
+        got_of, leads, live = vf._live_orbits(n, r, tag)
+        assert (got_of, ref.lead_pairs(n, r, leads)) == (orbit_of, reps)
         assert live == ref.live_orbits(reps, tag)
