@@ -54,6 +54,12 @@ def _hold_injective(n, r):
         _hold_at_most(count, "I'(%d,%d)" % (n, r), "injective indices")
 
 
+def _hold_permutations(n):
+    """Refuse a walk over all n! permutations of W_n past MAX_HELD."""
+    for count in itertools.accumulate(range(1, n + 1), operator.mul):
+        _hold_at_most(count, "W_%d" % n, "permutations")
+
+
 def _non_negative(text):
     """An argparse type: an integer of at least zero."""
     try:
@@ -106,6 +112,8 @@ def _report_lines(doc):
 
 def cmd_verify(args):
     ring = Ring.parse(args.ring)
+    if args.half or args.r >= 1:
+        _hold_permutations(args.n)
     if args.half:
         report = vf.verify_half(args.n, args.r, ring, unsafe_large=args.unsafe_large)
     else:
@@ -123,6 +131,8 @@ def cmd_dims(args):
     ring = Ring.parse(args.ring)
     if not ring.is_field():
         raise UsageError("dims requires a field ring")
+    if args.r >= 1:
+        _hold_permutations(args.n)
     doc = {
         "schema": SCHEMA,
         "n": args.n,
@@ -170,22 +180,28 @@ def cmd_colouring(args):
 
 def cmd_gibson(args):
     ring = Ring.parse(args.ring)
-    basis = gb.gibson_basis(args.n)
+    n = args.n
+    # each basis element is checked, and printed as a table, on its n^2 entries
+    _hold_at_most(((n - 1) ** 2 + 1) * n * n, "Gibson's basis at n = %d" % n, "entries")
+    basis = gb.gibson_basis(n)
     doc = {
         "schema": SCHEMA,
-        "n": args.n,
-        "rank": (args.n - 1) ** 2 + 1,
+        "n": n,
+        "rank": (n - 1) ** 2 + 1,
         "elements": [
             {"label": label, "one_line": list(w)} for label, w in basis
         ],
     }
-    lines = []
-    for label, w in basis:
-        lines.append(label)
-        data = phi(w, args.n, 1, ring).data
-        for k in range(0, len(data), args.n):
-            lines.append(" ".join(map(ring.format_value, data[k : k + args.n])))
-    _emit(args, doc, "\n".join(lines))
+    text = None
+    if args.format == "table":
+        lines = []
+        for label, w in basis:
+            lines.append(label)
+            data = phi(w, n, 1, ring).data
+            for k in range(0, len(data), n):
+                lines.append(" ".join(map(ring.format_value, data[k : k + n])))
+        text = "\n".join(lines)
+    _emit(args, doc, text)
     return 0
 
 
@@ -233,9 +249,22 @@ def cmd_check_membership(args):
     return 0 if report.in_E else 1
 
 
-def _parse_assignment(ring, values, decomposition=False):
+def _spelled_index(tokens, n, r):
+    """The multi-index of I(n, r) that ``tokens`` spell, as r values
+    ("4", "13", "2") or as one token of r digits ("432"); None if they
+    spell none."""
+    try:
+        idx = ix.parse_index(",".join(tokens), r)
+    except ValueError:
+        return None
+    return idx if all(0 < v <= n for v in idx) else None
+
+
+def _parse_assignment(ring, values, n, r, decomposition=False):
     """Assignment values keyed "(row,col)" or, for decompositions,
-    "(j,row,col)"; entry values are strings in the ring's element syntax."""
+    "(j,row,col)", row and col in I(n, r) and each written as
+    ``indices.format_index`` writes it; entry values are strings in the
+    ring's element syntax."""
     if values is not None and not isinstance(values, dict):
         raise UsageError('"values" must be an object')
     kind, shape = ("decomposition", "(j,row,col)") if decomposition else (
@@ -244,25 +273,31 @@ def _parse_assignment(ring, values, decomposition=False):
     for key, v in (values or {}).items():
         if not isinstance(v, str):
             raise UsageError("value of %s must be a string, got %s" % (key, json.dumps(v)))
-        key = key.strip()
-        if not (key.startswith("(") and key.endswith(")")):
-            raise UsageError("malformed assignment key %r" % key)
-        parts = [p.strip() for p in key[1:-1].split(",")]
-        if len(parts) != (3 if decomposition else 2):
-            raise UsageError("%s keys need %s: %r" % (kind, shape, key))
         value = ring.parse_value(v)
-        try:
-            idx = (ix.parse_index(parts[-2]), ix.parse_index(parts[-1]))
-            out[(int(parts[0]), *idx) if decomposition else idx] = value
-        except ValueError:  # a row, column or block that is no integer
-            raise UsageError("malformed assignment key %r" % key) from None
+        key = key.strip()
+        tokens = [p.strip() for p in key[1:-1].split(",")]
+        if not (key.startswith("(") and key.endswith(")")
+                and all(t.isascii() and t.isdigit() for t in tokens)):
+            raise UsageError("malformed assignment key %r" % key)
+        lead = (int(tokens.pop(0)),) if decomposition else ()
+        # the row takes one token or r of them, and the column the rest
+        pairs = {(row, col) for cut in (1, r)
+                 for row, col in [(_spelled_index(tokens[:cut], n, r),
+                                   _spelled_index(tokens[cut:], n, r))]
+                 if row is not None and col is not None}
+        if len(pairs) > 1:
+            raise UsageError("assignment key %r reads two ways; write both "
+                             "indices with commas" % key)
+        if not pairs:
+            raise UsageError("%s keys need %s: %r" % (kind, shape, key))
+        out[lead + pairs.pop()] = value
     return out
 
 
 def cmd_extend(args):
     doc = _load_doc(args)
     b = _load_matrix(args, doc["matrix"])
-    f = _parse_assignment(b.ring, doc.get("values"))
+    f = _parse_assignment(b.ring, doc.get("values"), b.n, b.r + 1)
     a = ext.extend(b, f)
     _emit(args, {"schema": SCHEMA, "matrix": matrix_to_json(a)})
     return 0
@@ -271,7 +306,7 @@ def cmd_extend(args):
 def cmd_decompose(args):
     doc = _load_doc(args)
     a = _load_matrix(args, doc["matrix"])
-    f = _parse_assignment(a.ring, doc.get("values"), decomposition=True)
+    f = _parse_assignment(a.ring, doc.get("values"), a.n, a.r, decomposition=True)
     based = pt.parse_basis(args.basis, a.n)
     summands = ext.decompose(a, f, basis=based.name)
     out = {

@@ -196,13 +196,6 @@ class _Operator:
 _FAILED_BUILDS = {}
 
 
-def _clear_operators():
-    """Forget every built operator and every failed build."""
-    for cached in (_extend_operator, _decompose_operator, _express_operator):
-        cached.cache_clear()
-    _FAILED_BUILDS.clear()
-
-
 def _build(name, n, r, width, run):
     """The operator of ``run``, a Z-linear map from ``width`` integers to a
     list of integers, read off runs of ``run`` on packed inputs.

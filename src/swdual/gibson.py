@@ -16,7 +16,6 @@ from __future__ import annotations
 from . import indices as ix
 from .extension import ConstructionFailure
 from .invariants import is_invariant
-from .rings import sparse_rank
 from .tensor import phi_sum
 
 
@@ -135,10 +134,3 @@ def reconstruct(ring, n, coeffs):
     return phi_sum(
         {w: coeffs.get(label, ring.zero) for label, w in gibson_basis(n)}, n, 1, ring
     )
-
-
-def linear_independence_check(n, ring):
-    """Rank of the vectorised basis equals its size, over a field: the
-    permutation matrix of w has a one at (w(j), j) for each column j."""
-    vecs = [{(w[j] - 1) * n + j: ring.one for j in range(n)} for _, w in gibson_basis(n)]
-    return sparse_rank(ring, vecs) == (n - 1) ** 2 + 1

@@ -41,11 +41,17 @@ def format_index(idx):
     return ",".join(str(v) for v in idx)
 
 
-def parse_index(text):
-    t = text.strip()
-    if "," in t:
-        return tuple(int(p) for p in t.split(","))
-    return tuple(int(ch) for ch in t)
+def parse_index(text, r=None):
+    """The multi-index that :func:`format_index` writes as ``text``.  A
+    text without commas is read digit by digit, except that at a given
+    degree r = 1 it is the one value ("10" is (10,)); at a given degree r,
+    a text of another length is a ValueError."""
+    parts = text.strip().split(",")
+    if len(parts) == 1 and r != 1:
+        parts = parts[0]
+    if r is not None and len(parts) != r:
+        raise ValueError("%r is no index of degree %d" % (text, r))
+    return tuple(map(int, parts))
 
 
 # -- value types ------------------------------------------------------------

@@ -20,9 +20,8 @@ entries.  Membership runs on tables built once per (n, r), on the first
 check of that size, and on C-level list operations: H on a byte mask of
 the value-type mismatches, S on the position of each entry's orbit
 leader, and G on the one slice-sum kernel (:func:`_context_sums`), which
-reads a context's n rows against every q at once and also gives
-:func:`common_b` its value; another place alpha is read through a table
-that moves place alpha last.  The excision, inflation and specialness
+reads a context's n rows against every q at once; another place alpha is
+read through a table that moves place alpha last.  The excision, inflation and specialness
 maps work on precomputed rank tables instead of tuples.
 
 One invariance gate, :func:`require_invariant`, refuses a non-invariant
@@ -248,23 +247,6 @@ def _first_bad_minor(a):
             if _minor_sums(rows, cols, q, n).count(value) != 2 * n:
                 return p, q
     return None
-
-
-def common_b(a, p, q):
-    """The shared slice-sum value b^p_q of an invariant.
-
-    All 2n slice sums attached to the contexts (p, q) at the last place are
-    computed and compared; disagreement raises ``NotInvariantError``.
-    """
-    n = a.n
-    rows, cols = _context_sums(a, ix.index_rank(n, p))
-    sums = _minor_sums(rows, cols, ix.index_rank(n, q), n)
-    if sums.count(sums[0]) != len(sums):
-        raise NotInvariantError(
-            "slice sums disagree at alpha=%d p=%s q=%s"
-            % (a.r, ix.format_index(p), ix.format_index(q))
-        )
-    return sums[0]
 
 
 def block(a, i, j):

@@ -3,16 +3,9 @@
 A :class:`TensorMatrix` is an n^r x n^r matrix over a coefficient ring with
 rows and columns indexed by I(n,r) in lexicographic order.  The entry
 accessor follows the row-superscript convention: ``A.get(i, j)`` is the
-coefficient of row ``i`` in the image of basis column ``j``.
-
-Operator order convention: with ``psi(d)`` the matrix whose (i, j) entry is
-the diagram scalar of d (row = top row assignment, column = bottom row
-assignment), diagram multiplication ``multiply(d1, d2) = (k, d3)`` matches
-
-    matmul(psi(d1), psi(d2)) == n^k * psi(d3).
-
-This is the fixed matrix-order reading of the opposite-algebra
-representation, and it is pinned by the representation-law tests.
+coefficient of row ``i`` in the image of basis column ``j``.  ``psi(d)``
+is the matrix whose (i, j) entry is the diagram scalar of d (row = top
+row assignment, column = bottom row assignment).
 """
 
 from __future__ import annotations
@@ -61,10 +54,6 @@ class TensorMatrix:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zeros(n, r, ring):
-        return TensorMatrix(n, r, ring)
-
-    @staticmethod
     def identity(n, r, ring):
         return _ones_at(n, r, ring, range(0, n ** (2 * r), n**r + 1))
 
@@ -84,10 +73,6 @@ class TensorMatrix:
     def row(self, i):
         ri = self.rank_of(i)
         return self.data[ri * self.size : (ri + 1) * self.size]
-
-    def column(self, j):
-        rj = self.rank_of(j)
-        return self.data[rj :: self.size]
 
     # -- structure ------------------------------------------------------------
 
@@ -120,10 +105,6 @@ class TensorMatrix:
         self._check_same_shape(other)
         data = self.ring.reduce(map(operator.sub, self.data, other.data))
         return TensorMatrix(self.n, self.r, self.ring, data)
-
-    def scale(self, value):
-        mul = self.ring.mul
-        return TensorMatrix(self.n, self.r, self.ring, [mul(value, a) for a in self.data])
 
     def transpose(self):
         size, data = self.size, self.data
@@ -187,35 +168,6 @@ def matrix_sum(matrices):
     return TensorMatrix(first.n, first.r, first.ring, data)
 
 
-def kronecker(a, b):
-    """Kronecker product; the tensor degrees add."""
-    if a.ring != b.ring or a.n != b.n:
-        raise ValueError("ring or rank mismatch")
-    ring = a.ring
-    n, r = a.n, a.r + b.r
-    out = TensorMatrix(n, r, ring)
-    sa, sb = a.size, b.size
-    size = out.size
-    mul = ring.mul
-    zero = ring.zero
-    for i1 in range(sa):
-        for j1 in range(sa):
-            v1 = a.data[i1 * sa + j1]
-            if v1 == zero:
-                continue
-            for i2 in range(sb):
-                row = (i1 * sb + i2) * size + j1 * sb
-                for j2 in range(sb):
-                    v2 = b.data[i2 * sb + j2]
-                    if v2 != zero:
-                        out.data[row + j2] = mul(v1, v2)
-    return out
-
-
-def commutes(a, b):
-    return matmul(a, b) == matmul(b, a)
-
-
 # ---------------------------------------------------------------------------
 # The two representations
 # ---------------------------------------------------------------------------
@@ -258,15 +210,6 @@ def _ones_at(n, r, ring, positions):
     return m
 
 
-def psi_scaled(sd, n, ring):
-    """Specialise a ScaledDiagram: delta^k becomes from_int(n)^k."""
-    coeff = ring.one
-    nval = ring.from_int(n)
-    for _ in range(sd.exponent):
-        coeff = ring.mul(coeff, nval)
-    return psi(sd.diagram, n, ring).scale(coeff)
-
-
 def phi(w, n, r, ring):
     """The r-th Kronecker power of P(w), computed as a basis permutation."""
     if len(w) != n:
@@ -284,16 +227,6 @@ def phi_sum(coeffs, n, r, ring):
             pos = ri * size + rj
             data[pos] = add(data[pos], x)
     return m
-
-
-def psi_on_fixed_last(d, n, ring):
-    """Restriction of psi(d) to the subspace with last tensor factor v_n.
-
-    ``d`` has rank r+1; rows and columns of the result are indexed by
-    I(n,r) via i |-> i . n.  Half-algebra diagrams fix the subspace
-    setwise, so this is their matrix as endomorphisms of it.
-    """
-    return _ones_at(n, d.r - 1, ring, psi_positions(d, n, d.r - 1))
 
 
 # ---------------------------------------------------------------------------

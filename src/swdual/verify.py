@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from . import extension as ext
 from . import indices as ix
 from . import diagrams as dg
-from . import patterns as pt
 from . import tensor as tn
 from .invariants import _off_tag_columns, _split_ranks, eta
 from .rings import sparse_nullspace
@@ -124,24 +123,6 @@ def centraliser_dimension(n, r, ring, with_basis=False, unsafe_large=False):
     TensorMatrix values, one per free variable of the commutant system).
     """
     return _invariant_dimension(n, r, ring, None, with_basis, unsafe_large)
-
-
-def kernel_of_rho_dimension(n, r, ring):
-    """dim ker(rho) over a field, computed two independent ways.
-
-    The rank oracle gives dim E(n,r) - dim E(n,r-1); the free-pattern size
-    must match exactly, else an error flags a bug.
-    """
-    if not ring.is_field():
-        raise ValueError("kernel dimension requires a field")
-    by_rank = centraliser_dimension(n, r, ring) - centraliser_dimension(n, r - 1, ring)
-    by_pattern = len(pt.build_f(n, r))
-    if by_rank != by_pattern:
-        raise ext.ConstructionFailure(
-            "kernel dimension mismatch: rank oracle %d, pattern %d"
-            % (by_rank, by_pattern)
-        )
-    return by_rank
 
 
 def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):

@@ -32,6 +32,8 @@ import random
 import sys
 from fractions import Fraction
 
+import reference as ref
+
 from swdual import extension as ex
 from swdual import indices as ix
 from swdual import patterns as pt
@@ -56,10 +58,10 @@ def inputs(case):
     n, r, ring = case["n"], case["r"], Ring.parse(case["ring"])
     rng = random.Random(case["seed"])
     degree = r - 1 if case["op"] == "extend" else r
-    a = tn.TensorMatrix.zeros(n, degree, ring)
+    a = tn.TensorMatrix(n, degree, ring)
     perms = ix.all_permutations(n)
     for w in rng.sample(perms, min(6, len(perms))):
-        a = a.add(tn.phi(w, n, degree, ring).scale(_value(rng, ring, 3)))
+        a = a.add(ref.scale(tn.phi(w, n, degree, ring), _value(rng, ring, 3)))
     if case["op"] == "extend":
         keys = pt.build_f(n, r).entries
     elif case["op"] == "decompose":

@@ -29,6 +29,8 @@ import random
 import sys
 from fractions import Fraction
 
+import reference as ref
+
 from swdual import extension as ex
 from swdual import indices as ix
 from swdual import patterns as pt
@@ -42,11 +44,11 @@ PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures", "q_g
 
 
 def fractional_invariant(n, r, d, rng):
-    m = tn.TensorMatrix.zeros(n, r, Q)
+    m = tn.TensorMatrix(n, r, Q)
     for w in ix.all_permutations(n):
         c = rng.randrange(-3, 4)
         if c:
-            m = m.add(tn.phi(w, n, r, Q).scale(Fraction(c, d)))
+            m = m.add(ref.scale(tn.phi(w, n, r, Q), Fraction(c, d)))
     return m
 
 

@@ -16,13 +16,33 @@ backtracking search over its support instead of its closed form.  The
 index helpers below (the place action, composition, the collapsing
 renumbering and the places of a value) and the cofactor determinant live
 here because only tests use them.
+
+So do the Halverson-Ram oracles of the representation laws: the generator
+diagrams, the stacking product with its symbolic delta powers, the
+Kronecker product and commutation of dense matrices.  Operator order
+convention: with ``psi(d)`` the matrix whose (i, j) entry is the diagram
+scalar of d (row = top row assignment, column = bottom row assignment),
+diagram multiplication ``multiply(d1, d2) = ScaledDiagram(k, d3)``
+matches
+
+    matmul(psi(d1), psi(d2)) == n^k * psi(d3).
+
+This is the fixed matrix-order reading of the opposite-algebra
+representation, and it is pinned by the representation-law tests.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from swdual import diagrams as dg
+from swdual import extension as ex
+from swdual import gibson as gb
 from swdual import indices as ix
+from swdual import invariants as iv
+from swdual import patterns as pt
 from swdual import tensor as tn
+from swdual import verify as vf
+from swdual.rings import sparse_rank
 from swdual.tensor import TensorMatrix
 
 
@@ -82,6 +102,10 @@ def total(ring, values):
 
 def get(a, i, j):
     return a.data[ix.index_rank(a.n, i) * a.size + ix.index_rank(a.n, j)]
+
+
+def column(a, j):
+    return [get(a, i, j) for i in ix.all_indices(a.n, a.r)]
 
 
 def phi(w, n, r, ring):
@@ -290,9 +314,10 @@ def set_partitions(elements):
 def psi_support(d, n, fixed_last=False):
     """Whether each entry of psi(d) is 1, in row-major order: entry (i, j)
     is 1 when the word i + j, vertex v reading letter v, is constant on
-    every block of d.  With ``fixed_last`` the entries are those of
-    psi_on_fixed_last, indexed by I(n, d.r - 1), and the word is
-    i.n + j.n."""
+    every block of d.  With ``fixed_last`` the entries are those of the
+    restriction of psi(d) to the subspace with last tensor factor v_n,
+    indexed by I(n, d.r - 1), and the word is i.n + j.n; half-algebra
+    diagrams fix that subspace setwise."""
     r = d.r - 1 if fixed_last else d.r
     cap = (n,) if fixed_last else ()
     links = [(v, block[0]) for block in d.blocks for v in block[1:]]
@@ -312,8 +337,8 @@ def half_commutant_rows_all_pairs(n, r, ring):
     half = [d for d in dg.enumerate_diagrams(r + 1) if dg.is_half_algebra_member(d)]
     for d in half:
         cols_by_row, rows_by_col = [[] for _ in range(size)], [[] for _ in range(size)]
-        for k, v in enumerate(tn.psi_on_fixed_last(d, n, ring).data):
-            if v != ring.zero:
+        for k, hit in enumerate(psi_support(d, n, fixed_last=True)):
+            if hit:
                 cols_by_row[k // size].append(k % size)
                 rows_by_col[k % size].append(k // size)
         for a in range(size):
@@ -486,3 +511,188 @@ def gibson_g_by_search(n, r, c):
 
     search(1, set(), [])
     return solutions
+
+
+# ---------------------------------------------------------------------------
+# Dense matrix helpers
+
+
+def scale(a, value):
+    """value times every entry of ``a``."""
+    mul = a.ring.mul
+    return TensorMatrix(a.n, a.r, a.ring, [mul(value, x) for x in a.data])
+
+
+def kronecker(a, b):
+    """Kronecker product; the tensor degrees add."""
+    if a.ring != b.ring or a.n != b.n:
+        raise ValueError("ring or rank mismatch")
+    ring = a.ring
+    out = TensorMatrix(a.n, a.r + b.r, ring)
+    sa, sb, size = a.size, b.size, out.size
+    for i1, i2, j1, j2 in itertools.product(range(sa), range(sb), range(sa), range(sb)):
+        out.data[(i1 * sb + i2) * size + j1 * sb + j2] = ring.mul(
+            a.data[i1 * sa + j1], b.data[i2 * sb + j2])
+    return out
+
+
+def commutes(a, b):
+    """Whether ab = ba, by the package's product: the entry-by-entry
+    :func:`matmul` is too slow for the exhaustive commutation tests."""
+    return tn.matmul(a, b) == tn.matmul(b, a)
+
+
+def common_b(a, p, q):
+    """The shared value b^p_q of the 2n slice sums of an invariant at the
+    last place and the contexts (p, q); NotInvariantError where two of
+    them differ."""
+    n, ring = a.n, a.ring
+    cells = [[get(a, p + (i,), q + (j,)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    sums = {total(ring, line) for line in cells + [list(col) for col in zip(*cells)]}
+    if len(sums) != 1:
+        raise iv.NotInvariantError("slice sums disagree at p=%s q=%s" % (p, q))
+    return sums.pop()
+
+
+# ---------------------------------------------------------------------------
+# Diagram generators and the stacking product
+
+
+@dataclass(frozen=True)
+class ScaledDiagram:
+    """delta^k times a diagram, with the exponent k kept symbolic."""
+
+    exponent: int
+    diagram: dg.Diagram
+
+
+def parse_diagram(text):
+    """Round-trip inverse of ``Diagram.format``; the rank is inferred."""
+    raw_blocks = []
+    for part in text.strip().split("|"):
+        part = part.strip()
+        if not (part.startswith("{") and part.endswith("}")):
+            raise ValueError("malformed block %r" % part)
+        raw_blocks.append([e.strip() for e in part[1:-1].split(",") if e.strip()])
+    count = sum(map(len, raw_blocks))
+    if count % 2 != 0:
+        raise ValueError("diagram must have an even vertex count")
+    r = count // 2
+    return dg.Diagram(r, [
+        [r + int(e[:-1]) - 1 if e.endswith("'") else int(e) - 1 for e in entries]
+        for entries in raw_blocks
+    ])
+
+
+def identity_diagram(r):
+    return dg.Diagram(r, [(a, r + a) for a in range(r)])
+
+
+def generator_p(r, alpha):
+    """Singletons {alpha}, {alpha'}; vertical strands elsewhere."""
+    if not 1 <= alpha <= r:
+        raise ValueError("alpha out of range")
+    blocks = [(alpha - 1,), (r + alpha - 1,)]
+    blocks += [(a, r + a) for a in range(r) if a != alpha - 1]
+    return dg.Diagram(r, blocks)
+
+
+def generator_pp(r, alpha, beta):
+    """One block {alpha, beta, alpha', beta'}; vertical strands elsewhere."""
+    if not 1 <= alpha < beta <= r:
+        raise ValueError("need 1 <= alpha < beta <= r")
+    a, b = alpha - 1, beta - 1
+    blocks = [(a, b, r + a, r + b)]
+    blocks += [(c, r + c) for c in range(r) if c not in (a, b)]
+    return dg.Diagram(r, blocks)
+
+
+def generator_s(r, alpha, beta):
+    """The transposition crossing: {alpha, beta'}, {beta, alpha'}."""
+    if not 1 <= alpha < beta <= r:
+        raise ValueError("need 1 <= alpha < beta <= r")
+    a, b = alpha - 1, beta - 1
+    blocks = [(a, r + b), (b, r + a)]
+    blocks += [(c, r + c) for c in range(r) if c not in (a, b)]
+    return dg.Diagram(r, blocks)
+
+
+def permutation_diagram(w):
+    """Diagram of a place permutation: top a joined to bottom w(a)'."""
+    r = len(w)
+    return dg.Diagram(r, [(a, r + w[a] - 1) for a in range(r)])
+
+
+def multiply(d1, d2):
+    """Stack d1 above d2 and remove interior components.
+
+    Vertex space of the stack: outer top 0..r-1, middle r..2r-1 (d1's bottom
+    row identified with d2's top row), outer bottom 2r..3r-1.  Returns
+    ``ScaledDiagram(k, d3)`` where k counts the removed middle-only
+    components.
+    """
+    if d1.r != d2.r:
+        raise ValueError("rank mismatch")
+    r = d1.r
+    # d1 keeps its top row and sends bottom a' to middle r+a; d2 sends top
+    # a to middle r+a and bottom a' to 2r+a
+    parent = list(range(3 * r))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for shift, d in ((0, d1), (r, d2)):
+        for block in d.blocks:
+            for v in block[1:]:
+                parent[find(v + shift)] = find(block[0] + shift)
+    components = {}
+    for v in range(3 * r):
+        components.setdefault(find(v), []).append(v)
+    k = 0
+    blocks = []
+    for comp in components.values():
+        outer = [v if v < r else v - r for v in comp if v < r or v >= 2 * r]
+        if outer:
+            blocks.append(outer)
+        else:
+            k += 1
+    return ScaledDiagram(k, dg.Diagram(r, blocks))
+
+
+def psi_scaled(sd, n, ring):
+    """psi of a ScaledDiagram: delta^k becomes from_int(n)^k."""
+    coeff = ring.one
+    for _ in range(sd.exponent):
+        coeff = ring.mul(coeff, ring.from_int(n))
+    return scale(tn.psi(sd.diagram, n, ring), coeff)
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks of two library derivations
+
+
+def kernel_of_rho_dimension(n, r, ring):
+    """dim ker(rho) over a field, computed two independent ways.
+
+    The rank oracle gives dim E(n,r) - dim E(n,r-1); the free-pattern size
+    must match exactly, else an error flags a bug.
+    """
+    if not ring.is_field():
+        raise ValueError("kernel dimension requires a field")
+    by_rank = vf.centraliser_dimension(n, r, ring) - vf.centraliser_dimension(n, r - 1, ring)
+    by_pattern = len(pt.build_f(n, r))
+    if by_rank != by_pattern:
+        raise ex.ConstructionFailure(
+            "kernel dimension mismatch: rank oracle %d, pattern %d"
+            % (by_rank, by_pattern)
+        )
+    return by_rank
+
+
+def linear_independence_check(n, ring):
+    """Rank of the vectorised Gibson basis equals its size, over a field:
+    the permutation matrix of w has a one at (w(j), j) for each column j."""
+    vecs = [{(w[j] - 1) * n + j: ring.one for j in range(n)} for _, w in gb.gibson_basis(n)]
+    return sparse_rank(ring, vecs) == (n - 1) ** 2 + 1

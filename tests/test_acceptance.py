@@ -58,8 +58,8 @@ def test_criterion_01_gibson_rank():
         assert dim == (n - 1) ** 2 + 1, (n, dim)
         basis = gb.gibson_basis(n)
         assert len(basis) == (n - 1) ** 2 + 1
-        assert gb.linear_independence_check(n, Q)
-        assert gb.linear_independence_check(n, F2)
+        assert ref.linear_independence_check(n, Q)
+        assert ref.linear_independence_check(n, F2)
     elapsed = time.time() - start
     report(
         1,
@@ -200,10 +200,7 @@ def test_criterion_06_integral_round_trips():
                     assert iv.is_special(s, n, j)
                 assert iv.check_membership(a).in_E
                 coeffs = ex.express_in_permutation_span(a)
-                recon = tn.TensorMatrix.zeros(n, r, ring)
-                for w, x in coeffs.items():
-                    recon = recon.add(tn.phi(w, n, r, ring).scale(x))
-                assert recon == a
+                assert ref.reconstruct(n, r, ring, coeffs) == a
                 checked += 1
     report(6, checked == 3 * len(cells) * cases_per_cell,
            "%d integral extend/decompose/express round trips over Z, Z/4, Z/6"
@@ -213,7 +210,7 @@ def test_criterion_06_integral_round_trips():
 def test_criterion_07_uniqueness_regime():
     for (n, r) in [(2, 2), (2, 3), (3, 3), (4, 4)]:
         assert len(pt.build_f(n, r)) == 0
-        assert vf.kernel_of_rho_dimension(n, r, Q) == 0
+        assert ref.kernel_of_rho_dimension(n, r, Q) == 0
     report(7, True, "rho injective (kernel 0 over Q) and F(n,r) empty for "
                     "n <= r in {(2,2),(2,3),(3,3),(4,4)}")
 
@@ -251,7 +248,7 @@ def test_criterion_09_bimodule_and_representation_laws():
         for w in ix.all_permutations(n):
             pw = tn.phi(w, n, r, Q)
             for d in diagrams:
-                assert tn.commutes(pw, tn.psi(d, n, Q))
+                assert ref.commutes(pw, tn.psi(d, n, Q))
     pairs = 0
     for n in (2, 3):
         diagrams = dg.enumerate_diagrams(2)
@@ -259,8 +256,8 @@ def test_criterion_09_bimodule_and_representation_laws():
             mats = {d: tn.psi(d, n, ring) for d in diagrams}
             for d1 in diagrams:
                 for d2 in diagrams:
-                    out = dg.multiply(d1, d2)
-                    assert tn.matmul(mats[d1], mats[d2]) == tn.psi_scaled(out, n, ring)
+                    out = ref.multiply(d1, d2)
+                    assert tn.matmul(mats[d1], mats[d2]) == ref.psi_scaled(out, n, ring)
                     pairs += 1
     report(9, pairs == 2 * 2 * 225,
            "bimodule commutation exhaustive at (2,2), (3,2); representation "

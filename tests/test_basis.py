@@ -156,7 +156,7 @@ def test_extension_keys_are_read_back(n, r, basis, ring, data):
     moved = {to_last_row_key(key, basis, n): value for key, value in f.items()}
     target = to_last_row(ex.extend(to_last_row(b, basis), moved), basis)
     prescribed = {
-        u: target.column(u) if column else target.row(u) for u in chosen
+        u: ref.column(target, u) if column else target.row(u) for u in chosen
     }
     a = ex.extend_with_prescription(b, prescribed, basis=basis)
     assert a == target

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
+
 from swdual import extension as ex
 from swdual import indices as ix
 from swdual import tensor as tn
@@ -512,7 +514,7 @@ def test_r_above_its_bound_is_a_usage_error_at_small_n(n):
 
 def test_decompose_at_n_one_returns_the_input(tmp_path):
     ring = Ring.modular(6)
-    m = tn.TensorMatrix.identity(1, 2, ring).scale(ring.from_int(5))
+    m = ref.scale(tn.TensorMatrix.identity(1, 2, ring), ring.from_int(5))
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"matrix": tn.matrix_to_json(m)}))
     result = run_swd("decompose", "--in", str(path))
@@ -685,8 +687,10 @@ def test_an_unparsable_ring_names_the_descriptor(capsys, command):
     assert err == "error: cannot parse ring descriptor 'z/x'\n"
 
 
-# the first refused size of each command: B(12) diagrams at rank 6, and at
-# r = 2 the first n with n (n - 1) > 2^20 injective indices
+# the first refused size of each command: B(12) diagrams at rank 6, at
+# r = 2 the first n with n (n - 1) > 2^20 injective indices, the first n
+# with ((n - 1)^2 + 1) n^2 > 2^20 Gibson basis entries, and the first n
+# with n! > 2^20 permutations for the commands that walk all of W_n
 @pytest.mark.parametrize(
     "argv,message",
     [(["enumerate-diagrams", "--r", "6"], "rank 6 has more than 1048576 diagrams"),
@@ -695,8 +699,16 @@ def test_an_unparsable_ring_names_the_descriptor(capsys, command):
      (["colouring", "--n", "1025", "--r", "2", "--block-j", "1"],
       "I'(1025,2) has more than 1048576 injective indices"),
      (["free-pattern", "--n", "1025", "--r", "2", "--flavour", "decomposition"],
-      "I'(1025,2) has more than 1048576 injective indices")],
-    ids=["enumerate-diagrams", "colouring", "colouring-block-j", "free-pattern"],
+      "I'(1025,2) has more than 1048576 injective indices"),
+     (["gibson", "--n", "33"], "Gibson's basis at n = 33 has more than 1048576 entries"),
+     (["verify", "--n", "10", "--r", "1", "--ring", "q"],
+      "W_10 has more than 1048576 permutations"),
+     (["verify", "--n", "10", "--r", "1", "--ring", "z/6"],
+      "W_10 has more than 1048576 permutations"),
+     (["verify", "--n", "10", "--r", "0", "--half"], "W_10 has more than 1048576 permutations"),
+     (["dims", "--n", "10", "--r", "1"], "W_10 has more than 1048576 permutations")],
+    ids=["enumerate-diagrams", "colouring", "colouring-block-j", "free-pattern", "gibson",
+         "verify-q", "verify-z6", "verify-half", "dims"],
 )
 def test_an_invocation_past_the_size_bound_is_a_usage_error(capsys, argv, message):
     from swdual import cli
@@ -713,6 +725,9 @@ def test_the_size_bound_is_exact_and_costs_nothing_at_large_r(capsys):
     assert cli.MAX_HELD == 2**20
     cli._hold_injective(1024, 2)  # 1,047,552 indices: at the bound, not past it
     cli._hold_injective(12, 6)  # 665,280; r = 7 would be 3,991,680
+    cli._hold_permutations(9)  # 362,880; 10! is 3,628,800
+    assert cli.main(["gibson", "--n", "32"]) == 0  # 962 elements of 1,024 entries
+    assert json.loads(capsys.readouterr().out)["rank"] == 962
     cli._hold_at_most(2**20, "x", "y")
     with pytest.raises(cli.UsageError):
         cli._hold_at_most(2**20 + 1, "x", "y")
@@ -723,7 +738,64 @@ def test_the_size_bound_is_exact_and_costs_nothing_at_large_r(capsys):
         assert doc["ones" if argv[0] == "colouring" else "entries"] == []
     assert cli.main(["enumerate-diagrams", "--r", str(10**12)]) == 2
     assert cli.main(["colouring", "--n", str(10**12), "--r", str(10**12)]) == 2
+    assert cli.main(["verify", "--n", str(10**12), "--r", "1"]) == 2
+    assert cli.main(["gibson", "--n", str(10**12)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--ring", "q"], ["verify", "--ring", "z/6"], ["dims"]],
+    ids=["verify-q", "verify-z6", "dims"],
+)
+def test_degree_zero_walks_no_permutations_and_passes_the_bound(capsys, argv):
+    from swdual import cli
+
+    assert cli.main([*argv, "--n", "10", "--r", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] if argv[0] == "verify" else doc["centraliser"] == doc["span_w"] == 1
+
+
+def test_every_printed_free_entry_at_n_ten_is_read_back(tmp_path, capsys):
+    """Indices with a value of 10 or more: "(10,10)" is ((10,), (10,)) at
+    r = 1, not ((1, 0), (1, 0))."""
+    from swdual import cli
+
+    assert cli.main(["free-pattern", "--n", "10", "--r", "1"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert ["10", "10"] in entries
+    values = {"(%s,%s)" % (u, v): str(k) for k, (u, v) in enumerate(entries)}
+    path = tmp_path / "in.json"
+    b = tn.TensorMatrix.scalar(10, Q, Q.from_int(3))
+    path.write_text(json.dumps({"matrix": tn.matrix_to_json(b), "values": values}))
+    assert cli.main(["extend", "--in", str(path)]) == 0
+    a = tn.matrix_from_json(json.loads(capsys.readouterr().out)["matrix"])
+    for k, (u, v) in enumerate(entries):
+        assert a.get((int(u),), (int(v),)) == Q.from_int(k)
+
+
+@pytest.mark.parametrize(
+    "key,n,r,decomposition,read",
+    [("(10,10)", 10, 1, False, ((10,), (10,))),
+     ("(32,21)", 3, 2, False, ((3, 2), (2, 1))),
+     ("(10,1,2,3)", 10, 2, False, ((10, 1), (2, 3))),
+     ("(10,1,23)", 10, 2, False, ((10, 1), (2, 3))),
+     ("(23,10,1)", 10, 2, False, ((2, 3), (10, 1))),
+     ("( 4 , 13,2 ,432)", 13, 3, False, ((4, 13, 2), (4, 3, 2))),
+     ("(2,10,1,2,3)", 10, 2, True, (2, (10, 1), (2, 3))),
+     ("(11,3,11,2)", 11, 1, True, None),
+     ("(12,3,45)", 50, 2, False, "reads two ways"),
+     ("(12,3,45)", 11, 2, False, None)],
+)
+def test_assignment_keys_are_read_against_n_and_r(key, n, r, decomposition, read):
+    from swdual import cli
+
+    values = {key: "7"}
+    if isinstance(read, tuple):
+        assert cli._parse_assignment(Q, values, n, r, decomposition) == {read: Q.from_int(7)}
+    else:
+        with pytest.raises(cli.UsageError, match=read or "keys need"):
+            cli._parse_assignment(Q, values, n, r, decomposition)
 
 
 @pytest.mark.parametrize(

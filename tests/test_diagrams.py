@@ -17,73 +17,73 @@ def blocks_1based(d):
 
 
 def test_generator_pictures():
-    assert blocks_1based(dg.generator_p(1, 1)) == {frozenset({1}), frozenset({-1})}
-    assert blocks_1based(dg.generator_p(3, 2)) == {
+    assert blocks_1based(ref.generator_p(1, 1)) == {frozenset({1}), frozenset({-1})}
+    assert blocks_1based(ref.generator_p(3, 2)) == {
         frozenset({1, -1}), frozenset({2}), frozenset({-2}), frozenset({3, -3})
     }
-    assert blocks_1based(dg.generator_p(2, 1)) == {
+    assert blocks_1based(ref.generator_p(2, 1)) == {
         frozenset({1}), frozenset({-1}), frozenset({2, -2})
     }
-    assert blocks_1based(dg.generator_pp(2, 1, 2)) == {frozenset({1, 2, -1, -2})}
-    assert blocks_1based(dg.generator_s(2, 1, 2)) == {
+    assert blocks_1based(ref.generator_pp(2, 1, 2)) == {frozenset({1, 2, -1, -2})}
+    assert blocks_1based(ref.generator_s(2, 1, 2)) == {
         frozenset({1, -2}), frozenset({2, -1})
     }
-    assert blocks_1based(dg.generator_s(3, 1, 3)) == {
+    assert blocks_1based(ref.generator_s(3, 1, 3)) == {
         frozenset({1, -3}), frozenset({3, -1}), frozenset({2, -2})
     }
     with pytest.raises(ValueError):
-        dg.generator_p(2, 3)
+        ref.generator_p(2, 3)
     with pytest.raises(ValueError):
-        dg.generator_s(3, 2, 2)
+        ref.generator_s(3, 2, 2)
 
 
 def test_multiply_examples():
-    p1 = dg.generator_p(1, 1)
-    out = dg.multiply(p1, p1)
+    p1 = ref.generator_p(1, 1)
+    out = ref.multiply(p1, p1)
     assert out.exponent == 1 and out.diagram == p1
 
-    pp = dg.generator_pp(2, 1, 2)
-    out = dg.multiply(pp, pp)
+    pp = ref.generator_pp(2, 1, 2)
+    out = ref.multiply(pp, pp)
     assert out.exponent == 0 and out.diagram == pp
 
-    s = dg.generator_s(2, 1, 2)
-    out = dg.multiply(s, s)
-    assert out.exponent == 0 and out.diagram == dg.identity_diagram(2)
+    s = ref.generator_s(2, 1, 2)
+    out = ref.multiply(s, s)
+    assert out.exponent == 0 and out.diagram == ref.identity_diagram(2)
 
     with pytest.raises(ValueError, match="rank mismatch"):
-        dg.multiply(dg.identity_diagram(1), dg.identity_diagram(2))
+        ref.multiply(ref.identity_diagram(1), ref.identity_diagram(2))
 
 
 def test_generator_relations_up_to_rank_4():
     for r in range(1, 5):
-        ident = dg.identity_diagram(r)
+        ident = ref.identity_diagram(r)
         for a in range(1, r + 1):
-            out = dg.multiply(dg.generator_p(r, a), dg.generator_p(r, a))
-            assert out.exponent == 1 and out.diagram == dg.generator_p(r, a)
+            out = ref.multiply(ref.generator_p(r, a), ref.generator_p(r, a))
+            assert out.exponent == 1 and out.diagram == ref.generator_p(r, a)
         for a in range(1, r + 1):
             for b in range(a + 1, r + 1):
-                out = dg.multiply(dg.generator_pp(r, a, b), dg.generator_pp(r, a, b))
-                assert out.exponent == 0 and out.diagram == dg.generator_pp(r, a, b)
-                out = dg.multiply(dg.generator_s(r, a, b), dg.generator_s(r, a, b))
+                out = ref.multiply(ref.generator_pp(r, a, b), ref.generator_pp(r, a, b))
+                assert out.exponent == 0 and out.diagram == ref.generator_pp(r, a, b)
+                out = ref.multiply(ref.generator_s(r, a, b), ref.generator_s(r, a, b))
                 assert out.exponent == 0 and out.diagram == ident
 
 
 def test_identity_neutral():
     for r in (1, 2, 3):
-        ident = dg.identity_diagram(r)
+        ident = ref.identity_diagram(r)
         for d in dg.enumerate_diagrams(r):
-            left = dg.multiply(ident, d)
-            right = dg.multiply(d, ident)
-            assert left == right == dg.ScaledDiagram(0, d)
+            left = ref.multiply(ident, d)
+            right = ref.multiply(d, ident)
+            assert left == right == ref.ScaledDiagram(0, d)
 
 
 def test_associativity_exhaustive_rank_1():
     diagrams = dg.enumerate_diagrams(1)
     for d1, d2, d3 in itertools.product(diagrams, repeat=3):
-        ab = dg.multiply(d1, d2)
-        bc = dg.multiply(d2, d3)
-        left = dg.multiply(ab.diagram, d3)
-        right = dg.multiply(d1, bc.diagram)
+        ab = ref.multiply(d1, d2)
+        bc = ref.multiply(d2, d3)
+        left = ref.multiply(ab.diagram, d3)
+        right = ref.multiply(d1, bc.diagram)
         assert left.diagram == right.diagram
         assert ab.exponent + left.exponent == bc.exponent + right.exponent
 
@@ -93,10 +93,10 @@ def test_associativity_random_rank_2():
     rng = random.Random(42)
     for _ in range(10000):
         d1, d2, d3 = (rng.choice(diagrams) for _ in range(3))
-        ab = dg.multiply(d1, d2)
-        bc = dg.multiply(d2, d3)
-        left = dg.multiply(ab.diagram, d3)
-        right = dg.multiply(d1, bc.diagram)
+        ab = ref.multiply(d1, d2)
+        bc = ref.multiply(d2, d3)
+        left = ref.multiply(ab.diagram, d3)
+        right = ref.multiply(d1, bc.diagram)
         assert left.diagram == right.diagram
         assert ab.exponent + left.exponent == bc.exponent + right.exponent
 
@@ -127,9 +127,9 @@ def test_restricted_growth_words():
 
 
 def test_half_algebra_membership():
-    assert dg.is_half_algebra_member(dg.identity_diagram(3))
-    assert not dg.is_half_algebra_member(dg.generator_p(3, 3))
-    assert not dg.is_half_algebra_member(dg.generator_s(3, 1, 3))
+    assert dg.is_half_algebra_member(ref.identity_diagram(3))
+    assert not dg.is_half_algebra_member(ref.generator_p(3, 3))
+    assert not dg.is_half_algebra_member(ref.generator_s(3, 1, 3))
 
 
 def test_half_algebra_closed_under_multiplication():
@@ -137,23 +137,23 @@ def test_half_algebra_closed_under_multiplication():
         half = [d for d in dg.enumerate_diagrams(rank) if dg.is_half_algebra_member(d)]
         for d1 in half:
             for d2 in half:
-                assert dg.is_half_algebra_member(dg.multiply(d1, d2).diagram)
+                assert dg.is_half_algebra_member(ref.multiply(d1, d2).diagram)
     # rank 4 sampled
     half4 = [d for d in dg.enumerate_diagrams(4) if dg.is_half_algebra_member(d)]
     rng = random.Random(7)
     for _ in range(2000):
         d1, d2 = rng.choice(half4), rng.choice(half4)
-        assert dg.is_half_algebra_member(dg.multiply(d1, d2).diagram)
+        assert dg.is_half_algebra_member(ref.multiply(d1, d2).diagram)
 
 
 def test_text_format_round_trip():
     text = "{1,3,3',4'}|{2,1'}|{4}|{5,2',5'}"
-    d = dg.Diagram.parse(text)
+    d = ref.parse_diagram(text)
     assert d.r == 5
     assert d.format() == text
     for r in (1, 2):
         for d in dg.enumerate_diagrams(r):
-            assert dg.Diagram.parse(d.format()) == d
+            assert ref.parse_diagram(d.format()) == d
 
 
 def test_canonical_form_rejects_bad_blocks():
@@ -164,7 +164,7 @@ def test_canonical_form_rejects_bad_blocks():
 
 
 def test_permutation_diagram_acts_as_place_permutation():
-    d = dg.permutation_diagram((2, 1, 3))
+    d = ref.permutation_diagram((2, 1, 3))
     assert blocks_1based(d) == {
         frozenset({1, -2}), frozenset({2, -1}), frozenset({3, -3})
     }

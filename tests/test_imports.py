@@ -1,12 +1,23 @@
-"""Every module-level import of the package is read in its own module.
+"""Every module-level import of the package is read in its own module,
+and every definition of the package is read by the package, the
+benchmark or the measurement tools.
 
 Checked on the syntax tree: a name bound by a module-level ``import`` or
 ``from ... import`` must appear as a name somewhere in the module.  The
 names a module lists in ``__all__`` (the package's re-exports) and
 ``from __future__`` imports are exempt.
+
+A module-level function or class, or a method that is not a dunder, must
+have its name read somewhere in ``src/swdual``, ``perfbench/`` or
+``tools/`` outside its own definition: as a name, an attribute, an
+imported name or a string (``perfbench/tracing.py`` names the traced
+functions in strings).  Code that only tests call belongs under
+``tests/``.  The check goes by name alone, so a name that something else
+of the same name reads passes.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -14,6 +25,22 @@ import pytest
 import swdual
 
 MODULES = sorted(pathlib.Path(swdual.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+READERS = sorted(ROOT.glob("perfbench/*.py")) + sorted(ROOT.glob("tools/*.py"))
+
+# public entry points that only users and tests call so far, each with its
+# reason to stay
+ENTRY_POINTS = {
+    "extend_with_prescription": "an extension through prescribed block-row lines; "
+                                "no subcommand reads it yet",
+    "gibson_decompose": "coefficients in Gibson's basis; no subcommand reads it yet",
+    "closed_form_centraliser_dimension": "the hook-length closed form of dim E(n, r), "
+                                         "the third derivation the tests compare",
+    "wn_end_dimension": "the Stirling closed form of dim End_{W_n}, the third "
+                        "derivation the tests compare",
+    "half_commutant_dimension": "the half algebra's commutant dimension, which "
+                                "verify_half does not compute yet",
+}
 
 
 def unused_imports(source):
@@ -47,3 +74,68 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _reads(node):
+    """How often each name is read under ``node``."""
+    names = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name.split(".")[-1]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names[sub.value] += 1
+    return names
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the methods of the classes
+    that are not dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def unread_definitions(package, readers=()):
+    """(module, name) of every definition of ``package``, a dict from
+    module names to sources, whose name neither ``package`` nor the
+    ``readers`` sources read outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    for source in readers:
+        reads += _reads(ast.parse(source))
+    return [(module, node.name) for module, tree in trees.items()
+            for node in _definitions(tree)
+            if reads[node.name] == _reads(node)[node.name]]
+
+
+def test_the_check_finds_an_unread_definition():
+    package = {
+        "a": (
+            "import b\n"
+            "def used():\n    return b.helper() + b.Box().size()\n"
+            "def recursive(k):\n    return recursive(k - 1) if k else 0\n"
+            "class Box:\n    def size(self):\n        return 1\n"
+            "    def spare(self):\n        return self.size()\n"
+            "    def __len__(self):\n        return 0\n"
+        ),
+        "b": "from a import Box\ndef helper():\n    return 1\ndef traced():\n    return 2\n",
+    }
+    traced = "TRACED = [('b', 'traced')]\nimport a\na.used()\n"
+    assert unread_definitions(package, [traced]) == [("a", "recursive"), ("a", "spare")]
+    assert ("b", "traced") in unread_definitions(package)
+
+
+def test_every_definition_is_read_outside_the_tests():
+    package = {path.stem: path.read_text() for path in MODULES}
+    unread = unread_definitions(package, [path.read_text() for path in READERS])
+    assert READERS
+    assert [item for item in unread if item[1] not in ENTRY_POINTS] == []
+    defined = {node.name for source in package.values() for node in _definitions(ast.parse(source))}
+    assert set(ENTRY_POINTS) <= defined

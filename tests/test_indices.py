@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 import reference as ref
 
 from swdual import indices as ix
@@ -20,6 +22,14 @@ def test_formatting():
     assert ix.format_index((4, 13, 2)) == "4,13,2"
     assert ix.parse_index("432") == (4, 3, 2)
     assert ix.parse_index("4,13,2") == (4, 13, 2)
+    # at a given degree a text is read to that length, and "10" is (10,) at r = 1
+    assert ix.parse_index("10") == ix.parse_index("10", 2) == (1, 0)
+    assert ix.parse_index("10", 1) == (10,) and ix.parse_index("432", 1) == (432,)
+    assert ix.parse_index(" 4, 13 ,2", 3) == (4, 13, 2)
+    assert ix.parse_index("", 0) == ()
+    for text, r in [("10", 3), ("4,13,2", 2), ("1,2", 1)]:
+        with pytest.raises(ValueError):
+            ix.parse_index(text, r)
 
 
 def test_value_type_examples():

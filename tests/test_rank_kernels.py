@@ -117,7 +117,7 @@ def place_one_broken(draw, cells=CELLS):
     a = draw(invariants(cells))
     n, ring = a.n, a.ring
     x = tn.TensorMatrix(n, 1, ring, [ring.from_int(draw(st.integers(0, 2))) for _ in range(n * n)])
-    return a.add(tn.kronecker(x, tn.TensorMatrix.identity(n, a.r - 1, ring)))
+    return a.add(ref.kronecker(x, tn.TensorMatrix.identity(n, a.r - 1, ring)))
 
 
 @st.composite

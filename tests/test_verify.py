@@ -221,7 +221,7 @@ def test_a_dimension_mismatch_is_a_witness(monkeypatch, capsys):
 
 def test_an_excision_mismatch_is_a_witness(monkeypatch, capsys):
     eta = vf.eta
-    monkeypatch.setattr(vf, "eta", lambda a, n, j: eta(a, n, j).scale(Q.from_int(2)))
+    monkeypatch.setattr(vf, "eta", lambda a, n, j: ref.scale(eta(a, n, j), Q.from_int(2)))
     witnesses = [{"kind": "excision-mismatch", "w": [1, 2, 3]},
                  {"kind": "excision-mismatch", "w": [2, 1, 3]}]
     report = vf.verify_half(3, 1, Q)
