@@ -280,11 +280,11 @@ def _parse_assignment(ring, values, n, r, decomposition=False):
                 and all(t.isascii() and t.isdigit() for t in tokens)):
             raise UsageError("malformed assignment key %r" % key)
         lead = (int(tokens.pop(0)),) if decomposition else ()
-        # the row takes one token or r of them, and the column the rest
-        pairs = {(row, col) for cut in (1, r)
-                 for row, col in [(_spelled_index(tokens[:cut], n, r),
-                                   _spelled_index(tokens[cut:], n, r))]
-                 if row is not None and col is not None}
+        pairs = set()
+        for cut in (1, r):  # the row takes one token or r of them, the column the rest
+            row, col = _spelled_index(tokens[:cut], n, r), _spelled_index(tokens[cut:], n, r)
+            if row is not None and col is not None:
+                pairs.add((row, col))
         if len(pairs) > 1:
             raise UsageError("assignment key %r reads two ways; write both "
                              "indices with commas" % key)
