@@ -10,9 +10,7 @@ and internal failures print one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import operator
 import sys
 
 from . import extension as ext
@@ -23,7 +21,7 @@ from . import verify as vf
 from .diagrams import enumerate_diagrams
 from .invariants import check_membership
 from .rings import Ring
-from .tensor import DEFAULT_SIZE_CAP, CapExceeded, matrix_from_json, matrix_to_json, phi
+from .tensor import matrix_from_json, matrix_to_json, phi
 
 _encode = json.encoder.encode_basestring_ascii
 
@@ -32,32 +30,6 @@ SCHEMA = "swd/1"
 
 class UsageError(Exception):
     pass
-
-
-# the most diagrams or injective indices one invocation may hold
-MAX_HELD = DEFAULT_SIZE_CAP**2
-
-
-def _hold_at_most(count, owner, items):
-    """A usage error when ``owner`` holds ``count`` ``items``, more than
-    MAX_HELD.  Callers pass growing partial counts, so that a huge input is
-    refused after a few steps."""
-    if count > MAX_HELD:
-        raise UsageError("%s has more than %d %s, the most one invocation may hold"
-                         % (owner, MAX_HELD, items))
-
-
-def _hold_injective(n, r):
-    """Refuse more than MAX_HELD injective indices: n (n-1) ... (n-r+1) of
-    them, and none when r > n."""
-    for count in itertools.accumulate(range(n, n - r, -1), operator.mul) if r <= n else ():
-        _hold_at_most(count, "I'(%d,%d)" % (n, r), "injective indices")
-
-
-def _hold_permutations(n):
-    """Refuse a walk over all n! permutations of W_n past MAX_HELD."""
-    for count in itertools.accumulate(range(1, n + 1), operator.mul):
-        _hold_at_most(count, "W_%d" % n, "permutations")
 
 
 def _non_negative(text):
@@ -112,8 +84,6 @@ def _report_lines(doc):
 
 def cmd_verify(args):
     ring = Ring.parse(args.ring)
-    if args.half or args.r >= 1:
-        _hold_permutations(args.n)
     if args.half:
         report = vf.verify_half(args.n, args.r, ring, unsafe_large=args.unsafe_large)
     else:
@@ -131,8 +101,8 @@ def cmd_dims(args):
     ring = Ring.parse(args.ring)
     if not ring.is_field():
         raise UsageError("dims requires a field ring")
-    if args.r >= 1:
-        _hold_permutations(args.n)
+    # the span walks W_n, which is refused past the bound before any elimination
+    span_w = vf.span_dimension_w(args.n, args.r, ring, unsafe_large=args.unsafe_large)
     doc = {
         "schema": SCHEMA,
         "n": args.n,
@@ -141,9 +111,7 @@ def cmd_dims(args):
         "centraliser": vf.centraliser_dimension(
             args.n, args.r, ring, unsafe_large=args.unsafe_large
         ),
-        "span_w": vf.span_dimension_w(
-            args.n, args.r, ring, unsafe_large=args.unsafe_large
-        ),
+        "span_w": span_w,
         "free_pattern": len(pt.build_f(args.n, args.r)),
     }
     _emit(args, doc, _report_lines(doc))
@@ -151,7 +119,6 @@ def cmd_dims(args):
 
 
 def cmd_free_pattern(args):
-    _hold_injective(args.n, args.r)
     build, render = {"extension": (pt.build_f, pt.render_pattern),
                      "decomposition": (pt.build_d, pt.render_decomposition_pattern)}[args.flavour]
     pattern = pt.parse_basis(args.basis, args.n).pattern(build(args.n, args.r))
@@ -160,7 +127,6 @@ def cmd_free_pattern(args):
 
 
 def cmd_colouring(args):
-    _hold_injective(args.n, args.r)
     if args.block_j is None:
         col = pt.colour(args.n, args.r, args.policy)
     else:
@@ -181,8 +147,6 @@ def cmd_colouring(args):
 def cmd_gibson(args):
     ring = Ring.parse(args.ring)
     n = args.n
-    # each basis element is checked, and printed as a table, on its n^2 entries
-    _hold_at_most(((n - 1) ** 2 + 1) * n * n, "Gibson's basis at n = %d" % n, "entries")
     basis = gb.gibson_basis(n)
     doc = {
         "schema": SCHEMA,
@@ -206,10 +170,6 @@ def cmd_gibson(args):
 
 
 def cmd_enumerate_diagrams(args):
-    row = [1]  # row m of the Bell triangle starts with B(m); there are B(2r) diagrams
-    for _ in range(2 * args.r):
-        row = list(itertools.accumulate(row, initial=row[-1]))
-        _hold_at_most(row[0], "rank %d" % args.r, "diagrams")
     diags = enumerate_diagrams(args.r)
     doc = {
         "schema": SCHEMA,
@@ -231,18 +191,9 @@ def _load_doc(args):
     return doc
 
 
-def _load_matrix(args, doc):
-    """The input matrix; one over the row cap without --unsafe-large is a
-    usage error."""
-    try:
-        return matrix_from_json(doc, unsafe_large=args.unsafe_large)
-    except CapExceeded as e:
-        raise UsageError("%s; pass --unsafe-large to override" % e)
-
-
 def cmd_check_membership(args):
     doc = _load_doc(args)
-    matrix = _load_matrix(args, doc["matrix"] if "matrix" in doc else doc)
+    matrix = matrix_from_json(doc["matrix"] if "matrix" in doc else doc, args.unsafe_large)
     report = check_membership(matrix)
     out = {"schema": SCHEMA, **report.to_json()}
     _emit(args, out, _report_lines(out))
@@ -296,7 +247,7 @@ def _parse_assignment(ring, values, n, r, decomposition=False):
 
 def cmd_extend(args):
     doc = _load_doc(args)
-    b = _load_matrix(args, doc["matrix"])
+    b = matrix_from_json(doc["matrix"], args.unsafe_large)
     f = _parse_assignment(b.ring, doc.get("values"), b.n, b.r + 1)
     a = ext.extend(b, f)
     _emit(args, {"schema": SCHEMA, "matrix": matrix_to_json(a)})
@@ -305,7 +256,7 @@ def cmd_extend(args):
 
 def cmd_decompose(args):
     doc = _load_doc(args)
-    a = _load_matrix(args, doc["matrix"])
+    a = matrix_from_json(doc["matrix"], args.unsafe_large)
     f = _parse_assignment(a.ring, doc.get("values"), a.n, a.r, decomposition=True)
     based = pt.parse_basis(args.basis, a.n)
     summands = ext.decompose(a, f, basis=based.name)
@@ -339,9 +290,10 @@ def build_parser():
         "r": (("--r",), {"type": _non_negative, "required": True}),
         "ring": (("--ring",), {"default": "q", "help": "z, q, or z/M"}),
         "format": (("--format",), {"choices": ["json", "table"], "default": "json"}),
-        "unsafe-large": (
-            ("--unsafe-large",), {"dest": "unsafe_large", "action": "store_true"}
-        ),
+        "unsafe-large": (("--unsafe-large",), {
+            "dest": "unsafe_large", "action": "store_true",
+            "help": "lift the 2^20-entry caps on n^2r and on the rows^2 of a JSON "
+                    "matrix; the 2^20-item bound on enumerations stays"}),
         "in": (("--in",), {"dest": "infile", "default": None}),
         "basis": (("--basis",), {"default": "last-row", "help": "last-row, row:i or col:j"}),
     }
@@ -355,58 +307,34 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
-    p = command(
-        "verify", cmd_verify, "duality report for one (n, r, ring) cell",
-        "n", "r", "ring", "format", "unsafe-large",
-    )
+    p = command("verify", cmd_verify, "duality report for one (n, r, ring) cell",
+                "n", "r", "ring", "format", "unsafe-large")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--half", action="store_true")
-    p.add_argument(
-        "--timings", action="store_true", help="seconds per stage, one line on stderr"
-    )
+    p.add_argument("--timings", action="store_true", help="seconds per stage, one line on stderr")
 
-    command(
-        "dims", cmd_dims, "centraliser and span dimensions",
-        "n", "r", "ring", "format", "unsafe-large",
-    )
+    command("dims", cmd_dims, "centraliser and span dimensions",
+            "n", "r", "ring", "format", "unsafe-large")
 
-    p = command(
-        "free-pattern", cmd_free_pattern, "free extension/decomposition pattern",
-        "n", "r", "format", "basis",
-    )
-    p.add_argument(
-        "--flavour", choices=["extension", "decomposition"], default="extension"
-    )
+    p = command("free-pattern", cmd_free_pattern, "free extension/decomposition pattern",
+                "n", "r", "format", "basis")
+    p.add_argument("--flavour", choices=["extension", "decomposition"], default="extension")
     p.add_argument("--columns", choices=["used", "all"], default="used")
 
-    p = command(
-        "colouring", cmd_colouring, "slice colouring of the injective indices",
-        "n", "r", "format",
-    )
+    p = command("colouring", cmd_colouring, "slice colouring of the injective indices",
+                "n", "r", "format")
     p.add_argument("--policy", choices=["largest", "smallest"], default="largest")
     p.add_argument("--block-j", dest="block_j", type=int, default=None)
-    p.add_argument(
-        "--no-l-closure", dest="zero_l_closure", action="store_false", default=True
-    )
+    p.add_argument("--no-l-closure", dest="zero_l_closure", action="store_false", default=True)
 
-    command(
-        "gibson", cmd_gibson, "Gibson basis of the GDS matrices", "n", "ring", "format"
-    )
-    command(
-        "enumerate-diagrams", cmd_enumerate_diagrams, "all diagrams of one rank",
-        "r", "format",
-    )
-    command(
-        "check-membership", cmd_check_membership, "centraliser membership report",
-        "format", "unsafe-large", "in",
-    )
-    command(
-        "extend", cmd_extend, "extend an invariant one degree up", "unsafe-large", "in"
-    )
-    command(
-        "decompose", cmd_decompose, "split an invariant into specials",
-        "unsafe-large", "in", "basis",
-    )
+    command("gibson", cmd_gibson, "Gibson basis of the GDS matrices", "n", "ring", "format")
+    command("enumerate-diagrams", cmd_enumerate_diagrams, "all diagrams of one rank",
+            "r", "format")
+    command("check-membership", cmd_check_membership, "centraliser membership report",
+            "format", "unsafe-large", "in")
+    command("extend", cmd_extend, "extend an invariant one degree up", "unsafe-large", "in")
+    command("decompose", cmd_decompose, "split an invariant into specials",
+            "unsafe-large", "in", "basis")
 
     return parser
 

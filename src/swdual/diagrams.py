@@ -13,6 +13,8 @@ live with the tests' reference code.
 
 from __future__ import annotations
 
+from . import indices as ix
+
 
 class Diagram:
     """Canonical set partition of the 2r-vertex set.
@@ -78,12 +80,27 @@ def restricted_growth_words(length, letters):
     order.  Such a word names the set partition with v in block word[v]:
     at length 2r in 2r letters the diagrams of rank r, and at length 2r in
     n letters, read as i + j, the diagonal W_n orbits on I(n,r) x I(n,r).
+    More than MAX_HELD words are refused before any is built (at odd
+    length 2r + 1, the diagrams of rank r + 1/2).
     """
+    ix.hold_at_most(word_counts(length, letters),
+                    "rank %d%s" % (length // 2, "+1/2" * (length % 2)),
+                    "diagrams" if letters >= length else "diagrams of at most %d blocks" % letters)
     words = [()]
     for _ in range(length):
         words = [w + (a,) for w in words
                  for a in range(min(max(w, default=-1) + 2, letters))]
     return words
+
+
+def word_counts(length, letters):
+    """The numbers of restricted-growth words of length m = 1, ...,
+    ``length`` in at most ``letters`` letters: sums of Stirling numbers."""
+    row = [1]  # S(m, k) for k = 0..min(m, letters), from m = 0
+    for m in range(1, length + 1):
+        row = [0] + [k * row[k] + row[k - 1] if k < len(row) else row[k - 1]
+                     for k in range(1, min(m, letters) + 1)]
+        yield sum(row)
 
 
 def enumerate_diagrams(r):

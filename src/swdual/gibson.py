@@ -95,7 +95,9 @@ def _check_minor_rule(n, r, c, w):
 
 def gibson_basis(n):
     """Ordered labelled basis: the G(r,c) in row-major order of their
-    forced positions, then the circulant, then the identity."""
+    forced positions, then the circulant, then the identity; refused past
+    MAX_HELD entries in all (n >= 33)."""
+    ix.hold_at_most([((n - 1) ** 2 + 1) * n * n], "Gibson's basis at n = %d" % n, "entries")
     elements = [("G(%d,%d)" % (r, c), gibson_g(n, r, c)) for (r, c) in gamma_set(n)]
     elements.append(("Q", circulant_q(n)))
     elements.append(("I", ix.perm_identity(n)))

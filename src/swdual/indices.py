@@ -4,13 +4,35 @@ Multi-indices are plain tuples of 1-based values, always listed and stored
 in lexicographic order -- the single global row/column order used by every
 matrix in this package.  Permutations of {1..n} are tuples of images
 ``(w(1), ..., w(n))``.
+
+Every enumeration that outgrows a power of n counts its items before it
+builds any, and refuses more than MAX_HELD (:func:`hold_at_most`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from array import array
 from functools import lru_cache
+
+
+# the most items one call may enumerate, or entries a matrix may have
+# unless the caller passes unsafe_large
+MAX_HELD = 2**20
+
+
+class CapExceeded(ValueError):
+    pass
+
+
+def hold_at_most(counts, owner, items):
+    """CapExceeded at the first of ``counts``, growing partial counts of
+    the ``items`` that ``owner`` holds, past MAX_HELD."""
+    for count in counts:
+        if count > MAX_HELD:
+            raise CapExceeded("%s has more than %d %s, the most one invocation may hold"
+                              % (owner, MAX_HELD, items))
 
 
 def all_indices(n, r):
@@ -106,15 +128,24 @@ def perm_inverse(w):
 
 
 def all_permutations(n):
-    """W_n in lexicographic one-line order."""
+    """W_n in lexicographic one-line order; refused past MAX_HELD."""
+    hold_at_most(itertools.accumulate(range(1, n + 1), operator.mul), "W_%d" % n, "permutations")
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
 # -- injective indices and their slices --------------------------------------
 
 
+def injective_counts(n, r):
+    """|I'(n,1)|, ..., |I'(n,r)|, the partial products n (n-1) ...
+    (n-r+1); none when r > n, where I'(n,r) is empty."""
+    return itertools.accumulate(range(n, n - r, -1), operator.mul) if r <= n else ()
+
+
 def injective_indices(n, r):
-    """I'(n,r): multi-indices with r distinct values, lexicographic."""
+    """I'(n,r): multi-indices with r distinct values, lexicographic;
+    refused past MAX_HELD, and empty when r > n."""
+    hold_at_most(injective_counts(n, r), "I'(%d,%d)" % (n, r), "injective indices")
     return list(itertools.permutations(range(1, n + 1), r))
 
 

@@ -135,19 +135,20 @@ def check_membership(a, stop_early=False):
 
     H reads ``data`` through the cached byte mask of the mismatches (raw
     zeros are the only falsy values), and S compares ``data`` with its
-    gather through the cached table of orbit leaders.  G runs one kernel
+    gather through the cached table of orbit leaders, both on the values
+    as they are.  G runs one kernel
     at the last place (:func:`_first_bad_minor`).  When S holds, the place
     permutation moving place alpha to the end carries every entry of the
     (alpha, p, q) minor to the equal entry of the (r, p, q) minor, so the
     two minors have the same slice sums: place r decides G at every place,
     and the first failing slice is (1, p, q) for the first bad (p, q) at
     place r.  When S fails the kernel runs at every place, on the matrix
-    gathered through the table that moves place alpha last.  Over Q a
-    common denominator too large to clear is a ``ValueError``.
+    gathered through the table that moves place alpha last.  Over Q, G
+    reads L a, L a common denominator, once H and S hold, and the values
+    as they are otherwise; a common denominator too large to clear is a
+    ``ValueError``.
     """
     require_positive_n(a)
-    if a.ring.kind == "q":  # homogeneous predicates: L * a, L a common denominator
-        a = TensorMatrix(a.n, a.r, Ring.integers(), clear_denominators(a.data)[1])
     n, r, data = a.n, a.r, a.data
     report = MembershipReport(True, True, True)
 
@@ -174,6 +175,8 @@ def check_membership(a, stop_early=False):
     # place r decides every place, and the first bad slice is at place 1
     if r == 0:
         return report
+    if a.ring.kind == "q" and report.in_H and report.in_S:  # G is homogeneous
+        a = TensorMatrix(n, r, Ring.integers(), clear_denominators(data)[1])
     for alpha in (r,) if report.in_S else range(1, r + 1):
         table = _place_last(n, r, alpha)
         bad = _first_bad_minor(a if alpha == r else gather(a, n, table, table))

@@ -22,6 +22,7 @@ them, to any other block row or column.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -194,6 +195,7 @@ def build_d(n, r):
     blocks j = r+1..2 contribute the entries surviving the modified
     colouring; block 1 is the forced remainder and contributes nothing.
     """
+    _hold_pattern(n, r, n, n - 1)
     if n <= r + 1:
         return FreePattern(n, r, "row:%d" % n, "decomposition", ())
     entries = []
@@ -211,6 +213,8 @@ def build_d(n, r):
 @lru_cache(maxsize=None)
 def build_f(n, r):
     """The free extension pattern F(n,r) for the last block row."""
+    # F(n, 1) holds its own entries, and above it the n per-block patterns
+    _hold_pattern(n, r, *((1, n) if r == 1 else (n, n - 1)))
     if n <= r:
         return FreePattern(n, r, "row:%d" % n, "extension", ())
     if r == 1:
@@ -227,6 +231,45 @@ def f_prime_entries(n, r):
     return tuple(
         sorted(((n,) + p, (j,) + q) for (j, p, q) in build_d(n, r - 1).entries)
     )
+
+
+def _hold_pattern(n, r, blocks, lower):
+    """Refuse a pattern build at (n, r) past MAX_HELD before it starts: on
+    I'(n, r), then on the ``blocks`` copies of F(lower, r) that it holds."""
+    ix.hold_at_most(ix.injective_counts(n, r), "I'(%d,%d)" % (n, r), "injective indices")
+    ix.hold_at_most([blocks * free_pattern_size(lower, r)], "pattern (%d,%d)" % (n, r), "entries")
+
+
+def _partitions(m, largest):
+    """Partitions of m as non-increasing tuples, parts at most ``largest``
+    (none when ``largest`` < 0)."""
+    if m == 0 <= largest:
+        yield ()
+        return
+    for first in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def free_pattern_size(n, r):
+    """|F(n, r)| = dim E(n, r) - dim E(n, r - 1): the sum of (f^lambda)^2
+    over the partitions lambda = (n - r, mu) of n, by the hook-length
+    formula.  The first row's hooks past column mu_1 multiply to
+    (n - r - mu_1)!, which cancels from n!, so the cost does not grow with n."""
+    total = 0
+    for mu in _partitions(r, n - r):
+        heights = [sum(part > c for part in mu) for c in range(mu[0] if mu else 0)]
+        hooks = math.prod(n - r - c + height for c, height in enumerate(heights))
+        hooks *= math.prod(part - c + heights[c] - row - 1
+                           for row, part in enumerate(mu) for c in range(part))
+        total += (math.perm(n, r + len(heights)) // hooks) ** 2
+    return total
+
+
+def closed_form_centraliser_dimension(n, r):
+    """dim E(n,r) = sum of (f^lambda)^2 over partitions lambda of n with
+    n - lambda_1 <= r (Halverson-Ram)."""
+    return sum(free_pattern_size(n, m) for m in range(min(r, n) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,7 @@ from . import indices as ix
 from .rings import Ring
 
 
-# matrices with more rows are refused unless the caller opts in
-DEFAULT_SIZE_CAP = 1024
-
-
 class ShapeMismatchError(ValueError):
-    pass
-
-
-class CapExceeded(ValueError):
     pass
 
 
@@ -244,16 +236,17 @@ def matrix_to_json(m):
 
 def matrix_from_json(doc, unsafe_large=False):
     """The matrix of a JSON document: an object with a string "ring" and
-    "rows" a list of lists of strings, else a ValueError.  More than
-    DEFAULT_SIZE_CAP rows are refused with CapExceeded unless
-    ``unsafe_large`` is set."""
+    "rows" a list of lists of strings, else a ValueError.  A square of
+    more than MAX_HELD entries is refused with CapExceeded, before any
+    entry is read, unless ``unsafe_large`` is set."""
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ShapeMismatchError('a matrix needs "rows", a list of lists')
-    if len(rows) > DEFAULT_SIZE_CAP and not unsafe_large:
-        raise CapExceeded(
-            "matrix has %d rows, more than the default cap %d"
-            % (len(rows), DEFAULT_SIZE_CAP)
+    if len(rows) ** 2 > ix.MAX_HELD and not unsafe_large:
+        raise ix.CapExceeded(
+            "matrix has %d rows, %d entries, more than the default cap %d; pass "
+            "--unsafe-large (unsafe_large=True) to override"
+            % (len(rows), len(rows) ** 2, ix.MAX_HELD)
         )
     if not isinstance(doc.get("ring"), str):
         raise ValueError('a matrix needs "ring", a string')

@@ -18,7 +18,6 @@ derivation in characteristic 0.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import random
 import time
@@ -27,11 +26,11 @@ from dataclasses import dataclass, field
 from . import extension as ext
 from . import indices as ix
 from . import diagrams as dg
+from . import patterns as pt
 from . import tensor as tn
 from .invariants import _off_tag_columns, _split_ranks, eta
 from .rings import sparse_nullspace
 from .rings import sparse_rank as _sparse_rank
-from .tensor import DEFAULT_SIZE_CAP, CapExceeded
 
 
 # n^r bounds r for n >= 2; at n <= 1 the tables still grow with r itself
@@ -41,10 +40,10 @@ MAX_R = 10**6
 def _check_cap(n, r, unsafe_large):
     if n < 0:
         raise ValueError("n must be non-negative, got %d" % n)
-    if not unsafe_large and tn.power_within(n, r, DEFAULT_SIZE_CAP) is None:
-        raise CapExceeded(
-            "n^r = %d^%d exceeds the default cap %d; pass unsafe_large to override"
-            % (n, r, DEFAULT_SIZE_CAP)
+    if not unsafe_large and tn.power_within(n, 2 * r, ix.MAX_HELD) is None:
+        raise ix.CapExceeded(
+            "n^2r = %d^%d matrix entries exceed the default cap %d; pass "
+            "--unsafe-large (unsafe_large=True) to override" % (n, 2 * r, ix.MAX_HELD)
         )
     if r > MAX_R:
         raise ValueError("r must be at most %d, got %d" % (MAX_R, r))
@@ -155,8 +154,9 @@ def span_dimension_w(n, r, ring, unsafe_large=False):
     if r == 0:
         return 1
     _check_cap(n, r, unsafe_large)
+    perms = ix.all_permutations(n)  # a W_n past the bound is refused before any table
     orbit_of, _, live = _live_orbits(n, r)
-    return _sparse_rank(ring, _span_rows(n, r, ix.all_permutations(n), orbit_of, live))
+    return _sparse_rank(ring, _span_rows(n, r, perms, orbit_of, live))
 
 
 def _span_rows(n, r, perms, orbit_of, live):
@@ -216,44 +216,14 @@ def psi_side_dimensions(n, r, ring, unsafe_large=False):
 # ---------------------------------------------------------------------------
 
 
-def _partitions(n, largest=None):
-    """Partitions of n as non-increasing tuples, parts at most ``largest``."""
-    if largest is None:
-        largest = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _hook_length_degree(shape):
-    """f^shape, the number of standard Young tableaux, by the hook-length
-    formula."""
-    heights = [sum(1 for part in shape if part > c) for c in range(shape[0])]
-    hooks = 1
-    for row, part in enumerate(shape):
-        for c in range(part):
-            hooks *= (part - c) + (heights[c] - row) - 1
-    return math.factorial(sum(shape)) // hooks
-
-
-def closed_form_centraliser_dimension(n, r):
-    """dim E(n,r) = sum of (f^lambda)^2 over partitions lambda of n with
-    n - lambda_1 <= r (Halverson-Ram)."""
-    return sum(_hook_length_degree(shape) ** 2
-               for shape in _partitions(n) if n - shape[0] <= r)
+# the hook-length form lives with the free patterns, whose bound reads it
+closed_form_centraliser_dimension = pt.closed_form_centraliser_dimension
 
 
 def wn_end_dimension(n, r):
     """dim End_{W_n}(V^{(x)r}) = sum over k <= n of the Stirling numbers
     S(2r, k): set partitions of 2r points into at most n blocks."""
-    row = [1]  # S(m, k) for k = 0..m, starting at m = 0
-    for m in range(1, 2 * r + 1):
-        row = [0] + [k * row[k] + row[k - 1] if k < m else row[k - 1]
-                     for k in range(1, m + 1)]
-    return sum(row[: n + 1])
+    return [1, *dg.word_counts(2 * r, n)][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +344,9 @@ def verify_half(n, r, ring, unsafe_large=False):
     report = VerificationReport(n=n, r="%d+1/2" % r, ring=ring.name)
     if not ring.is_field():
         raise ValueError("verify-half requires a field ring")
-    dim_lower = centraliser_dimension(n - 1, r, ring, unsafe_large=unsafe_large)
-    dim_special = special_invariant_dimension(n, r, ring, unsafe_large=unsafe_large)
-    report.dim_centraliser = dim_special
+    # the walk over W_n comes first, so that a W_n past the bound is
+    # refused before any elimination
+    _check_cap(n, r, unsafe_large)
     for w in ix.all_permutations(n):
         if w[n - 1] != n:
             continue
@@ -385,6 +355,9 @@ def verify_half(n, r, ring, unsafe_large=False):
             report.witnesses.append(
                 {"kind": "excision-mismatch", "w": list(w)}
             )
+    dim_lower = centraliser_dimension(n - 1, r, ring, unsafe_large=unsafe_large)
+    dim_special = special_invariant_dimension(n, r, ring, unsafe_large=unsafe_large)
+    report.dim_centraliser = dim_special
     # the span of the excised fixed-n powers is the full lower span
     report.dim_span_w = span_dimension_w(n - 1, r, ring, unsafe_large=unsafe_large)
     report.surjective_phi = (

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import random
 import resource
 import subprocess
 import sys
+import time
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -229,16 +231,32 @@ def test_zero_denominator_is_a_usage_error(tmp_path, command, where):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("command", ["check-membership", "decompose"])
-def test_common_denominator_past_the_bound_is_a_usage_error(tmp_path, command):
+def _coprime_denominators_file(tmp_path):
+    """A (4,3) matrix over Q of 4,096 entries 1/d, the d coprime, whose
+    common denominator is past the bound of ``rings.clear_denominators``."""
     rows = [["1/%d" % d for d in large_denominators(4096)[k : k + 64]]
             for k in range(0, 4096, 64)]
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"matrix": {"n": 4, "r": 3, "ring": "q", "rows": rows}}))
-    result = run_swd(command, "--in", str(path))
+    return path
+
+
+@pytest.mark.parametrize("command", ["decompose"])
+def test_common_denominator_past_the_bound_is_a_usage_error(tmp_path, command):
+    result = run_swd(command, "--in", str(_coprime_denominators_file(tmp_path)))
     assert result.returncode == 2
     assert result.stderr == "error: common denominator of 4096 values over 65536 bits\n"
     assert result.stdout == ""
+
+
+def test_membership_past_the_common_denominator_bound_is_a_report(tmp_path):
+    # H and S read the values as they are, and G on a non-member clears no
+    # denominator, so the bound is never reached
+    result = run_swd("check-membership", "--in", str(_coprime_denominators_file(tmp_path)))
+    assert result.returncode == 1, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["in_E"] is False and doc["in_H"] is False
+    assert doc["first_violation"]["kind"] == "H"
 
 
 def test_negative_n_is_a_usage_error():
@@ -450,7 +468,7 @@ def test_cap_guard_reported_as_usage_error():
 
 
 def test_json_input_over_the_cap_is_a_usage_error(tmp_path):
-    rows = [[]] * (tn.DEFAULT_SIZE_CAP + 1)
+    rows = [[]] * (math.isqrt(ix.MAX_HELD) + 1)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"matrix": {"n": 2, "r": 10**9, "ring": "q", "rows": rows}}))
     for command in ("check-membership", "extend", "decompose"):
@@ -462,7 +480,9 @@ def test_json_input_over_the_cap_is_a_usage_error(tmp_path):
 def test_unsafe_large_reaches_the_json_boundary(tmp_path, monkeypatch, capsys):
     from swdual import cli
 
-    monkeypatch.setattr(tn, "DEFAULT_SIZE_CAP", 2)
+    # 3^2 > 8 entries: every input below passes the row cap only with
+    # --unsafe-large, and the work behind it holds at most 8 items
+    monkeypatch.setattr(ix, "MAX_HELD", 8)
     cases = [
         ("check-membership", tn.phi((2, 1, 3), 3, 2, Q)),
         ("extend", tn.phi((2, 3, 1), 3, 1, Q)),
@@ -719,18 +739,45 @@ def test_an_invocation_past_the_size_bound_is_a_usage_error(capsys, argv, messag
     assert err == "error: %s, the most one invocation may hold\n" % message
 
 
+# n |F(n-1, 2)| per-block labels: 930,260 at n = 20 (admitted, checked by
+# count in test_indices.py), 1,220,961 at n = 21
+@pytest.mark.parametrize("n", [21, 60])
+def test_free_pattern_past_its_labels_is_refused_at_once(capsys, n):
+    from swdual import cli
+
+    start = time.perf_counter()
+    assert cli.main(["free-pattern", "--n", str(n), "--r", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: pattern (%d,2) has more than 1048576 entries, the most one "
+                   "invocation may hold\n" % n)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify"], ["verify", "--half"], ["dims"]], ids=["verify", "verify-half", "dims"]
+)
+def test_a_walk_over_w_n_is_refused_before_any_elimination(capsys, argv):
+    from swdual import cli
+
+    start = time.perf_counter()
+    assert cli.main([*argv, "--n", "10", "--r", "3"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: W_10 has more than 1048576 permutations")
+
+
 def test_the_size_bound_is_exact_and_costs_nothing_at_large_r(capsys):
     from swdual import cli
 
-    assert cli.MAX_HELD == 2**20
-    cli._hold_injective(1024, 2)  # 1,047,552 indices: at the bound, not past it
-    cli._hold_injective(12, 6)  # 665,280; r = 7 would be 3,991,680
-    cli._hold_permutations(9)  # 362,880; 10! is 3,628,800
+    assert ix.MAX_HELD == 2**20
+    ix.hold_at_most(ix.injective_counts(1024, 2), "x", "y")  # 1,047,552: at the bound
+    ix.hold_at_most(ix.injective_counts(12, 6), "x", "y")  # 665,280; r = 7 would be 3,991,680
+    assert math.factorial(9) <= ix.MAX_HELD < math.factorial(10)  # 362,880 and 3,628,800
     assert cli.main(["gibson", "--n", "32"]) == 0  # 962 elements of 1,024 entries
     assert json.loads(capsys.readouterr().out)["rank"] == 962
-    cli._hold_at_most(2**20, "x", "y")
-    with pytest.raises(cli.UsageError):
-        cli._hold_at_most(2**20 + 1, "x", "y")
+    ix.hold_at_most([2**20], "x", "y")
+    with pytest.raises(ix.CapExceeded):
+        ix.hold_at_most([2**20 + 1], "x", "y")
     # I'(n, r) is empty for r > n, and huge counts stop at the bound
     for argv in (["colouring", "--n", "3", "--r", "40"], ["free-pattern", "--n", "3", "--r", "40"]):
         assert cli.main(argv) == 0

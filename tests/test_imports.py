@@ -34,8 +34,6 @@ ENTRY_POINTS = {
     "extend_with_prescription": "an extension through prescribed block-row lines; "
                                 "no subcommand reads it yet",
     "gibson_decompose": "coefficients in Gibson's basis; no subcommand reads it yet",
-    "closed_form_centraliser_dimension": "the hook-length closed form of dim E(n, r), "
-                                         "the third derivation the tests compare",
     "wn_end_dimension": "the Stirling closed form of dim End_{W_n}, the third "
                         "derivation the tests compare",
     "half_commutant_dimension": "the half algebra's commutant dimension, which "

@@ -1,11 +1,17 @@
 import itertools
 import random
+import time
 
 import pytest
 
 import reference as ref
 
+from swdual import diagrams as dg
+from swdual import gibson as gb
 from swdual import indices as ix
+from swdual import patterns as pt
+from swdual import verify as vf
+from swdual.rings import Ring
 
 
 def test_lexicographic_order_and_ranks():
@@ -150,3 +156,61 @@ def test_renumberings():
 def test_w0_and_inverse():
     for w in ix.all_permutations(4):
         assert ref.perm_compose(w, ix.perm_inverse(w)) == ix.perm_identity(4)
+
+
+class _Admitted(Exception):
+    pass
+
+
+# the first size of each enumeration past MAX_HELD = 2^20 items and the
+# last within it: 10! = 3,628,800 and 9! = 362,880; |I'(n, 2)| =
+# 1,049,600 and 1,047,552; B(12) = 4,213,597 and B(10) = 115,975 diagrams
+# (B(11) = 678,570 words); ((n-1)^2 + 1) n^2 = 1,116,225 and 985,088 Gibson
+# entries; n |F(n-1, 2)| = 1,220,961 and 930,260 per-block pattern labels
+@pytest.mark.parametrize(
+    "build,past,within,items",
+    [(ix.all_permutations, (10,), (9,), "permutations"),
+     (ix.injective_indices, (1025, 2), (1024, 2), "injective indices"),
+     (dg.enumerate_diagrams, (6,), (5,), "diagrams"),
+     (dg.restricted_growth_words, (12, 12), (11, 11), "diagrams"),
+     (gb.gibson_basis, (33,), (32,), "entries"),
+     (pt.build_f, (21, 2), (20, 2), "entries"),
+     (pt.build_d, (21, 2), (20, 2), "entries")],
+    ids=["permutations", "injective", "diagrams", "words", "gibson", "build_f", "build_d"],
+)
+def test_each_enumeration_refuses_its_first_size_past_the_bound(monkeypatch, build, past,
+                                                                 within, items):
+    start = time.perf_counter()
+    with pytest.raises(ix.CapExceeded, match="has more than 1048576 %s" % items):
+        build(*past)
+    assert time.perf_counter() - start < 1
+    hold = ix.hold_at_most
+
+    def admit(counts, owner, what):
+        hold(counts, owner, what)
+        if what == items:  # the count passed: stop before anything is built
+            raise _Admitted
+
+    monkeypatch.setattr(ix, "hold_at_most", admit)
+    with pytest.raises(_Admitted):
+        build(*within)
+
+
+def test_walks_past_the_bound_are_refused_at_once():
+    Q, Z6 = Ring.rationals(), Ring.modular(6)
+    for call in (lambda: vf.verify_duality(10, 1, Q), lambda: vf.verify_duality(10, 1, Z6),
+                 lambda: vf.verify_half(10, 3, Q), lambda: vf.span_dimension_w(10, 3, Q),
+                 lambda: pt.build_f(60, 2)):
+        start = time.perf_counter()
+        with pytest.raises(ix.CapExceeded):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+def test_huge_counts_stop_at_the_bound():
+    with pytest.raises(ix.CapExceeded, match="^x has more than 1048576 y, the most"):
+        ix.hold_at_most(itertools.count(1), "x", "y")  # stops at 2^20 + 1
+    with pytest.raises(ix.CapExceeded):
+        ix.injective_indices(10**12, 10**12)
+    with pytest.raises(ix.CapExceeded):
+        dg.restricted_growth_words(10**12, 10**12)

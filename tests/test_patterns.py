@@ -1,9 +1,12 @@
+import math
 import os
+import time
 
 import pytest
 
 from swdual import indices as ix
 from swdual import patterns as pt
+from swdual import verify as vf
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -220,3 +223,44 @@ def test_rendered_tables_match_fixtures():
         pt.build_d(5, 2), columns="used"
     ) == read_fixture("table_d52.txt")
 
+
+
+def _old_closed_form(n, r):
+    """dim E(n, r) over every partition of n, by the full hook-length formula."""
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for first in range(min(m, largest), 0, -1):
+            for rest in partitions(m - first, first):
+                yield (first,) + rest
+
+    def degree(shape):
+        heights = [sum(1 for part in shape if part > c) for c in range(shape[0])]
+        hooks = 1
+        for row, part in enumerate(shape):
+            for c in range(part):
+                hooks *= (part - c) + (heights[c] - row) - 1
+        return math.factorial(n) // hooks
+
+    return sum(degree(shape) ** 2 for shape in partitions(n, n) if n - shape[0] <= r)
+
+
+def test_closed_form_walks_only_the_partitions_it_counts():
+    for n in range(1, 13):
+        for r in range(5):
+            assert pt.closed_form_centraliser_dimension(n, r) == _old_closed_form(n, r), (n, r)
+    for n, r in [(100, 2), (1000, 3)]:
+        start = time.perf_counter()
+        pt.closed_form_centraliser_dimension(n, r)
+        assert time.perf_counter() - start < 0.1
+    assert vf.closed_form_centraliser_dimension is pt.closed_form_centraliser_dimension
+
+
+def test_free_pattern_size_is_the_hook_length_difference():
+    for n in range(1, 7):
+        for r in range(1, 4):
+            size = pt.free_pattern_size(n, r)
+            assert size == len(pt.build_f(n, r)), (n, r)
+            assert size == (pt.closed_form_centraliser_dimension(n, r)
+                            - pt.closed_form_centraliser_dimension(n, r - 1))
+    assert pt.free_pattern_size(20, 2) == 58141

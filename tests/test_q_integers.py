@@ -118,17 +118,21 @@ def large_denominators(count):
 
 def test_many_distinct_large_denominators_are_refused_in_linear_memory():
     # L would have about 135,000 bits, over the 65,536 allowed at 4,096
-    # values: every Q entry refuses the input before scaling a value
+    # values: every Q construction refuses the input before scaling a value;
+    # membership decides H on the values as they are, so it reports a
+    # non-member, and restrict refuses one, without clearing a denominator
     n, r = 4, 3
     a = tn.TensorMatrix(n, r, Q, [Fraction(1, d) for d in large_denominators(4096)])
     b = tn.TensorMatrix(n, r - 1, Q, a.data[: (n ** (r - 1)) ** 2])
-    calls = [lambda: iv.check_membership(a), lambda: iv.restrict(a), lambda: ex.decompose(a),
-             lambda: ex.express_in_permutation_span(a)]
+    calls = [lambda: ex.decompose(a), lambda: ex.express_in_permutation_span(a)]
     tracemalloc.start()
     try:
         for call in calls:
             with pytest.raises(ValueError, match="common denominator of 4096 values"):
                 call()
+        assert iv.check_membership(a).first_violation["kind"] == "H"
+        with pytest.raises(iv.NotInvariantError):
+            iv.restrict(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -228,3 +232,22 @@ def test_outputs_survive_a_json_round_trip():
 def test_verify_refuses_n_zero_on_every_ring(name):
     with pytest.raises(ValueError, match="n must be positive, got 0"):
         vf.verify_duality(0, 2, Ring.parse(name))
+
+
+@pytest.mark.parametrize("predicate", ["H", "S"])
+def test_membership_clears_no_denominator_when_h_or_s_fails(monkeypatch, predicate):
+    n, r = 3, 2
+    a = ref.reconstruct(n, r, Q, {w: Fraction(k + 1, k + 2)
+                                  for k, w in enumerate(ix.all_permutations(n))})
+    # (11, 12) is a value-type mismatch; (12, 21) shares an orbit with (21, 12)
+    u, v = {"H": ((1, 1), (1, 2)), "S": ((1, 2), (2, 1))}[predicate]
+    data = list(a.data)
+    data[ix.index_rank(n, u) * n**r + ix.index_rank(n, v)] += Fraction(1, 7)
+    calls = []
+    monkeypatch.setattr(iv, "clear_denominators",
+                        lambda values: calls.append(1) or clear_denominators(values))
+    for stop_early in (True, False):
+        report = iv.check_membership(tn.TensorMatrix(n, r, Q, data), stop_early=stop_early)
+        assert not report.in_E and report.first_violation["kind"] == predicate
+    assert calls == []
+    assert iv.check_membership(a).in_E and calls == [1]  # a member clears once, for G

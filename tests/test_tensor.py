@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -224,8 +225,8 @@ def test_json_golden_file():
 def test_json_rows_over_the_cap_are_refused_before_the_shape_check():
     # the cap is checked on the row count first, so a huge r is never
     # raised to a power
-    doc = {"n": 3, "r": 10**12, "ring": "q", "rows": [[]] * (tn.DEFAULT_SIZE_CAP + 1)}
-    with pytest.raises(tn.CapExceeded):
+    doc = {"n": 3, "r": 10**12, "ring": "q", "rows": [[]] * (math.isqrt(ix.MAX_HELD) + 1)}
+    with pytest.raises(ix.CapExceeded):
         tn.matrix_from_json(doc)
     with pytest.raises(tn.ShapeMismatchError):
         tn.matrix_from_json(doc, unsafe_large=True)
@@ -240,8 +241,8 @@ def test_json_rows_over_the_cap_are_refused_before_the_shape_check():
 def test_json_cap_is_overridable(monkeypatch):
     m = tn.TensorMatrix.identity(3, 1, Q)
     doc = tn.matrix_to_json(m)
-    monkeypatch.setattr(tn, "DEFAULT_SIZE_CAP", 2)
-    with pytest.raises(tn.CapExceeded):
+    monkeypatch.setattr(ix, "MAX_HELD", 8)  # 3 rows hold 9 entries
+    with pytest.raises(ix.CapExceeded):
         tn.matrix_from_json(doc)
     assert tn.matrix_from_json(doc, unsafe_large=True) == m
 

@@ -6,6 +6,7 @@ import pytest
 
 import reference as ref
 
+from swdual import indices as ix
 from swdual import verify as vf
 from swdual.rings import Ring
 
@@ -45,7 +46,7 @@ def test_field_required():
 
 
 def test_cap_enforced_and_overridable():
-    with pytest.raises(vf.CapExceeded):
+    with pytest.raises(ix.CapExceeded):
         vf.centraliser_dimension(5, 5, Q)
     # the override flag merely disables the guard; don't actually run 5^5
 
