@@ -182,18 +182,21 @@ def cmd_enumerate_diagrams(args):
 
 
 def _load_doc(args):
+    """The input object and the matrix under its "matrix" key, which
+    check-membership alone also reads from the top level."""
     if not args.infile:
         raise UsageError("--in <file> is required")
     with open(args.infile) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise UsageError("the input file must hold a JSON object")
-    return doc
+    if "matrix" not in doc and args.command != "check-membership":
+        raise UsageError('the input needs "matrix", a matrix object')
+    return doc, matrix_from_json(doc.get("matrix", doc), args.unsafe_large)
 
 
 def cmd_check_membership(args):
-    doc = _load_doc(args)
-    matrix = matrix_from_json(doc["matrix"] if "matrix" in doc else doc, args.unsafe_large)
+    _, matrix = _load_doc(args)
     report = check_membership(matrix)
     out = {"schema": SCHEMA, **report.to_json()}
     _emit(args, out, _report_lines(out))
@@ -246,8 +249,7 @@ def _parse_assignment(ring, values, n, r, decomposition=False):
 
 
 def cmd_extend(args):
-    doc = _load_doc(args)
-    b = matrix_from_json(doc["matrix"], args.unsafe_large)
+    doc, b = _load_doc(args)
     f = _parse_assignment(b.ring, doc.get("values"), b.n, b.r + 1)
     a = ext.extend(b, f)
     _emit(args, {"schema": SCHEMA, "matrix": matrix_to_json(a)})
@@ -255,8 +257,7 @@ def cmd_extend(args):
 
 
 def cmd_decompose(args):
-    doc = _load_doc(args)
-    a = matrix_from_json(doc["matrix"], args.unsafe_large)
+    doc, a = _load_doc(args)
     f = _parse_assignment(a.ring, doc.get("values"), a.n, a.r, decomposition=True)
     based = pt.parse_basis(args.basis, a.n)
     summands = ext.decompose(a, f, basis=based.name)

@@ -16,9 +16,10 @@ Since only addition and subtraction occur, ``extend``, ``decompose`` and
 ``express_in_permutation_span`` are fixed Z-linear maps for each (n, r).
 Where they recurse, they are built once per (n, r) as sparse integer
 operators (:class:`_Operator`).  Their inputs are tower coordinates
-(:func:`_tower`): the scalar rho^r(a) and the entries of each restriction
-rho^(r-k)(a) on the free pattern F(n, k), k = 1..r, which fix an invariant
-a because E(n,k) = E(n,k-1) + F(n,k); then the free values.  A build of
+(:func:`_tower`), each one strided sum over a row (:func:`_tower_slices`):
+the scalar rho^r(a) and the entries of each restriction rho^(r-k)(a) on
+the free pattern F(n, k), k = 1..r, which fix an invariant a because
+E(n,k) = E(n,k-1) + F(n,k); then the free values.  A build of
 the extension or decomposition operator runs the block recursion over Z
 on packed inputs (:func:`_build`); its inner calls apply the operators
 one rank or one degree down through :func:`_extend`, the unchecked core
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count
 from operator import mul
 
@@ -122,18 +123,15 @@ _DIGIT = 16
 
 
 @lru_cache(maxsize=None)
-def _tower_size(n, r):
-    """dim E(n, r): the number of tower coordinates of degree r."""
-    return 1 + sum(len(pt.build_f(n, k)) for k in range(1, min(r, n - 1) + 1))
-
-
-@lru_cache(maxsize=None)
-def _free_positions(n, r):
-    """Positions in ``data`` of an I(n,r) matrix of the entries of F(n, r)."""
-    size = n**r
-    return array("I", (
-        ix.index_rank(n, u) * size + ix.index_rank(n, v) for u, v in pt.build_f(n, r).entries
-    ))
+def _tower_slices(n, r):
+    """The slice of ``data`` that sums to each tower coordinate of degree r:
+    row 0 for rho^r(a), and for the entry (u, v) of rho^(r-k)(a) on F(n, k)
+    the columns (t, v), t in I(n, r-k), of row (1...1, u)."""
+    size, rank = n**r, partial(ix.index_rank, n)
+    return (slice(0, size),) + tuple(
+        slice(rank(u) * size + rank(v), (rank(u) + 1) * size, n**k)
+        for k in range(1, min(r, n - 1) + 1) for u, v in pt.build_f(n, k).entries
+    )
 
 
 def _tower(a):
@@ -142,13 +140,7 @@ def _tower(a):
 
     Extending rho(a) by the values of a on F(n, r) gives a back, so these
     dim E(n, r) values fix a."""
-    levels = [a]
-    for _ in range(a.r):
-        levels.append(_restrict(levels[-1]))
-    xs = list(levels[-1].data)
-    for k in range(1, min(a.r, a.n - 1) + 1):
-        xs.extend(map(levels[a.r - k].data.__getitem__, _free_positions(a.n, k)))
-    return xs
+    return a.ring.sums(map(a.data.__getitem__, _tower_slices(a.n, a.r)))
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +244,7 @@ def _extend_operator(n, r):
     """For n > r >= 2: the tower coordinates of b in E(n, r-1), then the
     values of f on F(n, r), to the values of extend(b, f) on the live
     orbits; together, the tower coordinates of extend(b, f)."""
-    k = _tower_size(n, r - 1)
+    k = len(_tower_slices(n, r - 1))
     entries = pt.build_f(n, r).entries
 
     def run(xs):
@@ -267,7 +259,7 @@ def _decompose_operator(n, r):
     """For n > r + 1: the tower coordinates of a in E(n, r), then the values
     of f on D(n, r), to the tower coordinates in E(n-1, r) of eta(A(j), n, j)
     for the summands A(1), ..., A(n) of decompose(a, f)."""
-    k = _tower_size(n, r)
+    k = len(_tower_slices(n, r))
     entries = pt.build_d(n, r).entries
 
     def run(xs):
@@ -287,14 +279,14 @@ def _express_operator(n, r):
     the recursion expresses each summand's excision one rank down and
     lifts it, so the operator is this one a rank down, block by block,
     after the decomposition operator with its free values at zero."""
-    k = _tower_size(n, r)
+    k = len(_tower_slices(n, r))
     if r == n - 1:
         positions = _read_off_positions(n, r)
         return _build("express", n, r, k, lambda xs: list(
             map(_synthesise(_Z, n, r, xs).data.__getitem__, positions)
         ))
     return _blockwise(_express_operator(n - 1, r), _decompose_operator(n, r), n,
-                      _tower_size(n - 1, r), k)
+                      len(_tower_slices(n - 1, r)), k)
 
 
 def _blockwise(inner, outer, blocks, width, cut):
@@ -558,7 +550,7 @@ def _parts(a, f):
         return _decompose_step(a, f)
     xs = _tower(a) + [f.get(key, ring.zero) for key in pt.build_d(n, r).entries]
     ys = ring.reduce(_decompose_operator(n, r)(xs))
-    k = _tower_size(n - 1, r)
+    k = len(_tower_slices(n - 1, r))
     return [_synthesise(ring, n - 1, r, ys[j : j + k]) for j in range(0, n * k, k)]
 
 

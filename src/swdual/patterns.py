@@ -368,7 +368,9 @@ class Basis:
 
 def parse_basis(basis, n):
     """The Basis named ``"last-row"``, ``"row:i"`` or ``"col:j"`` with
-    1 <= i, j <= n; any other name raises ValueError."""
+    1 <= i, j <= n; any other name, or n < 1, raises ValueError."""
+    if n < 1:
+        raise ValueError("n must be positive, got %d" % n)
     if basis == "last-row":
         transpose, line = False, n
     else:

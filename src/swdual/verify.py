@@ -176,9 +176,9 @@ def _span_rows(n, r, perms, orbit_of, live):
 # ---------------------------------------------------------------------------
 
 
-def _psi_rows(n, r, words):
-    """The row of psi(d) on the W_n classes ``words`` for each diagram d of
-    rank r, walked as its restricted-growth word (the block of each vertex).
+def _psi_rows(n, r, words, diagrams):
+    """The row of psi(d) on the W_n classes ``words`` for each diagram d in
+    ``diagrams``, a restricted-growth word (the block of each vertex).
 
     Entry (i, j) of psi(d) is 1 exactly when the word i + j is constant on
     every block of d (vertex v reads letter v), and psi(d) commutes with
@@ -191,7 +191,7 @@ def _psi_rows(n, r, words):
     column = {word: c for c, word in enumerate(words)}
     coarsenings = {}
     rows = []
-    for block_of in dg.restricted_growth_words(2 * r, 2 * r):
+    for block_of in diagrams:
         k = max(block_of, default=-1) + 1
         if k not in coarsenings:
             coarsenings[k] = dg.restricted_growth_words(k, n)
@@ -207,8 +207,10 @@ def psi_side_dimensions(n, r, ring, unsafe_large=False):
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    words = dg.restricted_growth_words(2 * r, n)
-    return len(words), _sparse_rank(ring, _psi_rows(n, r, words))
+    # B(2r) meets the bound before any word is built; the classes use n letters
+    diagrams = dg.restricted_growth_words(2 * r, 2 * r)
+    words = [w for w in diagrams if max(w, default=-1) < n]
+    return len(words), _sparse_rank(ring, _psi_rows(n, r, words, diagrams))
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,19 @@ def restrict(a):
     return out
 
 
+def tower(a):
+    """The tower coordinates of an invariant by the restriction chain: the
+    one entry of rho^r(a), then rho^(r-k)(a) on F(n, k) for k = 1..r, each
+    restriction built whole and read entry by entry."""
+    levels = [a]
+    for _ in range(a.r):
+        levels.append(restrict(levels[-1]))
+    xs = list(levels[-1].data)
+    for k in range(1, min(a.r, a.n - 1) + 1):
+        xs.extend(get(levels[a.r - k], u, v) for u, v in pt.build_f(a.n, k).entries)
+    return xs
+
+
 def is_special(a, i, j):
     idxs = ix.all_indices(a.n, a.r)
     for u in idxs:

@@ -270,6 +270,14 @@ def test_negative_n_is_a_usage_error():
         assert result.stderr == "error: n must be non-negative, got -1\n"
 
 
+def test_a_basis_at_zero_n_is_a_usage_error():
+    for flavour in ("extension", "decomposition"):
+        result = run_swd("free-pattern", "--n", "0", "--r", "1", "--flavour", flavour)
+        assert result.returncode == 2
+        assert result.stderr == "error: n must be positive, got 0\n"
+        assert result.stdout == ""
+
+
 def test_zero_n_is_a_usage_error_from_rank_one():
     for args in (("dims", "--n", "0", "--r", "1", "--ring", "q"),
                  ("dims", "--n", "0", "--r", "3", "--ring", "z/3"),
@@ -626,6 +634,18 @@ def test_a_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, doc, message
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ["extend", "decompose"])
+def test_a_file_without_a_matrix_is_a_usage_error(tmp_path, capsys, command):
+    from swdual import cli
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"values": {}}))
+    assert cli.main([command, "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == 'error: the input needs "matrix", a matrix object\n'
 
 
 @pytest.mark.parametrize(

@@ -141,7 +141,8 @@ def test_both_pivot_rules_agree_on_the_duality_systems(n, r, ring):
     systems = [
         vf._slice_equations(n, r, orbit_of, live),
         vf._span_rows(n, r, ix.all_permutations(n), orbit_of, live),
-        vf._psi_rows(n, r, dg.restricted_growth_words(2 * r, n)),
+        vf._psi_rows(n, r, dg.restricted_growth_words(2 * r, n),
+                    dg.restricted_growth_words(2 * r, 2 * r)),
     ]
     for rows in systems:
         assert rg.sparse_rank(ring, rows) == len(rg.sparse_echelon(ring, rows))
@@ -242,8 +243,9 @@ def test_psi_rows_match_dense_scan(n, r, ring):
     assert len(words) == vf.wn_end_dimension(n, r)
     column = {c: words.index(pattern(w)) for c, w in first.items()}
     dense = [{column[c]: 1 for c in row} for row in ref.psi_rows_dense(n, r, ring)]
-    assert vf._psi_rows(n, r, words) == dense
-    assert rg.sparse_rank(ring, vf._psi_rows(n, r, words)) == rg.sparse_rank(ring, dense)
+    rows = vf._psi_rows(n, r, words, dg.restricted_growth_words(2 * r, 2 * r))
+    assert rows == dense
+    assert rg.sparse_rank(ring, rows) == rg.sparse_rank(ring, dense)
 
 
 @pytest.mark.parametrize("n,r", [(4, 3), (5, 2)])

@@ -8,7 +8,8 @@ recursion on the same input by ``repr`` (which pins the raw value type
 and the order of the express coefficients), that the round-trip laws
 hold over random moduli, that every operator is built once per (n, r)
 without going through the public ``extend``, that a failed build is
-remembered, and that self-verification still catches a corrupted
+remembered, that the tower slices read the restriction chain and count
+dim E(n, r), and that self-verification still catches a corrupted
 coefficient or a corrupted read-off position.
 ``construction_golden`` pins the outputs of the whole recursion.
 """
@@ -117,6 +118,25 @@ def test_express_equals_the_recursion_in_its_order(data):
     a = invariant(data.draw, n, r, ring)
     want = {w: x for w, x in express_by_recursion(a).items() if x != ring.zero}
     assert repr(ex.express_in_permutation_span(a)) == repr(want)
+
+
+TOWER_CELLS = [(1, 0), (4, 0), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 3), (5, 2), (5, 3),
+               (6, 2)]
+
+
+@pytest.mark.parametrize("ring", [Z, Z6], ids=lambda ring: ring.name)
+@pytest.mark.parametrize("n,r", TOWER_CELLS)
+@settings(PROPERTY, max_examples=5)
+@given(data=st.data())
+def test_tower_slices_read_the_restriction_chain(n, r, ring, data):
+    a = invariant(data.draw, n, r, ring)
+    assert ex._tower(a) == ref.tower(a)
+
+
+def test_tower_slices_count_the_hook_length_form():
+    cells = [(n, r) for n in range(1, 7) for r in range(5)] + [(7, r) for r in range(4)]
+    for n, r in cells:
+        assert len(ex._tower_slices(n, r)) == pt.closed_form_centraliser_dimension(n, r)
 
 
 def random_ring(draw):

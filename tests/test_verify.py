@@ -1,11 +1,13 @@
 import itertools
 import json
+import time
 import types
 
 import pytest
 
 import reference as ref
 
+from swdual import diagrams as dg
 from swdual import indices as ix
 from swdual import verify as vf
 from swdual.rings import Ring
@@ -84,6 +86,22 @@ def test_psi_side_oracle():
 def test_psi_side_at_rank_four_matches_the_stirling_sum(n, r, ring):
     dim = vf.wn_end_dimension(n, r)
     assert vf.psi_side_dimensions(n, r, ring) == (dim, dim)
+
+
+def test_the_psi_side_refuses_a_large_rank_before_building_a_word():
+    # B(2r) diagrams are counted first; n = 1 passes the n^2r cap at any r
+    start = time.perf_counter()
+    with pytest.raises(ix.CapExceeded):
+        vf.psi_side_dimensions(1, 10**6, Q)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_the_wn_classes_are_the_diagram_words_in_n_letters(r):
+    diagrams = dg.restricted_growth_words(2 * r, 2 * r)
+    for n in range(1, 9):
+        assert [w for w in diagrams if max(w, default=-1) < n] == \
+            dg.restricted_growth_words(2 * r, n)
 
 
 def test_verify_duality_field():
