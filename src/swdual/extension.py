@@ -15,25 +15,26 @@ ring values; free values left unspecified default to zero.
 Since only addition and subtraction occur, ``extend``, ``decompose`` and
 ``express_in_permutation_span`` are fixed Z-linear maps for each (n, r).
 Where they recurse, they are built once per (n, r) as sparse integer
-operators (:class:`_Operator`).  Their inputs are tower coordinates
-(:func:`_tower`), each one strided sum over a row (:func:`_tower_slices`):
-the scalar rho^r(a) and the entries of each restriction rho^(r-k)(a) on
-the free pattern F(n, k), k = 1..r, which fix an invariant a because
-E(n,k) = E(n,k-1) + F(n,k); then the free values.  A build of
-the extension or decomposition operator runs the block recursion over Z
-on packed inputs (:func:`_build`); its inner calls apply the operators
-one rank or one degree down through :func:`_extend`, the unchecked core
-of ``extend``, and it runs nowhere else.  A failed build is remembered
-by its message.  The express operator reads the coefficients off a
-synthesised invariant at r = n - 1, and below that is the sparse product
-of the decomposition operator and the express operator one rank down
-(:func:`_blockwise`).  A public call applies the operator to integers or
-residues and reduces once.  Where nothing recurses there is no operator:
-extension at n <= r and decomposition at n <= r + 1 only copy, and from
-degree n - 1 on the coefficients of the permutation span are read off.
-A process pays each build on its first call at an (n, r), so a process
-that makes one call pays all of them; the builds it needs are those of
-the cells below.
+operators, one row ``(cols, coefs)`` per output (:func:`_apply`).  Their
+inputs are tower coordinates (:func:`_tower`), each one strided sum over
+a row (:func:`_tower_slices`): the scalar rho^r(a) and the entries of
+each restriction rho^(r-k)(a) on the free pattern F(n, k), k = 1..r,
+which fix an invariant a because E(n,k) = E(n,k-1) + F(n,k); then the
+free values.  Only the extension and decomposition operators are built
+by running the construction over Z on packed inputs (:func:`_build`):
+the rank-one step at degree one, else the block recursion, whose inner
+calls apply the operators one rank or one degree down through
+:func:`_extend`, the unchecked core of ``extend``.  A failed build is
+remembered by its message.  The express operator is the extension
+operator's rows at the read-off positions at r = n - 1, and below that
+the sparse product of the decomposition operator and the express
+operator one rank down (:func:`_blockwise`).  A public call applies the
+operator to integers or residues and reduces once.  Where nothing
+recurses there is no operator: extension at n <= r and decomposition at
+n <= r + 1 only copy, and from degree n - 1 on the coefficients of the
+permutation span are read off.  A process pays each build on its first
+call at an (n, r), so a process that makes one call pays all of them;
+the builds it needs are those of the cells below.
 
 Every public construction is verified before it is returned.  ``extend``
 checks its output's membership, restriction and free values; ``decompose``
@@ -48,8 +49,10 @@ is user error: ``express_in_permutation_span`` refuses it with
 public entries with :class:`NotInvariantError` from the invariance gate
 :func:`.invariants.require_invariant` before anything is built.  Over Q
 each public entry runs, and verifies, on integers over one common
-denominator (:func:`.rings.clear_denominators`, which bounds it); values
-stay ``Fraction``.  A matrix with n < 1 is a ``ValueError``.
+denominator (:func:`.rings.clear_denominators`, which bounds it), after
+``extend`` and ``decompose`` refuse an input that fails H on its values
+as they are; values stay ``Fraction``.  A matrix with n < 1 is a
+``ValueError``.
 
 The restriction b pins one copy rule, built once per (n, r) as a rank
 table: an entry at a value-type mismatch is zero, and any other entry
@@ -93,8 +96,12 @@ class ConstructionFailure(RuntimeError):
     constructed invariant failed."""
 
 
-def _on_integers(a, f):
-    """Over Q: ``(L, L * a over Z, L * f)``, L one common denominator."""
+def _on_integers(a, f, gate=False):
+    """Over Q: ``(L, L * a over Z, L * f)``, L one common denominator.
+    With ``gate``, an ``a`` that fails H is refused by the invariance gate
+    on its values as they are, before any conversion."""
+    if gate and any(compress(a.data, _h_mask(a.n, a.r))):
+        require_invariant(a)
     f = dict(f or {})
     den, ints = clear_denominators(list(f.values()) + a.data)
     return den, TensorMatrix(a.n, a.r, _Z, ints[len(f) :]), dict(zip(f, ints))
@@ -166,21 +173,10 @@ def _from_live(ring, n, r, values):
     return TensorMatrix(n, r, ring, list(map(per_orbit.__getitem__, orbit_of)))
 
 
-class _Operator:
-    """A sparse integer matrix in compressed rows: output k is the sum of
-    ``coefs[t]`` times input ``cols[t]`` over starts[k] <= t < starts[k+1]."""
-
-    __slots__ = ("starts", "cols", "coefs")
-
-    def __init__(self, starts, cols, coefs):
-        self.starts, self.cols, self.coefs = starts, cols, coefs
-
-    def __call__(self, xs):
-        get, cols, coefs = xs.__getitem__, self.cols, self.coefs
-        return [
-            sum(map(mul, coefs[s:e], map(get, cols[s:e])))
-            for s, e in zip(self.starts, self.starts[1:])
-        ]
+def _apply(rows, xs):
+    """Output k is the sum of coefs[t] * xs[cols[t]] over row k, (cols, coefs)."""
+    get = xs.__getitem__
+    return [sum(map(mul, coefs, map(get, cols))) for cols, coefs in rows]
 
 
 # (operation, n, r) -> the messages of its failed build and of the run that
@@ -190,7 +186,8 @@ _FAILED_BUILDS = {}
 
 def _build(name, n, r, width, run):
     """The operator of ``run``, a Z-linear map from ``width`` integers to a
-    list of integers, read off runs of ``run`` on packed inputs.
+    list of integers, read off runs of ``run`` on packed inputs: one row
+    ``(cols, coefs)`` per output.
 
     A run that raises ConstructionFailure fails the build, with the
     operation and the (n, r) named in front of the run's message; a
@@ -221,34 +218,27 @@ def _build(name, n, r, width, run):
                     digits.byteswap()
                 cols.extend(compress(range(start, start + batch), digits))
                 coefs.extend(compress(digits, digits))
-    starts, cols, coefs = array("I", [0]), array("I"), array("i")
-    for row_cols, row_coefs in rows:
-        cols.extend(row_cols)
-        coefs.extend(row_coefs)
-        starts.append(len(cols))
-    return _Operator(starts, cols, coefs)
+    return tuple(rows)
 
 
 def _synthesise(ring, n, r, xs):
     """The invariant of degree r < n whose tower coordinates are ``xs``."""
-    if r >= 2:
-        return _from_live(ring, n, r, ring.reduce(_extend_operator(n, r)(xs)))
-    a = TensorMatrix.scalar(n, ring, xs[0])
-    if r == 1:
-        a = _extend_rank_one(a, dict(zip(pt.build_f(n, 1).entries, xs[1:])))
-    return a
+    if r == 0:
+        return TensorMatrix.scalar(n, ring, xs[0])
+    return _from_live(ring, n, r, ring.reduce(_apply(_extend_operator(n, r), xs)))
 
 
 @lru_cache(maxsize=None)
 def _extend_operator(n, r):
-    """For n > r >= 2: the tower coordinates of b in E(n, r-1), then the
+    """For n > r >= 1: the tower coordinates of b in E(n, r-1), then the
     values of f on F(n, r), to the values of extend(b, f) on the live
     orbits; together, the tower coordinates of extend(b, f)."""
     k = len(_tower_slices(n, r - 1))
     entries = pt.build_f(n, r).entries
+    construct = _extend_rank_one if r == 1 else _extend_recursive
 
     def run(xs):
-        a = _extend_recursive(_synthesise(_Z, n, r - 1, xs[:k]), dict(zip(entries, xs[k:])))
+        a = construct(_synthesise(_Z, n, r - 1, xs[:k]), dict(zip(entries, xs[k:])))
         return list(map(a.data.__getitem__, _live_table(n, r)[0]))
 
     return _build("extend", n, r, k + len(entries), run)
@@ -275,39 +265,34 @@ def _express_operator(n, r):
     coefficients of express_in_permutation_span(a), in the order of
     :func:`_express_order`, zeros included.
 
-    At r = n - 1 a build reads them off a synthesised invariant.  Below,
-    the recursion expresses each summand's excision one rank down and
-    lifts it, so the operator is this one a rank down, block by block,
+    At r = n - 1 they are read off an extension, so the operator is the
+    extension operator's rows at the live orbits of the read-off positions.
+    Below, the recursion expresses each summand's excision one rank down
+    and lifts it, so the operator is this one a rank down, block by block,
     after the decomposition operator with its free values at zero."""
-    k = len(_tower_slices(n, r))
     if r == n - 1:
-        positions = _read_off_positions(n, r)
-        return _build("express", n, r, k, lambda xs: list(
-            map(_synthesise(_Z, n, r, xs).data.__getitem__, positions)
-        ))
+        orbit_of, _ = ix.orbit_table(n, r)
+        slot, rows = _live_table(n, r)[1], _extend_operator(n, r)
+        return tuple(rows[slot[orbit_of[p]] - 1] for p in _read_off_positions(n, r))
     return _blockwise(_express_operator(n - 1, r), _decompose_operator(n, r), n,
-                      len(_tower_slices(n - 1, r)), k)
+                      len(_tower_slices(n - 1, r)), len(_tower_slices(n, r)))
 
 
 def _blockwise(inner, outer, blocks, width, cut):
     """The operator that applies ``outer`` to inputs zero from ``cut`` on,
     then ``inner`` to each of its ``blocks`` runs of ``width`` outputs, and
     lists the results block by block: a sparse product, row by row."""
-    o_starts, o_cols, o_coefs = outer.starts, outer.cols, outer.coefs
-    starts, cols, coefs = array("I", [0]), array("I"), array("i")
+    rows = []
     for base in range(0, blocks * width, width):
-        for s, e in zip(inner.starts, inner.starts[1:]):
+        for inner_cols, inner_coefs in inner:
             acc = [0] * cut
-            for t, x in zip(inner.cols[s:e], inner.coefs[s:e]):
-                lo, hi = o_starts[base + t], o_starts[base + t + 1]
-                for c, y in zip(o_cols[lo:hi], o_coefs[lo:hi]):
+            for t, x in zip(inner_cols, inner_coefs):
+                for c, y in zip(*outer[base + t]):
                     if c < cut:
                         acc[c] += x * y
             live = [c for c in range(cut) if acc[c]]
-            cols.extend(live)
-            coefs.extend(map(acc.__getitem__, live))
-            starts.append(len(cols))
-    return _Operator(starts, cols, coefs)
+            rows.append((array("I", live), array("i", map(acc.__getitem__, live))))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +369,7 @@ def extend(b, f=None):
     """
     require_positive_n(b)
     if b.ring.kind == "q":
-        den, b, f = _on_integers(b, f)
+        den, b, f = _on_integers(b, f, gate=True)
         return _over(den, extend(b, f))
     f = dict(f or {})
     allowed = set(pt.build_f(b.n, b.r + 1).entries)
@@ -433,7 +418,8 @@ def _extend_direct(b):
 
 
 def _extend_rank_one(b, f):
-    """Extension from degree zero: the base free pattern {(i,j): i,j >= 2}."""
+    """Extension from degree zero: the base free pattern {(i,j): i,j >= 2}.
+    It builds the degree-one :func:`_extend_operator` and runs nowhere else."""
     n, ring = b.n, b.ring
     s = b.data[0]
     rows = [[None] * n for _ in range(n)]
@@ -499,28 +485,30 @@ def decompose(a, f=None, basis="last-row"):
     are (i, j), and with ``basis="col:j"`` the k-th summand is special with
     tag (k, j).  The summands sum to ``a``, restrict blockwise to the
     blocks of ``a``, and agree with ``f`` on the free decomposition
-    pattern carried to the basis by :class:`patterns.Basis`.  A
+    pattern carried to the basis by :class:`patterns.Basis`; a key outside
+    that pattern is a ``ValueError`` that names it as passed.  A
     non-invariant ``a`` is refused with :class:`NotInvariantError` before
     anything is built, and the summands are verified on their excisions.
     """
     require_positive_n(a)
     if a.ring.kind == "q":
-        den, a, f = _on_integers(a, f)
+        den, a, f = _on_integers(a, f, gate=True)
         return [_over(den, s) for s in decompose(a, f, basis)]
     based = pt.parse_basis(basis, a.n)
+    if a.r < 1:
+        raise ValueError("decomposition needs degree >= 1")
+    f = dict(f or {})
+    allowed = set(based.pattern(pt.build_d(a.n, a.r)).entries)
+    for key in f:
+        if key not in allowed:
+            raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
     require_invariant(a)
-    f = {based.key(key): v for key, v in (f or {}).items()}
+    f = {based.key(key): v for key, v in f.items()}
     return based.summands(_decompose_last_row(based.matrix(a), f))
 
 
 def _decompose_last_row(a, f):
     n, r = a.n, a.r
-    if r < 1:
-        raise ValueError("decomposition needs degree >= 1")
-    allowed = set(pt.build_d(n, r).entries)
-    for key in f:
-        if key not in allowed:
-            raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
     if n == 1:  # the one summand, special with tag (1, 1), is a itself
         return [a]
     parts = _parts(a, f)
@@ -549,7 +537,7 @@ def _parts(a, f):
     if n <= r + 1:
         return _decompose_step(a, f)
     xs = _tower(a) + [f.get(key, ring.zero) for key in pt.build_d(n, r).entries]
-    ys = ring.reduce(_decompose_operator(n, r)(xs))
+    ys = ring.reduce(_apply(_decompose_operator(n, r), xs))
     k = len(_tower_slices(n - 1, r))
     return [_synthesise(ring, n - 1, r, ys[j : j + k]) for j in range(0, n * k, k)]
 
@@ -652,6 +640,8 @@ def extend_with_prescription(b, prescribed, basis="last-row"):
     lines are read off verbatim, the remaining free entries default to
     zero, and the construction is checked against the prescription
     afterwards; any mismatch means the prescription was not compatible.
+    An index that is not r values in 1..n, or lies outside the basis
+    line, is refused with a ``ValueError`` before anything is built.
     """
     n, r = b.n, b.r + 1
     based = pt.parse_basis(basis, n)
@@ -662,7 +652,10 @@ def extend_with_prescription(b, prescribed, basis="last-row"):
     f = {}
     norm = {}
     for u, vector in prescribed.items():
-        u = based.index(tuple(u))
+        if not (isinstance(u, tuple) and len(u) == r
+                and all(isinstance(v, int) and 1 <= v <= n for v in u)):
+            raise ValueError("prescribed index %r is not %d values in 1..%d" % (u, r, n))
+        u = based.index(u)
         if u[0] != n:
             raise ValueError("prescribed rows must lie in the basis block row")
         vector = list(vector)
@@ -755,7 +748,7 @@ def express_in_permutation_span(a):
     if r == 0 or r >= n - 1:
         values = map(a.data.__getitem__, _read_off_positions(n, r))
     else:
-        values = ring.reduce(_express_operator(n, r)(_tower(a)))
+        values = ring.reduce(_apply(_express_operator(n, r), _tower(a)))
     coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != ring.zero}
     try:
         _check_reconstruction(a, coeffs)

@@ -6,7 +6,6 @@ import resource
 import subprocess
 import sys
 import time
-from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +20,8 @@ from swdual import indices as ix
 from swdual import tensor as tn
 from swdual import verify as vf
 from swdual.rings import Ring
-from test_q_integers import large_denominators
+from test_operators import corrupted
+from test_q_integers import large_denominators, past_the_bound_off_the_mismatches
 
 Q = Ring.rationals()
 
@@ -231,11 +231,10 @@ def test_zero_denominator_is_a_usage_error(tmp_path, command, where):
     assert result.stdout == ""
 
 
-def _coprime_denominators_file(tmp_path):
-    """A (4,3) matrix over Q of 4,096 entries 1/d, the d coprime, whose
-    common denominator is past the bound of ``rings.clear_denominators``."""
-    rows = [["1/%d" % d for d in large_denominators(4096)[k : k + 64]]
-            for k in range(0, 4096, 64)]
+def _coprime_denominators_file(tmp_path, values):
+    """A (4,3) matrix over Q of 4,096 ``values`` whose common denominator is
+    past the bound of ``rings.clear_denominators``."""
+    rows = [list(map(str, values[k : k + 64])) for k in range(0, 4096, 64)]
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"matrix": {"n": 4, "r": 3, "ring": "q", "rows": rows}}))
     return path
@@ -243,7 +242,9 @@ def _coprime_denominators_file(tmp_path):
 
 @pytest.mark.parametrize("command", ["decompose"])
 def test_common_denominator_past_the_bound_is_a_usage_error(tmp_path, command):
-    result = run_swd(command, "--in", str(_coprime_denominators_file(tmp_path)))
+    # the input passes H, which decompose decides before the conversion
+    path = _coprime_denominators_file(tmp_path, past_the_bound_off_the_mismatches())
+    result = run_swd(command, "--in", str(path))
     assert result.returncode == 2
     assert result.stderr == "error: common denominator of 4096 values over 65536 bits\n"
     assert result.stdout == ""
@@ -252,7 +253,8 @@ def test_common_denominator_past_the_bound_is_a_usage_error(tmp_path, command):
 def test_membership_past_the_common_denominator_bound_is_a_report(tmp_path):
     # H and S read the values as they are, and G on a non-member clears no
     # denominator, so the bound is never reached
-    result = run_swd("check-membership", "--in", str(_coprime_denominators_file(tmp_path)))
+    values = [Fraction(1, d) for d in large_denominators(4096)]
+    result = run_swd("check-membership", "--in", str(_coprime_denominators_file(tmp_path, values)))
     assert result.returncode == 1, result.stderr
     doc = json.loads(result.stdout)
     assert doc["in_E"] is False and doc["in_H"] is False
@@ -584,14 +586,26 @@ def test_an_internal_failure_exits_3_with_one_error_line(tmp_path, monkeypatch, 
     a = tn.TensorMatrix.identity(5, 2, Ring.integers())
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"matrix": tn.matrix_to_json(a)}))
-    op = ex._decompose_operator(5, 2)
-    coefs = array(op.coefs.typecode, op.coefs)
-    coefs[list(op.cols).index(0)] += 1  # a coefficient of the scalar rho^r, 1 for the identity
-    monkeypatch.setattr(ex, "_decompose_operator", lambda n, r: ex._Operator(op.starts, op.cols, coefs))
+    bad = corrupted(ex._decompose_operator(5, 2))
+    monkeypatch.setattr(ex, "_decompose_operator", lambda n, r: bad)
     assert cli.main(["decompose", "--in", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: internal failure: ") and err.count("\n") == 1
+
+
+def test_a_decomposition_key_is_named_as_the_file_wrote_it(tmp_path, capsys):
+    # under col:1 the first key was an IndexError traceback, and the second
+    # was named after its relabelling, (1, (3, 2), (3, 2))
+    from swdual import cli
+
+    a = tn.TensorMatrix.identity(4, 2, Ring.modular(6))
+    path = tmp_path / "a.json"
+    for key, named in (("(9,32,32)", "(9, (3, 2), (3, 2))"), ("(4,32,32)", "(4, (3, 2), (3, 2))")):
+        path.write_text(json.dumps({"matrix": tn.matrix_to_json(a), "values": {key: "1"}}))
+        assert cli.main(["decompose", "--basis", "col:1", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: assignment key %s is not a decomposition-pattern entry\n" % named)
 
 
 def _matrix_doc(**changes):
@@ -974,3 +988,20 @@ def test_decompose_of_the_q_fixture_is_pinned(capsys):
     assert cli.main(["decompose", "--in", str(fixture)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DECOMPOSE_DIGEST
+
+
+# the digests the CI step "Installed swd command" pins for the same files:
+# extend from degree zero, and from degree one at n = 4 over Z/6
+FIXTURE_EXTEND_DIGESTS = {
+    "extend_z6_40.json": "0fa1df20c6f45396510b45b48bb16877e5a7d52ff4130af35af8d08e38aadbd7",
+    "extend_z6_41.json": "1ab7d53467bdb0d176fa40c8bef81d55f1be0984a941728c896f3f634d4a96a7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_EXTEND_DIGESTS))
+def test_extend_of_the_z6_fixtures_is_pinned(capsys, name):
+    from swdual import cli
+
+    assert cli.main(["extend", "--in", str(Path(__file__).parent / "fixtures" / name)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_EXTEND_DIGESTS[name]

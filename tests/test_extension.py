@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -266,6 +267,16 @@ def test_prescription_read_off_an_extension_is_compatible():
     assert iv.restrict(a) == b
 
 
+@pytest.mark.parametrize("u", [(4,), (4, 9), (4, 1, 1)])
+def test_prescription_refuses_an_index_outside_i_n_r(monkeypatch, u):
+    # (4,) once read as the row (1, 4), whose own values then passed the check
+    b = tn.TensorMatrix.identity(4, 1, Z6)
+    row = ex.extend(b).row((1, 4))
+    monkeypatch.setattr(ex, "extend", lambda *args: pytest.fail("an extension was built"))
+    with pytest.raises(ValueError, match=re.escape("prescribed index %r is not 2 values in 1..4" % (u,))):
+        ex.extend_with_prescription(b, {u: row})
+
+
 def test_prescription_requires_basis_block_row():
     b = tn.TensorMatrix.identity(3, 1, Q)
     with pytest.raises(ValueError, match="basis block row"):
@@ -481,6 +492,16 @@ def test_decompose_rejects_degree_zero_and_foreign_keys():
     a = tn.TensorMatrix.identity(4, 2, Q)
     with pytest.raises(ValueError, match="not a decomposition-pattern entry"):
         ex.decompose(a, {(1, (3, 2), (3, 2)): Q.one})
+
+
+@pytest.mark.parametrize("basis", ["last-row", "row:2", "col:1"])
+@pytest.mark.parametrize("key", [(2,), 5, (9, (3, 2), (3, 2)), (2, (1,), (3,)), (4, (1, 2), (1, 2))],
+                         ids=["short", "int", "j-out-of-range", "short-indices", "not-free"])
+def test_decompose_names_a_foreign_key_as_passed(basis, key):
+    a = tn.TensorMatrix.identity(4, 2, Z6)
+    with pytest.raises(ValueError, match=re.escape(
+            "assignment key %r is not a decomposition-pattern entry" % (key,))):
+        ex.decompose(a, {key: Z6.one}, basis=basis)
 
 
 # -- fiber count over F2 ---------------------------------------------------------------

@@ -1,22 +1,28 @@
 """extend, decompose and express as cached per-(n, r) integer operators.
 
-The extension and decomposition operators are built by the block
-recursion, whose inner calls apply the operators one rank or one degree
-down; the express operator is their product.  The properties here check,
+The extension and decomposition operators are built by the construction
+(the rank-one step at degree one, else the block recursion, whose inner
+calls apply the operators one rank or one degree down); the express
+operator is rows of the extension operator at r = n - 1 and their product
+below.  The properties here check,
 on random invariants over Z/4, Z/6, Z and Q, that a public call equals the
 recursion on the same input by ``repr`` (which pins the raw value type
 and the order of the express coefficients), that the round-trip laws
 hold over random moduli, that every operator is built once per (n, r)
 without going through the public ``extend``, that a failed build is
 remembered, that the tower slices read the restriction chain and count
-dim E(n, r), and that self-verification still catches a corrupted
-coefficient or a corrupted read-off position.
+dim E(n, r), that every operator at n <= 5 keeps its rows
+(``fixtures/operator_digests.json``), and that self-verification still
+catches a corrupted coefficient or a corrupted read-off position.
 ``construction_golden`` pins the outputs of the whole recursion.
 """
 
+import hashlib
+import json
 from array import array
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -205,16 +211,27 @@ def test_each_operator_is_built_once_per_cell(monkeypatch):
     calls()
     first = Counter(built)
     assert max(first.values()) == 1
-    assert {("extend", 5, 2), ("decompose", 5, 2), ("express", 3, 2)} <= set(first)
-    # express at (5,2) and (4,2) are products, not runs; (4,3) is read off,
-    # and decomposition at n <= r + 1 only copies
-    assert not {("express", 5, 2), ("express", 4, 3), ("decompose", 4, 3)} & set(first)
+    assert {name for name, _, _ in first} == {"extend", "decompose"}
+    assert {("extend", 5, 1), ("extend", 5, 2), ("decompose", 5, 2)} <= set(first)
+    # express at (3,2) is rows of the extension operator, at (5,2) and (4,2)
+    # a product; (4,3) is read off, and decomposition at n <= r + 1 only copies
+    assert ("decompose", 4, 3) not in first
     assert ex._express_operator.cache_info().currsize == 3
     assert misses() == [getattr(ex, name).cache_info().currsize for name in OPERATORS]
     before = misses()
     calls()
     assert Counter(built) == first  # the second round built nothing
     assert misses() == before
+
+
+def corrupted(rows):
+    """The operator with 1 added to the first coefficient of input 0, the
+    scalar rho^r, whose coefficient is 1 for the identity."""
+    k = next(k for k, (cols, _) in enumerate(rows) if 0 in cols)
+    cols, coefs = rows[k]
+    coefs = array(coefs.typecode, coefs)
+    coefs[list(cols).index(0)] += 1
+    return rows[:k] + ((cols, coefs),) + rows[k + 1 :]
 
 
 @pytest.mark.parametrize("name,call", [
@@ -224,10 +241,7 @@ def test_each_operator_is_built_once_per_cell(monkeypatch):
 ])
 def test_a_corrupted_coefficient_fails_verification(monkeypatch, name, call):
     call()
-    op = getattr(ex, name)(5, 2)
-    coefs = array(op.coefs.typecode, op.coefs)
-    coefs[list(op.cols).index(0)] += 1  # a coefficient of the scalar rho^r, 1 for the identity
-    bad = ex._Operator(op.starts, op.cols, coefs)
+    bad = corrupted(getattr(ex, name)(5, 2))
     monkeypatch.setattr(ex, name, lambda n, r: bad)
     with pytest.raises(ex.ConstructionFailure):
         call()
@@ -257,9 +271,34 @@ def test_the_recursion_never_calls_the_public_extend(monkeypatch):
     try:
         for name, n, r in [("_extend_operator", 5, 3), ("_decompose_operator", 5, 3),
                            ("_express_operator", 5, 2)]:
-            assert len(getattr(ex, name)(n, r).starts) > 1
+            assert getattr(ex, name)(n, r)
     finally:
         clear()  # drop what was built under the patch
+
+
+# sha256 of the rows of each cached operator at n <= 5, as operator_text
+# writes them
+OPERATOR_DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "operator_digests.json").read_text()
+)
+
+
+def operator_text(rows):
+    """One line per row, each "col:coef" term of it separated by spaces."""
+    return "\n".join(" ".join("%d:%d" % term for term in zip(*row)) for row in rows)
+
+
+def test_every_operator_keeps_its_rows():
+    got = {}
+    for n in range(1, 6):
+        for r in range(1, n):
+            got["extend %d %d" % (n, r)] = ex._extend_operator(n, r)
+            if n > r + 1:
+                got["decompose %d %d" % (n, r)] = ex._decompose_operator(n, r)
+            got["express %d %d" % (n, r)] = ex._express_operator(n, r)
+    assert len(got) == 26
+    assert {key: hashlib.sha256(operator_text(rows).encode()).hexdigest()
+            for key, rows in got.items()} == OPERATOR_DIGESTS
 
 
 def test_a_failing_build_names_the_operation_and_the_cell():

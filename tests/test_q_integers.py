@@ -116,20 +116,34 @@ def large_denominators(count):
     return [p * q for p, q in zip(primes[::2], primes[1::2])]
 
 
+def past_the_bound_off_the_mismatches():
+    """(4,3) entries over Q that pass H: zero at the value-type mismatches
+    and 1/d at the other 1,024 positions, each d the product of three
+    denominators of :func:`large_denominators`, so L has about 100,000 bits."""
+    ds = large_denominators(3 * 1024)
+    ds = iter(x * y * z for x, y, z in zip(ds[::3], ds[1::3], ds[2::3]))
+    return [Fraction(0) if m else Fraction(1, next(ds)) for m in iv._h_mask(4, 3)]
+
+
 def test_many_distinct_large_denominators_are_refused_in_linear_memory():
-    # L would have about 135,000 bits, over the 65,536 allowed at 4,096
-    # values: every Q construction refuses the input before scaling a value;
-    # membership decides H on the values as they are, so it reports a
-    # non-member, and restrict refuses one, without clearing a denominator
+    # L would have about 135,000 bits for a and 100,000 for c, over the
+    # 65,536 allowed at 4,096 values: every Q construction refuses the input
+    # before scaling a value, by the bound, or by H on the values as they are
+    # where decompose meets a, which fails H; membership decides H on the
+    # values as they are, so it reports a non-member, and restrict refuses
+    # one, without clearing a denominator
     n, r = 4, 3
     a = tn.TensorMatrix(n, r, Q, [Fraction(1, d) for d in large_denominators(4096)])
     b = tn.TensorMatrix(n, r - 1, Q, a.data[: (n ** (r - 1)) ** 2])
-    calls = [lambda: ex.decompose(a), lambda: ex.express_in_permutation_span(a)]
+    c = tn.TensorMatrix(n, r, Q, past_the_bound_off_the_mismatches())
+    calls = [lambda: ex.decompose(c), lambda: ex.express_in_permutation_span(a)]
     tracemalloc.start()
     try:
         for call in calls:
             with pytest.raises(ValueError, match="common denominator of 4096 values"):
                 call()
+        with pytest.raises(iv.NotInvariantError, match='"kind": "H"'):
+            ex.decompose(a)
         assert iv.check_membership(a).first_violation["kind"] == "H"
         with pytest.raises(iv.NotInvariantError):
             iv.restrict(a)
@@ -137,8 +151,8 @@ def test_many_distinct_large_denominators_are_refused_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20  # 4096 scaled entries would take about 70 MB
-    # b has 256 values, whose L of about 8,400 bits is under the bound: the
-    # integer path runs and refuses b as a non-invariant
+    # b has 256 values, whose L of about 8,400 bits is under the bound, and
+    # fails H: extend refuses it as a non-invariant
     with pytest.raises(iv.NotInvariantError):
         ex.extend(b)
 
@@ -251,3 +265,19 @@ def test_membership_clears_no_denominator_when_h_or_s_fails(monkeypatch, predica
         assert not report.in_E and report.first_violation["kind"] == predicate
     assert calls == []
     assert iv.check_membership(a).in_E and calls == [1]  # a member clears once, for G
+
+
+@pytest.mark.parametrize("operation", [ex.extend, ex.decompose], ids=["extend", "decompose"])
+def test_construction_clears_no_denominator_when_h_fails(monkeypatch, operation):
+    n, r = 3, 2
+    a = ref.reconstruct(n, r, Q, {w: Fraction(k + 1, k + 2)
+                                  for k, w in enumerate(ix.all_permutations(n))})
+    data = list(a.data)
+    data[ix.index_rank(n, (1, 1)) * n**r + ix.index_rank(n, (1, 2))] += Fraction(1, 7)
+    calls = []
+    for module in (ex, iv):
+        monkeypatch.setattr(module, "clear_denominators",
+                            lambda values: calls.append(1) or clear_denominators(values))
+    with pytest.raises(iv.NotInvariantError, match='"kind": "H"'):
+        operation(tn.TensorMatrix(n, r, Q, data))
+    assert calls == []
