@@ -22,17 +22,17 @@ each restriction rho^(r-k)(a) on the free pattern F(n, k), k = 1..r,
 which fix an invariant a because E(n,k) = E(n,k-1) + F(n,k); then the
 free values.  Only the extension and decomposition operators are built
 by running the construction over Z on packed inputs (:func:`_build`):
-the rank-one step at degree one, else the block recursion, whose inner
-calls apply the operators one rank or one degree down through
-:func:`_extend`, the unchecked core of ``extend``.  A failed build is
-remembered by its message.  The express operator is the extension
-operator's rows at the read-off positions at r = n - 1, and below that
-the sparse product of the decomposition operator and the express
-operator one rank down (:func:`_blockwise`).  A public call applies the
-operator to integers or residues and reduces once.  Where nothing
-recurses there is no operator: extension at n <= r and decomposition at
-n <= r + 1 only copy, and from degree n - 1 on the coefficients of the
-permutation span are read off.  A process pays each build on its first
+the block recursion, whose inner calls apply the operators one rank or
+one degree down through :func:`_extend`, the unchecked core of
+``extend``, and the rank-one step, which extension from degree zero runs
+directly.  A failed build is remembered by its message.  The express
+operator is the extension operator's rows at the read-off positions at
+r = n - 1, and below that the sparse product of the decomposition
+operator and the express operator one rank down (:func:`_blockwise`).
+A public call applies the operator to integers or residues and reduces
+once.  Where nothing recurses there is no operator: extension at n <= r
+and decomposition at n <= r + 1 only copy, and from degree n - 1 on the
+coefficients of the permutation span are read off.  A process pays each build on its first
 call at an (n, r), so a process that makes one call pays all of them;
 the builds it needs are those of the cells below.
 
@@ -47,12 +47,13 @@ failed build names the operation and the (n, r).  A non-invariant input
 is user error: ``express_in_permutation_span`` refuses it with
 :class:`NotInSpanError` from its one reconstruction check, the other
 public entries with :class:`NotInvariantError` from the invariance gate
-:func:`.invariants.require_invariant` before anything is built.  Over Q
-each public entry runs, and verifies, on integers over one common
-denominator (:func:`.rings.clear_denominators`, which bounds it), after
-``extend`` and ``decompose`` refuse an input that fails H on its values
-as they are; values stay ``Fraction``.  A matrix with n < 1 is a
-``ValueError``.
+:func:`.invariants.require_invariant` before anything is built; ``extend``
+and ``decompose`` refuse a foreign key with a ``ValueError`` before that
+gate, over every ring.  Over Q each public entry runs, and verifies, on
+integers over one common denominator (:func:`.rings.clear_denominators`,
+which bounds it), after ``extend`` and ``decompose`` refuse an input that
+fails H on its values as they are; values stay ``Fraction``.  A matrix
+with n < 1 is a ``ValueError``.
 
 The restriction b pins one copy rule, built once per (n, r) as a rank
 table: an entry at a value-type mismatch is zero, and any other entry
@@ -223,16 +224,20 @@ def _build(name, n, r, width, run):
 
 def _synthesise(ring, n, r, xs):
     """The invariant of degree r < n whose tower coordinates are ``xs``."""
-    if r == 0:
-        return TensorMatrix.scalar(n, ring, xs[0])
-    return _from_live(ring, n, r, ring.reduce(_apply(_extend_operator(n, r), xs)))
+    if r >= 2:
+        return _from_live(ring, n, r, ring.reduce(_apply(_extend_operator(n, r), xs)))
+    a = TensorMatrix.scalar(n, ring, xs[0])
+    if r == 1:  # O(n^2) directly; the operator would read (n-1)^2 + 1 inputs
+        a = _extend_rank_one(a, dict(zip(pt.build_f(n, 1).entries, xs[1:])))
+    return a
 
 
 @lru_cache(maxsize=None)
 def _extend_operator(n, r):
     """For n > r >= 1: the tower coordinates of b in E(n, r-1), then the
     values of f on F(n, r), to the values of extend(b, f) on the live
-    orbits; together, the tower coordinates of extend(b, f)."""
+    orbits; together, the tower coordinates of extend(b, f).  At r = 1
+    only the express operator at (2, 1) reads it."""
     k = len(_tower_slices(n, r - 1))
     entries = pt.build_f(n, r).entries
     construct = _extend_rank_one if r == 1 else _extend_recursive
@@ -368,18 +373,18 @@ def extend(b, f=None):
     pattern values verbatim.
     """
     require_positive_n(b)
-    if b.ring.kind == "q":
-        den, b, f = _on_integers(b, f, gate=True)
-        return _over(den, extend(b, f))
     f = dict(f or {})
     allowed = set(pt.build_f(b.n, b.r + 1).entries)
     for key in f:
         if key not in allowed:
             raise ValueError("assignment key %r is not a free-pattern entry" % (key,))
+    den = None
+    if b.ring.kind == "q":
+        den, b, f = _on_integers(b, f, gate=True)
     require_invariant(b)
     a = _extend(b, f)
     _verify_extension(a, b, f)
-    return a
+    return a if den is None else _over(den, a)
 
 
 def _extend(b, f):
@@ -418,8 +423,7 @@ def _extend_direct(b):
 
 
 def _extend_rank_one(b, f):
-    """Extension from degree zero: the base free pattern {(i,j): i,j >= 2}.
-    It builds the degree-one :func:`_extend_operator` and runs nowhere else."""
+    """Extension from degree zero: the base free pattern {(i,j): i,j >= 2}."""
     n, ring = b.n, b.ring
     s = b.data[0]
     rows = [[None] * n for _ in range(n)]
@@ -491,20 +495,22 @@ def decompose(a, f=None, basis="last-row"):
     anything is built, and the summands are verified on their excisions.
     """
     require_positive_n(a)
-    if a.ring.kind == "q":
-        den, a, f = _on_integers(a, f, gate=True)
-        return [_over(den, s) for s in decompose(a, f, basis)]
     based = pt.parse_basis(basis, a.n)
     if a.r < 1:
         raise ValueError("decomposition needs degree >= 1")
     f = dict(f or {})
-    allowed = set(based.pattern(pt.build_d(a.n, a.r)).entries)
-    for key in f:
-        if key not in allowed:
-            raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
+    if f:
+        allowed = set(based.pattern(pt.build_d(a.n, a.r)).entries)
+        for key in f:
+            if key not in allowed:
+                raise ValueError("assignment key %r is not a decomposition-pattern entry" % (key,))
+    den = None
+    if a.ring.kind == "q":
+        den, a, f = _on_integers(a, f, gate=True)
     require_invariant(a)
     f = {based.key(key): v for key, v in f.items()}
-    return based.summands(_decompose_last_row(based.matrix(a), f))
+    summands = based.summands(_decompose_last_row(based.matrix(a), f))
+    return summands if den is None else [_over(den, s) for s in summands]
 
 
 def _decompose_last_row(a, f):

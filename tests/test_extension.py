@@ -504,6 +504,38 @@ def test_decompose_names_a_foreign_key_as_passed(basis, key):
         ex.decompose(a, {key: Z6.one}, basis=basis)
 
 
+def broken_off_h(ring, n, r):
+    """The identity of degree r with 1 at the value-type mismatch ((1..1), (1, 2, ..))."""
+    data = list(tn.TensorMatrix.identity(n, r, ring).data)
+    data[ix.index_rank(n, (1,) * r) * n**r + ix.index_rank(n, (1, 2) + (1,) * (r - 2))] = ring.one
+    return tn.TensorMatrix(n, r, ring, data)
+
+
+@pytest.mark.parametrize("ring", [Z, Z6, Q], ids=["z", "z/6", "q"])
+@pytest.mark.parametrize("operation,key", [
+    (ex.extend, ((1, 1, 1), (1, 1, 1))),
+    (ex.decompose, (1, (3, 2), (3, 2))),
+], ids=["extend", "decompose"])
+def test_a_foreign_key_on_a_non_invariant_is_the_key_on_every_ring(operation, key, ring):
+    # the key check runs before the invariance gate, and over Q before the H gate
+    a = broken_off_h(ring, 4, 2)
+    assert iv.check_membership(a).first_violation["kind"] == "H"
+    with pytest.raises(ValueError, match=re.escape("assignment key %r is not" % (key,))) as err:
+        operation(a, {key: ring.one})
+    assert not isinstance(err.value, iv.NotInvariantError)
+    with pytest.raises(iv.NotInvariantError):
+        operation(a)
+
+
+def test_extension_from_degree_zero_builds_no_operator(monkeypatch):
+    # the rank-one step runs directly, O(n^2); its operator would read
+    # (n-1)^2 + 1 inputs, 128 to a run
+    monkeypatch.setattr(ex, "_build", lambda *args: pytest.fail("an operator was built"))
+    n = 60
+    a = ex.extend(tn.TensorMatrix.scalar(n, Z6, Z6.from_int(5)), {((2,), (3,)): Z6.one})
+    assert a.get((2,), (3,)) == Z6.one and iv.restrict(a).data == [Z6.from_int(5)]
+
+
 # -- fiber count over F2 ---------------------------------------------------------------
 
 
