@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import extension as ext
 from . import gibson as gb
@@ -278,7 +279,10 @@ def cmd_decompose(args):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The parser of every subcommand, built on the first :func:`main`
+    call and kept: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="swd",
         description="Exact partition-algebra tensor actions and duality checks",

@@ -144,9 +144,10 @@ def check_membership(a, stop_early=False):
     and the first failing slice is (1, p, q) for the first bad (p, q) at
     place r.  When S fails the kernel runs at every place, on the matrix
     gathered through the table that moves place alpha last.  Over Q, G
-    reads L a, L a common denominator, once H and S hold, and the values
-    as they are otherwise; a common denominator too large to clear is a
-    ``ValueError``.
+    reads L a, L a common denominator, once H holds, and the values as
+    they are otherwise; a common denominator too large to clear is a
+    ``ValueError`` when S holds, and leaves the values as they are when
+    S fails.
     """
     require_positive_n(a)
     n, r, data = a.n, a.r, a.data
@@ -175,8 +176,14 @@ def check_membership(a, stop_early=False):
     # place r decides every place, and the first bad slice is at place 1
     if r == 0:
         return report
-    if a.ring.kind == "q" and report.in_H and report.in_S:  # G is homogeneous
-        a = TensorMatrix(n, r, Ring.integers(), clear_denominators(data)[1])
+    if a.ring.kind == "q" and report.in_H:  # G is homogeneous
+        try:
+            ints = clear_denominators(data)[1]
+        except ValueError:
+            if report.in_S:
+                raise
+        else:
+            a = TensorMatrix(n, r, Ring.integers(), ints)
     for alpha in (r,) if report.in_S else range(1, r + 1):
         table = _place_last(n, r, alpha)
         bad = _first_bad_minor(a if alpha == r else gather(a, n, table, table))

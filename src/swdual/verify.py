@@ -6,13 +6,21 @@ variables: constancy on orbits disposes of the transposition generators,
 value-type preservation kills the mismatched orbits, and the slice-sum
 conditions become the remaining linear equations.  The surviving orbits
 are read off the H-mask table that membership and the construction use,
-and a special tag's off the place masks of ``is_special``.  The span
-dimension is the rank of the orbit-compressed Kronecker powers of the
-permutation matrices.  Over a field the two numbers must coincide; over
-non-field rings the membership-and-reconstruction route is exercised
-instead.  The psi side works on one representative pair per diagonal W_n
-orbit, and closed forms for both dimensions give a third, elimination-free
-derivation in characteristic 0.
+and a special tag's off the place masks of ``is_special``.  Each n x n
+minor gives its slice-sum differences but one, which the others imply,
+since its row sums and its column sums add up to the same total.
+
+The span dimension is the rank of the permutation powers phi(w) on their
+d = dim E(n, r) tower coordinates, each a 0/1 read, walking W_n by number
+of moved points until the rank reaches the hook-length closed form d.
+Reaching d proves the span has dimension d: the tower map is linear, so
+the tower rank is at most the span's dimension, which over F_p is at most
+its dimension over Q, d, because the powers are integer matrices.  Over
+a field the span and the centraliser, from its own elimination, must
+coincide; over non-field rings the membership-and-reconstruction route is
+exercised instead.  The psi side works on one representative pair per
+diagonal W_n orbit, and closed forms for both dimensions give a third,
+elimination-free derivation in characteristic 0.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import extension as ext
 from . import indices as ix
@@ -86,6 +95,13 @@ def _slice_equations(n, r, orbit_of, live):
     with the same sums, so one context per orbit of
     :func:`indices.orbit_table` one rank down suffices (at n = 1 the one
     context (0, 0)).
+
+    Each minor gives the differences C_t - C_0 of its column sums C and
+    R_s - C_0 of its row sums R, all but the last, R_(n-1) - C_0: the row
+    sums and the column sums both add up to the sum of the minor, so that
+    one is sum_(t >= 1) (C_t - C_0) - sum_(s < n-1) (R_s - C_0), an integer
+    combination of the kept rows, and the solutions are the same over
+    every ring.
     """
     size = n**r
     rows = set()
@@ -102,7 +118,7 @@ def _slice_equations(n, r, orbit_of, live):
                     vec[var] = vec.get(var, 0) + 1
             sums.append(vec)
         ref = sums[0]
-        for vec in sums[1:]:
+        for vec in sums[1:-1]:
             diff = dict(ref)
             for var, c in vec.items():
                 nc = diff.get(var, 0) - c
@@ -147,27 +163,69 @@ def _invariant_dimension(n, r, ring, tag, with_basis, unsafe_large):
 
 
 def span_dimension_w(n, r, ring, unsafe_large=False):
-    """Rank of the span of the r-th Kronecker powers of the permutation
-    matrices of W_n."""
+    """Rank of the span of the r-th Kronecker powers phi(w), w in W_n.
+
+    Each phi(w) is read on its d = dim E(n, r) tower coordinates
+    (:func:`_tower_rows`), and W_n is walked by number of moved points,
+    in lexicographic order within each number.  After each whole group,
+    once at least d rows are held, the rows are ranked, and the walk stops
+    when the rank is d, the hook-length closed form.  That proves the span
+    has dimension d without the construction's theorem: the tower map is
+    linear, so the rank of the tower rows is at most the dimension of the
+    span, and the powers are integer matrices, so their span over F_p has
+    at most the dimension d that it has over Q.  A walk that ends short of
+    d returns its rank, which the report shows as a mismatch beside the
+    centraliser's own elimination.
+    """
     if not ring.is_field():
         raise ValueError("span dimension requires a field")
     if r == 0:
         return 1
     _check_cap(n, r, unsafe_large)
     perms = ix.all_permutations(n)  # a W_n past the bound is refused before any table
-    orbit_of, _, live = _live_orbits(n, r)
-    return _sparse_rank(ring, _span_rows(n, r, perms, orbit_of, live))
+    target = closed_form_centraliser_dimension(n, r)
+    identity = ix.perm_identity(n)
+
+    def moved(w):
+        return sum(map(operator.ne, w, identity))
+
+    rows, rank = [], None
+    for _, group in itertools.groupby(sorted(perms, key=moved), moved):
+        rows += _tower_rows(n, r, group)
+        if len(rows) >= target:
+            rank = _sparse_rank(ring, rows)
+            if rank == target:
+                break
+    return _sparse_rank(ring, rows) if rank is None else rank
 
 
-def _span_rows(n, r, perms, orbit_of, live):
-    """The row of phi(w) on the live orbit variables for each w: its
-    nonzero entries sit at the ranks (w.j, j), and w.j has the value type
-    of j, so every such orbit is live."""
-    size = n**r
+@lru_cache(maxsize=None)
+def _tower_reads(n, r):
+    """For each degree k = 1..min(r, n - 1): k, n^k, the column ranks of
+    F(n, k), and the tower coordinate of each entry (u, v) of F(n, k) at
+    rank(u) n^k + rank(v), numbered as :func:`extension._tower_slices`."""
+    reads, coordinate = [], itertools.count(1)
+    for k in range(1, min(r, n - 1) + 1):
+        size = n**k
+        at = {ix.index_rank(n, u) * size + ix.index_rank(n, v): c
+              for (u, v), c in zip(pt.build_f(n, k).entries, coordinate)}
+        reads.append((k, size, sorted({p % size for p in at}), at))
+    return reads
+
+
+def _tower_rows(n, r, perms):
+    """The tower coordinates of phi(w) for each w, as sparse 0/1 rows:
+    coordinate 0, rho^r(phi(w)) = 1, and the entry (u, v) of F(n, k) when
+    w.v = u, since the one 1 of row (1...1, u) of phi(w) lies in a column
+    (t, v) exactly then."""
+    reads = _tower_reads(n, r)
     rows = []
     for w in perms:
-        act = ix.act_ranks(w, r)
-        rows.append({live[orbit_of[act[j] * size + j]]: 1 for j in range(size)})
+        hits = [0]
+        for k, size, cols, at in reads:
+            act = ix.act_ranks(w, k)
+            hits += filter(None, map(at.get, [act[v] * size + v for v in cols]))
+        rows.append(dict.fromkeys(hits, 1))
     return rows
 
 

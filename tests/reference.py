@@ -3,11 +3,15 @@
 Each function here walks multi-indices as tuples, the way the package did
 before its construction path moved onto flat rank tables, and is kept as
 an independent oracle for the differential tests: nothing in this file
-calls a rank table of swdual.  The duality oracles' rows are kept the same
-way: psi rows by scanning every entry of the full psi matrices or by
-testing every class against every diagram, slice equations at every
-place or at every context of the last place, span rows by testing
-w.j == i on the orbit representatives, live orbits by comparing value
+calls a rank table of swdual but :func:`span_rows`, the live-orbit rows
+that the span side ranked before it read tower coordinates, kept as they
+were as the oracle of the tower rows.  The duality oracles' rows are kept
+the same way: psi rows by scanning every entry of the full psi matrices
+or by testing every class against every diagram, slice equations at
+every place or at every context of the last place, with every difference
+of each minor, span rows by testing w.j == i on the orbit
+representatives, the orbit table with its former keys, sums of
+(r + 1)^code, live orbits by comparing value
 types and places of values on them, and the half-commutant equations at
 every pair (a, b) instead of one per orbit.  The diagrams are walked as
 nested set partitions instead of restricted-growth words, and psi is read
@@ -420,6 +424,18 @@ def slice_equations_all_contexts(n, r, orbit_of, live):
     return [dict(row) for row in sorted(rows)]
 
 
+def span_rows(n, r, perms, orbit_of, live):
+    """The row of phi(w) on the live orbit variables for each w: its
+    nonzero entries sit at the ranks (w.j, j), and w.j has the value type
+    of j, so every such orbit is live."""
+    size = n**r
+    rows = []
+    for w in perms:
+        act = ix.act_ranks(w, r)
+        rows.append({live[orbit_of[act[j] * size + j]]: 1 for j in range(size)})
+    return rows
+
+
 def span_rows_act_left(n, r, perms, reps, live):
     """The live orbits (i, j) with w.j == i for each w, read off the orbit
     representatives."""
@@ -473,6 +489,25 @@ def omega_orbits(n, r):
                 orbit_of[a * size + b] = len(reps)
             reps.append((i, j))
     return orbit_of, reps
+
+
+def orbit_table_base_keys(n, r):
+    """:func:`swdual.indices.orbit_table` keyed as it was before its keys
+    packed power sums: the key of a multiset of codes c = (i - 1) n + j - 1
+    is the sum of (r + 1)^c, an integer of up to n^2 log2(r + 1) bits."""
+    keys = [0]
+    for degree in range(r):
+        lower, width = keys, n**degree
+        keys = [lower[row * width + col] + (r + 1) ** ((t - 1) * n + s - 1)
+                for row in range(width) for t in range(1, n + 1)
+                for col in range(width) for s in range(1, n + 1)]
+    ids, orbit_of, leads = {}, [], []
+    for pos, key in enumerate(keys):
+        if key not in ids:
+            ids[key] = len(leads)
+            leads.append(pos)
+        orbit_of.append(ids[key])
+    return orbit_of, leads
 
 
 def initialise(b):

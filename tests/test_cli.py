@@ -251,14 +251,16 @@ def test_common_denominator_past_the_bound_is_a_usage_error(tmp_path, command):
 
 
 def test_membership_past_the_common_denominator_bound_is_a_report(tmp_path):
-    # H and S read the values as they are, and G on a non-member clears no
-    # denominator, so the bound is never reached
-    values = [Fraction(1, d) for d in large_denominators(4096)]
-    result = run_swd("check-membership", "--in", str(_coprime_denominators_file(tmp_path, values)))
-    assert result.returncode == 1, result.stderr
-    doc = json.loads(result.stdout)
-    assert doc["in_E"] is False and doc["in_H"] is False
-    assert doc["first_violation"]["kind"] == "H"
+    # H and S read the values as they are, G clears no denominator where H
+    # fails, and where S fails G reads the values as they are once L is
+    # past the bound
+    h_failing = [Fraction(1, d) for d in large_denominators(4096)]
+    for values, kind in ((h_failing, "H"), (past_the_bound_off_the_mismatches(), "S")):
+        result = run_swd("check-membership", "--in", str(_coprime_denominators_file(tmp_path, values)))
+        assert result.returncode == 1, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["in_E"] is False and doc["in_H"] is (kind == "S") and doc["in_S"] is False
+        assert doc["first_violation"]["kind"] == kind
 
 
 def test_negative_n_is_a_usage_error():
@@ -991,10 +993,12 @@ def test_decompose_of_the_q_fixture_is_pinned(capsys):
 
 
 # the digests the CI step "Installed swd command" pins for the same files:
-# extend from degree zero, and from degree one at n = 4 over Z/6
+# extend from degree zero, and from degree one at n = 4 over Z/6; and
+# extend from degree zero at n = 200, which that step runs under a timeout
 FIXTURE_EXTEND_DIGESTS = {
     "extend_z6_40.json": "0fa1df20c6f45396510b45b48bb16877e5a7d52ff4130af35af8d08e38aadbd7",
     "extend_z6_41.json": "1ab7d53467bdb0d176fa40c8bef81d55f1be0984a941728c896f3f634d4a96a7",
+    "extend_z6_2000.json": "c2cd668251ff6d66d89d69fc95c76c56ca3e5c4b72e2383f94a654253bf0b599",
 }
 
 
@@ -1005,3 +1009,36 @@ def test_extend_of_the_z6_fixtures_is_pinned(capsys, name):
     assert cli.main(["extend", "--in", str(Path(__file__).parent / "fixtures" / name)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_EXTEND_DIGESTS[name]
+
+
+def test_the_parser_is_built_once_and_parses_as_a_fresh_one(capsys, monkeypatch):
+    from swdual import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    runs = [
+        ["verify", "--n", "3", "--r", "2"],
+        ["dims", "--n", "3", "--r", "2", "--ring", "z/3"],
+        ["verify", "--n", "3", "--r", "1", "--half"],
+        ["free-pattern", "--n", "4", "--r", "2", "--format", "table"],
+        ["verify", "--n", "3"],  # usage errors: a missing option, a negative r,
+        ["dims", "--n", "3", "--r", "-1"],  # an unknown subcommand
+        ["nosuch"],
+        ["--help"],
+        ["extend", "--help"],
+        ["verify", "--n", "3", "--r", "2"],
+    ]
+
+    def outputs():
+        out = []
+        for argv in runs:
+            code = cli.main(list(argv))
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    cli.build_parser.cache_clear()
+    kept = outputs()
+    assert cli.build_parser.cache_info()[:2] == (len(runs) - 1, 1)  # hits, misses
+    assert [code for code, _, _ in kept] == [0, 0, 0, 0, 2, 2, 2, 0, 0, 0]
+    fresh = cli.build_parser.__wrapped__
+    monkeypatch.setattr(cli, "build_parser", lambda: fresh())  # one parser per call
+    assert outputs() == kept

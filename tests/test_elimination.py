@@ -5,8 +5,10 @@ and nullspace bases are characterised without the engine: annihilated by
 the rows, n_vars - rank of them, and each one is 1 at its own free variable
 and 0 at every other free one, where a column is free when it does not
 raise the minor rank of the columns left of it.  The psi classes and rows
-and the span rows of the duality oracles are compared with the dense-scan
-and act_left rows in ``reference``.  The minimum-fill rank is compared
+of the duality oracles are compared with the dense-scan rows in
+``reference``, and the span rows on tower coordinates with the tower of
+each phi(w) and, by rank, with the live-orbit span rows there, which are
+compared with the act_left rows.  The minimum-fill rank is compared
 with the minor rank and with the leftmost echelon form.
 """
 
@@ -22,8 +24,10 @@ from oracle import solve_linear_system_over_field
 from reference import determinant
 
 from swdual import diagrams as dg
+from swdual import extension as ex
 from swdual import indices as ix
 from swdual import rings as rg
+from swdual import tensor as tn
 from swdual import verify as vf
 from swdual.invariants import check_membership
 from swdual.rings import Ring
@@ -140,7 +144,8 @@ def test_both_pivot_rules_agree_on_the_duality_systems(n, r, ring):
     orbit_of, _, live = vf._live_orbits(n, r)
     systems = [
         vf._slice_equations(n, r, orbit_of, live),
-        vf._span_rows(n, r, ix.all_permutations(n), orbit_of, live),
+        ref.span_rows(n, r, ix.all_permutations(n), orbit_of, live),
+        vf._tower_rows(n, r, ix.all_permutations(n)),
         vf._psi_rows(n, r, dg.restricted_growth_words(2 * r, n),
                     dg.restricted_growth_words(2 * r, 2 * r)),
     ]
@@ -254,5 +259,26 @@ def test_span_rows_match_act_left(n, r):
     reps = ref.lead_pairs(n, r, leads)
     perms = ix.all_permutations(n)
     for group in (perms, [w for w in perms if w[n - 1] == n]):
-        assert vf._span_rows(n, r, group, orbit_of, live) == ref.span_rows_act_left(
+        assert ref.span_rows(n, r, group, orbit_of, live) == ref.span_rows_act_left(
             n, r, group, reps, live)
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 3), (5, 2)])
+@pytest.mark.parametrize("ring", [Ring.integers(), Ring.modular(6)], ids=["z", "z/6"])
+def test_tower_rows_are_the_tower_coordinates_of_phi(n, r, ring):
+    perms = ix.all_permutations(n)
+    width = vf.closed_form_centraliser_dimension(n, r)
+    for w, row in zip(perms, vf._tower_rows(n, r, perms), strict=True):
+        want = ex._tower(tn.phi(w, n, r, ring))
+        assert len(want) == width
+        assert [row.get(c, 0) for c in range(width)] == want
+
+
+@pytest.mark.parametrize("n,r", DUALITY_GRID)
+def test_tower_rows_have_the_rank_of_the_live_orbit_rows(n, r):
+    perms = ix.all_permutations(n)
+    orbit_of, _, live = vf._live_orbits(n, r)
+    tower = vf._tower_rows(n, r, perms)
+    orbits = ref.span_rows(n, r, perms, orbit_of, live)
+    for ring in (Q, Ring.modular(2), Ring.modular(3)):
+        assert rg.sparse_rank(ring, tower) == rg.sparse_rank(ring, orbits)

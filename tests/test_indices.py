@@ -138,6 +138,15 @@ def test_value_type_count_matches_bounded_set_partitions():
             assert len(seen) == partitions_into_at_most(r, n)
 
 
+# at n = 1 every key is 0; at n = 2 from r = 4 on there are more columns
+# than codes, so the power sums stop at p_3
+@pytest.mark.parametrize("n,r", [(1, 0), (1, 1), (1, 200), (2, 1), (2, 4), (2, 8), (3, 1),
+                                 (3, 5), (4, 3), (4, 4), (5, 3), (8, 2), (12, 1)])
+def test_orbit_table_keys_equal_the_former_keys(n, r):
+    orbit_of, leads = ix.orbit_table(n, r)
+    assert (list(orbit_of), list(leads)) == ref.orbit_table_base_keys(n, r)
+
+
 def test_l_sets():
     assert set(ix.l_closure(5, 2, 1)) == {
         i for i in ix.injective_indices(5, 2) if 1 in i

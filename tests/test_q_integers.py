@@ -249,7 +249,7 @@ def test_verify_refuses_n_zero_on_every_ring(name):
 
 
 @pytest.mark.parametrize("predicate", ["H", "S"])
-def test_membership_clears_no_denominator_when_h_or_s_fails(monkeypatch, predicate):
+def test_membership_clears_one_denominator_for_g_once_h_holds(monkeypatch, predicate):
     n, r = 3, 2
     a = ref.reconstruct(n, r, Q, {w: Fraction(k + 1, k + 2)
                                   for k, w in enumerate(ix.all_permutations(n))})
@@ -261,10 +261,39 @@ def test_membership_clears_no_denominator_when_h_or_s_fails(monkeypatch, predica
     monkeypatch.setattr(iv, "clear_denominators",
                         lambda values: calls.append(1) or clear_denominators(values))
     for stop_early in (True, False):
+        calls.clear()
         report = iv.check_membership(tn.TensorMatrix(n, r, Q, data), stop_early=stop_early)
         assert not report.in_E and report.first_violation["kind"] == predicate
-    assert calls == []
+        # G runs only without stop_early, and on L a only where H holds
+        assert calls == ([1] if predicate == "S" and not stop_early else [])
+    calls.clear()
     assert iv.check_membership(a).in_E and calls == [1]  # a member clears once, for G
+
+
+def _past_the_bound(values):
+    raise ValueError("common denominator past the bound")
+
+
+def test_g_on_l_a_gives_the_report_of_g_on_the_values(monkeypatch):
+    # G is homogeneous, so an S-failing matrix gets the same verdicts and
+    # witness from L a as from its values as they are, which G reads when L
+    # is past the bound; each copy moves one entry off the value-type
+    # mismatches
+    n, r = 3, 2
+    a = ref.reconstruct(n, r, Q, {w: Fraction(k + 1, k + 2)
+                                  for k, w in enumerate(ix.all_permutations(n))})
+    copies = []
+    for pos in [p for p, mismatch in enumerate(iv._h_mask(n, r)) if not mismatch]:
+        data = list(a.data)
+        data[pos] += Fraction(1, 7)
+        copies.append(tn.TensorMatrix(n, r, Q, data))
+    cleared = [iv.check_membership(m).to_json() for m in copies]
+    s_failing = [k for k, doc in enumerate(cleared) if not doc["in_S"]]
+    # all but the 9 pairs of constant indices, each its own orbit
+    assert len(s_failing) == 36 and not any(cleared[k]["in_G"] for k in s_failing)
+    monkeypatch.setattr(iv, "clear_denominators", _past_the_bound)
+    assert [iv.check_membership(copies[k]).to_json() for k in s_failing] == [
+        cleared[k] for k in s_failing]
 
 
 @pytest.mark.parametrize("operation", [ex.extend, ex.decompose], ids=["extend", "decompose"])

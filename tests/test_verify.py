@@ -238,6 +238,27 @@ def test_a_dimension_mismatch_is_a_witness(monkeypatch, capsys):
     assert code == 1 and doc["witnesses"] == [witness]
 
 
+def test_a_walk_short_of_its_target_ranks_every_row(monkeypatch):
+    # at (6, 2) the rank reaches d = 207 once the 455 permutations that
+    # move at most five of the six points are held
+    n, r, d = 6, 2, 207
+    sizes = []
+    rank = vf._sparse_rank
+    monkeypatch.setattr(vf, "_sparse_rank",
+                        lambda ring, rows: sizes.append(len(rows)) or rank(ring, rows))
+    assert vf.span_dimension_w(n, r, Q) == d and sizes == [455]
+    sizes.clear()
+    monkeypatch.setattr(vf, "closed_form_centraliser_dimension", lambda n, r: d + 1)
+    assert vf.span_dimension_w(n, r, Q) == d and sizes == [455, 720]
+    # rows without coordinate 0 reach d - 1 at most: the walk returns that
+    # rank, and the report shows the mismatch
+    tower = vf._tower_rows
+    monkeypatch.setattr(vf, "_tower_rows", lambda n, r, perms: [
+        {c: x for c, x in row.items() if c} for row in tower(n, r, perms)])
+    report = vf.verify_duality(n, r, Q)
+    assert report.witnesses == [{"kind": "dimension-mismatch", "span": d - 1, "centraliser": d}]
+
+
 def test_an_excision_mismatch_is_a_witness(monkeypatch, capsys):
     eta = vf.eta
     monkeypatch.setattr(vf, "eta", lambda a, n, j: ref.scale(eta(a, n, j), Q.from_int(2)))
