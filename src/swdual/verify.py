@@ -18,9 +18,18 @@ the tower rank is at most the span's dimension, which over F_p is at most
 its dimension over Q, d, because the powers are integer matrices.  Over
 a field the span and the centraliser, from its own elimination, must
 coincide; over non-field rings the membership-and-reconstruction route is
-exercised instead.  The psi side works on one representative pair per
-diagonal W_n orbit, and closed forms for both dimensions give a third,
-elimination-free derivation in characteristic 0.
+exercised instead.
+
+The psi side needs no elimination.  Its columns are the diagonal W_n
+orbits on I(n,r) x I(n,r), named by the restricted-growth words of length
+2r in at most n letters, which are also the diagrams with at most n
+blocks.  The row of such a diagram is 1 at its own word and otherwise only
+at its proper coarsenings, which have fewer letters, so by decreasing
+number of blocks these rows form a unitriangular square (the orbit basis
+of Halverson-Ram).  Checked row by row, the square proves that the
+diagram span has rank the number of classes over every ring, a rank the
+rows of the other diagrams cannot exceed; that number is checked against
+the Stirling sum.
 """
 
 from __future__ import annotations
@@ -236,7 +245,8 @@ def _tower_rows(n, r, perms):
 
 def _psi_rows(n, r, words, diagrams):
     """The row of psi(d) on the W_n classes ``words`` for each diagram d in
-    ``diagrams``, a restricted-growth word (the block of each vertex).
+    ``diagrams``, a restricted-growth word (the block of each vertex),
+    yielded one at a time.
 
     Entry (i, j) of psi(d) is 1 exactly when the word i + j is constant on
     every block of d (vertex v reads letter v), and psi(d) commutes with
@@ -248,27 +258,47 @@ def _psi_rows(n, r, words, diagrams):
     """
     column = {word: c for c, word in enumerate(words)}
     coarsenings = {}
-    rows = []
     for block_of in diagrams:
         k = max(block_of, default=-1) + 1
         if k not in coarsenings:
             coarsenings[k] = dg.restricted_growth_words(k, n)
         # 2r >= 2 vertices make itemgetter return a tuple; at r = 0 the word is ()
         pick = operator.itemgetter(*block_of) if r else tuple
-        rows.append(dict.fromkeys(map(column.__getitem__, map(pick, coarsenings[k])), 1))
-    return rows
+        yield dict.fromkeys(map(column.__getitem__, map(pick, coarsenings[k])), 1)
 
 
 def psi_side_dimensions(n, r, ring, unsafe_large=False):
     """(dim End over W_n, rank of the diagram span) -- equal iff the
-    diagram representation surjects onto that centraliser."""
+    diagram representation surjects onto that centraliser.
+
+    The classes are the restricted-growth words of length 2r in at most n
+    letters, which are also the diagrams with at most n blocks.  The row
+    of each such diagram must be 1 at its own word, its one coarsening
+    with as many letters, and nonzero elsewhere only at words with fewer
+    letters.  By decreasing number of blocks the rows then form a
+    unitriangular square, so the rank is the number of classes over every
+    ring, and the rows of the other diagrams cannot push it past the
+    number of columns.  A row off that structure, or a class count other
+    than the Stirling sum, is a ConstructionFailure.  All B(2r) diagrams
+    are counted first, so a rank past the bound is refused before any word
+    is built.
+    """
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     _check_cap(n, r, unsafe_large)
-    # B(2r) meets the bound before any word is built; the classes use n letters
-    diagrams = dg.restricted_growth_words(2 * r, 2 * r)
-    words = [w for w in diagrams if max(w, default=-1) < n]
-    return len(words), _sparse_rank(ring, _psi_rows(n, r, words, diagrams))
+    ix.hold_at_most(dg.word_counts(2 * r, 2 * r), "rank %d" % r, "diagrams")
+    words = dg.restricted_growth_words(2 * r, n)
+    if len(words) != wn_end_dimension(n, r):
+        raise ext.ConstructionFailure(
+            "%d W_n classes at (%d, %d), not the Stirling sum %d"
+            % (len(words), n, r, wn_end_dimension(n, r)))
+    top = [max(word, default=-1) for word in words]  # one less than its letters
+    for own, row in enumerate(_psi_rows(n, r, words, words)):
+        if [c for c in row if top[c] >= top[own]] != [own] or row[own] != 1:
+            raise ext.ConstructionFailure(
+                "the psi row of diagram word %s is not 1 at its own class and "
+                "otherwise on classes with fewer letters" % list(words[own]))
+    return len(words), len(words)
 
 
 # ---------------------------------------------------------------------------

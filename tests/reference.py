@@ -7,7 +7,8 @@ calls a rank table of swdual but :func:`span_rows`, the live-orbit rows
 that the span side ranked before it read tower coordinates, kept as they
 were as the oracle of the tower rows.  The duality oracles' rows are kept
 the same way: psi rows by scanning every entry of the full psi matrices
-or by testing every class against every diagram, slice equations at
+or by testing every class against every diagram, the psi side's rank by
+eliminating the rows of every diagram, slice equations at
 every place or at every context of the last place, with every difference
 of each minor, span rows by testing w.j == i on the orbit
 representatives, the orbit table with its former keys, sums of
@@ -395,6 +396,14 @@ def psi_rows_filter(r, words):
             if all(word[u] == word[v] for u, v in links)
         })
     return rows
+
+
+def psi_rank_by_elimination(n, r, ring):
+    """The rank of the psi rows of all B(2r) diagrams on the W_n classes,
+    by elimination, the way the psi side was ranked before it checked the
+    orbit-basis square of the diagrams with at most n blocks."""
+    words = dg.restricted_growth_words(2 * r, n)
+    return sparse_rank(ring, list(vf._psi_rows(n, r, words, dg.restricted_growth_words(2 * r, 2 * r))))
 
 
 def slice_equations_all_contexts(n, r, orbit_of, live):

@@ -146,8 +146,8 @@ def test_both_pivot_rules_agree_on_the_duality_systems(n, r, ring):
         vf._slice_equations(n, r, orbit_of, live),
         ref.span_rows(n, r, ix.all_permutations(n), orbit_of, live),
         vf._tower_rows(n, r, ix.all_permutations(n)),
-        vf._psi_rows(n, r, dg.restricted_growth_words(2 * r, n),
-                    dg.restricted_growth_words(2 * r, 2 * r)),
+        list(vf._psi_rows(n, r, dg.restricted_growth_words(2 * r, n),
+                          dg.restricted_growth_words(2 * r, 2 * r))),
     ]
     for rows in systems:
         assert rg.sparse_rank(ring, rows) == len(rg.sparse_echelon(ring, rows))
@@ -248,7 +248,7 @@ def test_psi_rows_match_dense_scan(n, r, ring):
     assert len(words) == vf.wn_end_dimension(n, r)
     column = {c: words.index(pattern(w)) for c, w in first.items()}
     dense = [{column[c]: 1 for c in row} for row in ref.psi_rows_dense(n, r, ring)]
-    rows = vf._psi_rows(n, r, words, dg.restricted_growth_words(2 * r, 2 * r))
+    rows = list(vf._psi_rows(n, r, words, dg.restricted_growth_words(2 * r, 2 * r)))
     assert rows == dense
     assert rg.sparse_rank(ring, rows) == rg.sparse_rank(ring, dense)
 
@@ -272,6 +272,13 @@ def test_tower_rows_are_the_tower_coordinates_of_phi(n, r, ring):
         want = ex._tower(tn.phi(w, n, r, ring))
         assert len(want) == width
         assert [row.get(c, 0) for c in range(width)] == want
+
+
+@pytest.mark.parametrize("n,r", DUALITY_GRID)
+@pytest.mark.parametrize("ring", [Q, Ring.modular(3)], ids=["q", "z/3"])
+def test_the_psi_certificate_gives_the_rank_of_every_diagram_row(n, r, ring):
+    classes = len(dg.restricted_growth_words(2 * r, n))
+    assert vf.psi_side_dimensions(n, r, ring) == (classes, ref.psi_rank_by_elimination(n, r, ring))
 
 
 @pytest.mark.parametrize("n,r", DUALITY_GRID)

@@ -34,8 +34,6 @@ ENTRY_POINTS = {
     "extend_with_prescription": "an extension through prescribed block-row lines; "
                                 "no subcommand reads it yet",
     "gibson_decompose": "coefficients in Gibson's basis; no subcommand reads it yet",
-    "wn_end_dimension": "the Stirling closed form of dim End_{W_n}, the third "
-                        "derivation the tests compare",
     "half_commutant_dimension": "the half algebra's commutant dimension, which "
                                 "verify_half does not compute yet",
 }

@@ -291,7 +291,7 @@ def test_slice_equations_on_context_orbits_match_every_context(n, r):
 @pytest.mark.parametrize("n,r", [(4, 3), (5, 3), (3, 3), (2, 4), (1, 3)])
 def test_psi_rows_by_coarsening_match_the_filter_scan(n, r):
     words = dg.restricted_growth_words(2 * r, n)
-    got = vf._psi_rows(n, r, words, dg.restricted_growth_words(2 * r, 2 * r))
+    got = list(vf._psi_rows(n, r, words, dg.restricted_growth_words(2 * r, 2 * r)))
     want = ref.psi_rows_filter(r, words)
     assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
 

@@ -8,6 +8,7 @@ import pytest
 import reference as ref
 
 from swdual import diagrams as dg
+from swdual import extension as ex
 from swdual import indices as ix
 from swdual import verify as vf
 from swdual.rings import Ring
@@ -82,8 +83,11 @@ def test_psi_side_oracle():
     assert dim == rank == 15  # B(4): full partition algebra acts faithfully
 
 
-@pytest.mark.parametrize("n,r,ring", [(4, 4, Q), (5, 4, F3)], ids=["4-4-q", "5-4-z/3"])
-def test_psi_side_at_rank_four_matches_the_stirling_sum(n, r, ring):
+# 43,947 classes at (4,5), each row checked against the orbit-basis
+# square without elimination
+@pytest.mark.parametrize("n,r,ring", [(4, 4, Q), (5, 4, F3), (4, 5, Q)],
+                         ids=["4-4-q", "5-4-z/3", "4-5-q"])
+def test_psi_side_at_ranks_four_and_five_matches_the_stirling_sum(n, r, ring):
     dim = vf.wn_end_dimension(n, r)
     assert vf.psi_side_dimensions(n, r, ring) == (dim, dim)
 
@@ -94,6 +98,56 @@ def test_the_psi_side_refuses_a_large_rank_before_building_a_word():
     with pytest.raises(ix.CapExceeded):
         vf.psi_side_dimensions(1, 10**6, Q)
     assert time.perf_counter() - start < 1
+    # B(12) > 2^20 at (3, 6), though its 88,574 classes would fit
+    with pytest.raises(ix.CapExceeded, match=r"^rank 6 has more than 1048576 diagrams, "):
+        vf.psi_side_dimensions(3, 6, Q)
+
+
+def _break_psi_row(monkeypatch, word, change):
+    """Make ``_psi_rows`` apply ``change(row, words)`` to the row of the
+    diagram ``word``."""
+    rows = vf._psi_rows
+
+    def broken(n, r, words, diagrams):
+        for d, row in zip(diagrams, rows(n, r, words, diagrams)):
+            if d == word:
+                change(row, words)
+            yield row
+
+    monkeypatch.setattr(vf, "_psi_rows", broken)
+
+
+@pytest.mark.parametrize("change", [
+    lambda row, words: row.pop(words.index((0, 1, 0, 2))),
+    lambda row, words: row.update({words.index((0, 1, 0, 2)): 2}),
+    lambda row, words: row.update({words.index((0, 1, 2, 2)): 1}),
+], ids=["own-word-dropped", "own-word-not-one", "as-many-letters"])
+def test_a_psi_row_off_the_orbit_basis_is_an_internal_failure(monkeypatch, capsys, change):
+    from swdual import cli
+
+    _break_psi_row(monkeypatch, (0, 1, 0, 2), change)
+    with pytest.raises(ex.ConstructionFailure, match=r"diagram word \[0, 1, 0, 2\] "):
+        vf.psi_side_dimensions(3, 2, Q)
+    assert cli.main(["verify", "--n", "3", "--r", "2", "--ring", "q"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: internal failure: the psi row of diagram word [0, 1, 0, 2] ")
+    assert err.count("\n") == 1
+
+
+def test_a_psi_row_with_a_coarser_extra_class_passes(monkeypatch):
+    # a 1 at a word with fewer letters, though not a coarsening, keeps the
+    # square unitriangular
+    _break_psi_row(monkeypatch, (0, 1, 0, 2),
+                   lambda row, words: row.update({words.index((0, 0, 1, 1)): 1}))
+    assert vf.psi_side_dimensions(3, 2, Q) == (14, 14)
+
+
+def test_a_class_count_off_the_stirling_sum_is_an_internal_failure(monkeypatch):
+    monkeypatch.setattr(vf, "wn_end_dimension", lambda n, r: 15)
+    with pytest.raises(ex.ConstructionFailure, match=r"^14 W_n classes at \(3, 2\), not the "
+                                                     r"Stirling sum 15$"):
+        vf.psi_side_dimensions(3, 2, Q)
 
 
 @pytest.mark.parametrize("r", range(5))
