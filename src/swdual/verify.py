@@ -1,6 +1,6 @@
 """Duality verification: rank-of-span versus centraliser-dimension oracles.
 
-The centraliser dimension is computed from the commutant linear system of
+The centraliser is the solution set of the commutant linear system of
 the three generator families, compressed onto place-permutation orbit
 variables: constancy on orbits disposes of the transposition generators,
 value-type preservation kills the mismatched orbits, and the slice-sum
@@ -10,13 +10,32 @@ and a special tag's off the place masks of ``is_special``.  Each n x n
 minor gives its slice-sum differences but one, which the others imply,
 since its row sums and its column sums add up to the same total.
 
+Its dimension comes with no elimination, from a certificate on the tower
+system (:func:`_tower_system`): the live orbit variables of every degree
+k = 0..r, and one row per line of each last-place minor at degree k,
+saying that the line sums to its context's value one degree down, zero
+at a mismatch.  The proof has three steps.  First, seeded with the d
+tower coordinates, the scalar and the orbits of the entries of F(n, k),
+a peel forces every unknown from rows with one unknown left, of
+coefficient +-1, so a solution is an integer combination of its seeds,
+over every ring: the seeds inject.  Second, every row the peel did not
+use vanishes over Z on those combinations, so every assignment of the
+seeds extends to a solution, over every ring.  Third, restriction keeps
+invariance, so an invariant and its restrictions solve the system, and
+the top degree of a solution is an invariant whose restrictions are the
+lower degrees: the lower levels cut nothing out of E(n, r).  So E(n, r)
+is free of rank d over every ring (:func:`_peel`).  If a seed repeats,
+the peel stalls or a row fails, the dimension is the nullity of the
+slice equations by elimination instead.  Neither route reads the span or
+the closed form.
+
 The span dimension is the rank of the permutation powers phi(w) on their
 d = dim E(n, r) tower coordinates, each a 0/1 read, walking W_n by number
 of moved points until the rank reaches the hook-length closed form d.
 Reaching d proves the span has dimension d: the tower map is linear, so
 the tower rank is at most the span's dimension, which over F_p is at most
 its dimension over Q, d, because the powers are integer matrices.  Over
-a field the span and the centraliser, from its own elimination, must
+a field the span and the centraliser, each from its own derivation, must
 coincide; over non-field rings the membership-and-reconstruction route is
 exercised instead.
 
@@ -91,6 +110,35 @@ def _live_orbits(n, r, special_tag=None):
     return orbit_of, leads, live
 
 
+def _minor_lines(n, r, orbit_of, live):
+    """The lines of each last-place minor at degree r, one context per
+    orbit of :func:`indices.orbit_table` one degree down, in order of
+    orbit id (at n = 1 the one context (0, 0)): its n column lines, then
+    its n row lines, each the live variable of every entry, or None at a
+    mismatch.
+
+    Inserting at the last place turns the context rank p into the n
+    consecutive ranks p*n, ..., p*n + n - 1.  Within a line the entries lie
+    in distinct orbits: a place permutation keeps the multiset of the
+    values of each index, and the entries of a line differ in one value.
+    """
+    size = n**r
+    lower = n ** (r - 1)
+    for lead in ix.orbit_table(n, r - 1)[1] if n > 1 else [0]:
+        p, q = divmod(lead, lower)
+        minor = [[live.get(orbit_of[i * size + j]) for j in range(q * n, q * n + n)]
+                 for i in range(p * n, p * n + n)]
+        yield [*zip(*minor), *minor]
+
+
+def _line_sum(line, vec):
+    """``vec`` plus the sum of the variables of ``line``."""
+    for var in line:
+        if var is not None:
+            vec[var] = vec.get(var, 0) + 1
+    return vec
+
+
 def _slice_equations(n, r, orbit_of, live):
     """Deduplicated slice-sum difference equations on live orbit variables.
 
@@ -98,12 +146,9 @@ def _slice_equations(n, r, orbit_of, live):
     and a place permutation carrying place alpha to place r maps the
     (alpha, p, q) equations onto (r, p', q') equations over the same
     variables, so the last place alone already yields every equation.
-    Inserting at the last place turns the context rank p into the n
-    consecutive ranks p*n, ..., p*n + n - 1.  A permutation of the first
-    r - 1 places likewise carries the minor of context (p, q) onto one
-    with the same sums, so one context per orbit of
-    :func:`indices.orbit_table` one rank down suffices (at n = 1 the one
-    context (0, 0)).
+    A permutation of the first r - 1 places likewise carries the minor of
+    context (p, q) onto one with the same sums, so one context per orbit
+    one rank down suffices (:func:`_minor_lines`).
 
     Each minor gives the differences C_t - C_0 of its column sums C and
     R_s - C_0 of its row sums R, all but the last, R_(n-1) - C_0: the row
@@ -112,20 +157,9 @@ def _slice_equations(n, r, orbit_of, live):
     combination of the kept rows, and the solutions are the same over
     every ring.
     """
-    size = n**r
     rows = set()
-    lower = n ** (r - 1)
-    for lead in ix.orbit_table(n, r - 1)[1] if n > 1 else [0]:
-        p, q = divmod(lead, lower)
-        minor = [[live.get(orbit_of[i * size + j]) for j in range(q * n, q * n + n)]
-                 for i in range(p * n, p * n + n)]
-        sums = []
-        for line in [*zip(*minor), *minor]:  # column sums, then row sums
-            vec = {}
-            for var in line:
-                if var is not None:
-                    vec[var] = vec.get(var, 0) + 1
-            sums.append(vec)
+    for lines in _minor_lines(n, r, orbit_of, live):
+        sums = [_line_sum(line, {}) for line in lines]
         ref = sums[0]
         for vec in sums[1:-1]:
             diff = dict(ref)
@@ -140,8 +174,130 @@ def _slice_equations(n, r, orbit_of, live):
     return [dict(row) for row in sorted(rows)]
 
 
+def _tower_system(n, r):
+    """The tower system at (n, r): sparse rows on the live orbit variables
+    of every degree k = 0..r, numbered degree by degree from the scalar 0,
+    its seeds, and its number of unknowns.
+
+    At each degree k >= 1 every line of every minor of
+    :func:`_minor_lines` gives one row, its sum minus the variable of its
+    context's orbit one degree down, or minus nothing where that orbit is
+    a mismatch; rows that repeat or are empty are kept once or not at
+    all.  The seeds are the scalar and, at each degree k, the orbit of
+    each entry of F(n, k) (:func:`_tower_reads`), so d = dim E(n, r) of
+    them; a seed off the live orbits is None.
+    """
+    tables = [_live_orbits(n, k) for k in range(r + 1)]
+    starts = list(itertools.accumulate((len(live) for _, _, live in tables), initial=0))
+    rows = {}
+    for k in range(1, r + 1):
+        orbit_of, _, live = tables[k]
+        numbered = {orbit: starts[k] + var for orbit, var in live.items()}
+        below = tables[k - 1][2]
+        for context, lines in enumerate(_minor_lines(n, k, orbit_of, numbered)):
+            var = below.get(context)
+            tail = {} if var is None else {starts[k - 1] + var: -1}
+            for line in lines:
+                row = _line_sum(line, dict(tail))
+                if row:
+                    rows.setdefault(frozenset(row.items()), row)
+    seeds = [0]
+    for k, _, _, at in _tower_reads(n, r):
+        orbit_of, _, live = tables[k]
+        seeds += (starts[k] + live[orbit_of[p]] if orbit_of[p] in live else None for p in at)
+    return list(rows.values()), seeds, starts[-1]
+
+
+def _signed(row, sign):
+    """The variables of ``sign`` times ``row`` with a positive coefficient,
+    and those with a negative one, each listed |coefficient| times."""
+    plus, minus = [], []
+    for var, c in row.items():
+        if c == sign:
+            plus.append(var)
+        elif c == -sign:
+            minus.append(var)
+        else:
+            (plus if sign * c > 0 else minus).extend([var] * abs(c))
+    return plus, minus
+
+
+def _peel(rows, seeds, unknowns):
+    """d = len(seeds) when the rows certify that their solutions over
+    every ring are fixed by, and free on, the seeded unknowns; else None.
+
+    The peel forces an unknown from a row in which it is the only one left
+    and has coefficient +-1, rows in the order they become ready, until
+    every unknown is forced: then each is an integer combination of the
+    seeds, and a solution is fixed by them.  Every assignment of the seeds
+    is a solution when each row not used to force vanishes over Z on the
+    forced values.  That is checked on all seeds at once, _RUN_INPUTS at a
+    time, seed k of a run set to 2^(w k) (Kronecker substitution): every
+    combination is then the sum of its integer coefficients times those
+    powers.  The digit width w covers the bound on every forced value and
+    every row sum at each unit assignment, the seeds' 1 summed along the
+    peel, so a row vanishes exactly when its packed sum is 0.
+    """
+    if None in seeds or len(set(seeds)) != len(seeds):
+        return None
+    left = list(map(len, rows))
+    rows_of = [[] for _ in range(unknowns)]
+    for i, row in enumerate(rows):
+        for var in row:
+            rows_of[var].append(i)
+    known, bound, ready, steps, used = bytearray(unknowns), [0] * unknowns, [], [], set()
+
+    def know(var, size):
+        known[var], bound[var] = 1, size
+        for i in rows_of[var]:
+            left[i] -= 1
+            if left[i] == 1:
+                ready.append(i)
+
+    def reach(plus, minus):  # bounds the sum at every unit assignment
+        return sum(map(bound.__getitem__, plus)) + sum(map(bound.__getitem__, minus))
+
+    for var in seeds:
+        know(var, 1)
+    for i in ready:  # grows as it is read, so the peel runs breadth first
+        row = rows[i]
+        var = next((v for v in row if not known[v]), None)
+        if var is None or row[var] not in (1, -1):
+            continue
+        # -row[var] times the row has var at -1: var is what is left
+        plus, minus = _signed(row, -row[var])
+        minus.remove(var)
+        steps.append((var, plus, minus))
+        used.add(i)
+        know(var, reach(plus, minus))
+    if not all(known):
+        return None
+    checks = [_signed(row, 1) for i, row in enumerate(rows) if i not in used]
+    width = max([*bound, *(reach(*check) for check in checks)]).bit_length() + 1
+    for start in range(0, len(seeds), ext._RUN_INPUTS):
+        values = [0] * unknowns
+        for k, var in enumerate(seeds[start : start + ext._RUN_INPUTS]):
+            values[var] = 1 << (width * k)
+        get = values.__getitem__
+        for var, plus, minus in steps:
+            values[var] = sum(map(get, plus)) - sum(map(get, minus))
+        if any(sum(map(get, plus)) != sum(map(get, minus)) for plus, minus in checks):
+            return None
+    return len(seeds)
+
+
 def centraliser_dimension(n, r, ring, with_basis=False, unsafe_large=False):
     """dim over a field of the full diagram-action centraliser.
+
+    Without a basis, at n >= 2, it is d from the tower certificate
+    (at n = 1 the slice equations have no rows), which proves in
+    three steps that E(n, r) is free of rank d over every ring: the peel
+    forces every unknown of the tower system from +-1 rows, so the d
+    seeds inject; every row left over vanishes over Z, so every
+    assignment of them extends; and restriction keeps invariance, so the
+    lower degrees of the system cut nothing out of E(n, r)
+    (:func:`_peel`).  Where the certificate does not close, and with a
+    basis, it is the nullity of the slice equations by elimination.
 
     Optionally returns a basis in reduced echelon form (a list of
     TensorMatrix values, one per free variable of the commutant system).
@@ -156,13 +312,21 @@ def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
 
 
 def _invariant_dimension(n, r, ring, tag, with_basis, unsafe_large):
-    """Nullity of the slice equations on the tag's live orbits, and with
-    no tag optionally a basis, numbered as :func:`extension._from_live`."""
+    """With no tag and no basis, at n >= 2, the tower certificate's d,
+    where it closes; else the nullity of the slice equations on the tag's live
+    orbits, and with no tag optionally a basis, numbered as
+    :func:`extension._from_live`."""
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     if r == 0:
         return (1, [tn.TensorMatrix.scalar(n, ring, ring.one)]) if with_basis else 1
     _check_cap(n, r, unsafe_large)
+    # at n = 1 each line is its one entry, so the slice equations are no
+    # rows at all, while the tower would walk r + 1 degrees
+    if tag is None and not with_basis and n > 1:
+        d = _peel(*_tower_system(n, r))
+        if d is not None:
+            return d
     orbit_of, _, live = _live_orbits(n, r, tag)
     rows = _slice_equations(n, r, orbit_of, live)
     if not with_basis:
@@ -184,7 +348,7 @@ def span_dimension_w(n, r, ring, unsafe_large=False):
     span, and the powers are integer matrices, so their span over F_p has
     at most the dimension d that it has over Q.  A walk that ends short of
     d returns its rank, which the report shows as a mismatch beside the
-    centraliser's own elimination.
+    centraliser's own certificate or elimination.
     """
     if not ring.is_field():
         raise ValueError("span dimension requires a field")
@@ -380,7 +544,9 @@ def verify_duality(n, r, ring, seed=0, samples=5, unsafe_large=False):
     of the output) and ``express_in_permutation_span`` (exact
     reconstruction), which raise on a failure (exit code 3 from the
     CLI), so ``membership_checks["ok"]`` is always true; at r = 0 there is
-    nothing to extend and no sample runs.
+    nothing to extend and no sample runs.  ``timings`` holds the seconds
+    of every field stage, or over a non-field ring those of ``extend``
+    and ``express`` summed across the samples, and the total.
     """
     if n == 0:  # refused on every ring, so that field and non-field rings agree
         raise ValueError("n must be positive, got 0")
@@ -412,9 +578,15 @@ def verify_duality(n, r, ring, seed=0, samples=5, unsafe_large=False):
     else:
         rng = random.Random(seed)
         checked = samples if r >= 1 else 0
+        report.timings.update(extend=0.0, express=0.0)
         for _ in range(checked):
-            a = ext.extend(random_invariant(n, r - 1, ring, rng))
+            b = random_invariant(n, r - 1, ring, rng)
+            extend_start = time.perf_counter()
+            a = ext.extend(b)
+            express_start = time.perf_counter()
             ext.express_in_permutation_span(a)
+            report.timings["extend"] += express_start - extend_start
+            report.timings["express"] += time.perf_counter() - express_start
         report.membership_checks = {"ok": True, "samples": checked}
     report.timings["total"] = time.perf_counter() - start
     return report

@@ -901,6 +901,8 @@ def test_verify_timings_go_to_stderr_and_leave_stdout_alone(capsys, argv):
     assert "total" in timings and all(t >= 0 for t in timings.values())
     if argv[-1] == "q":
         assert set(timings) == {"span", "centraliser", "psi", "total"}
+    if argv[-1] == "z/6":
+        assert set(timings) == {"extend", "express", "total"}
 
 
 json_strings = st.text() | st.text(st.sampled_from('a"\\/\b\n\t\x00\x7f\xe9\u20ac\u2028\ud800\U0001f600'))

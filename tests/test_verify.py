@@ -11,7 +11,7 @@ from swdual import diagrams as dg
 from swdual import extension as ex
 from swdual import indices as ix
 from swdual import verify as vf
-from swdual.rings import Ring
+from swdual.rings import Ring, sparse_rank
 
 Q = Ring.rationals()
 F2 = Ring.modular(2)
@@ -244,6 +244,96 @@ def test_eliminations_beyond_the_grid_equal_the_closed_form(n, r, ring):
     assert vf.span_dimension_w(n, r, ring) == want
 
 
+# every cell with 2 <= n <= 7 inside the default cap of n^2r entries
+CERTIFIED_CELLS = [(n, r) for n in range(2, 8) for r in range(1, 11)
+                   if n ** (2 * r) <= ix.MAX_HELD]
+FIELDS = [Q, F2, F3, Ring.modular(5)]
+
+
+def _elimination_oracle(n, r, ring):
+    orbit_of, _, live = vf._live_orbits(n, r)
+    return len(live) - sparse_rank(ring, vf._slice_equations(n, r, orbit_of, live))
+
+
+def _count_eliminations(monkeypatch):
+    """The number of rows of each ``_sparse_rank`` call of ``verify``."""
+    calls = []
+
+    def counted(ring, rows):
+        calls.append(len(rows))
+        return sparse_rank(ring, rows)
+
+    monkeypatch.setattr(vf, "_sparse_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,r", CERTIFIED_CELLS)
+def test_the_tower_certificate_closes_and_equals_the_elimination(monkeypatch, n, r):
+    calls = _count_eliminations(monkeypatch)
+    got = [vf.centraliser_dimension(n, r, ring) for ring in FIELDS]
+    assert calls == []  # no fallback on any ring
+    assert vf._peel(*vf._tower_system(n, r)) == got[0]
+    # the (7,3) elimination takes about 5 s a ring, so it runs over Q only
+    rings = [Q] if (n, r) == (7, 3) else FIELDS
+    assert got[: len(rings)] == [_elimination_oracle(n, r, ring) for ring in rings]
+    assert got == got[:1] * len(FIELDS)
+
+
+@pytest.mark.parametrize("r", [1, 2, 6, 1000])
+def test_at_n_one_nothing_is_eliminated_and_the_tower_closes(monkeypatch, r):
+    # E(1, r) is the scalars: each line of a 1 x 1 minor is its one entry,
+    # so the slice equations have no rows, and the certificate is not run
+    calls = _count_eliminations(monkeypatch)
+    assert [vf.centraliser_dimension(1, r, ring) for ring in FIELDS] == [1] * len(FIELDS)
+    assert calls == [0] * len(FIELDS)
+    if r <= 6:
+        assert vf._peel(*vf._tower_system(1, r)) == 1
+
+
+def test_the_peel_forces_by_units_and_counts_distinct_seeds():
+    assert vf._peel([{0: 1, 1: -1}], [0], 2) == 1
+    # x0 + 2 x1 = 0 fixes x1 over Q but not over Z/2
+    assert vf._peel([{0: 1, 1: 2}], [0], 2) is None
+    # one unknown and no rows: free of rank 1, though seeded twice
+    assert vf._peel([], [0], 1) == 1
+    assert vf._peel([], [0, 0], 1) is None
+    # x1 = x0 and x1 = 2 x0 hold together only at x0 = 0
+    assert vf._peel([{0: 1, 1: -1}, {0: 2, 1: -1}], [0], 2) is None
+    # 2 x0 = x1 cuts the seeds down, though packed at a digit width of one
+    # bit its sum 2 * 1 - 1 * 2^1 would read 0
+    assert vf._peel([{0: 2, 1: -1}], [0, 1], 2) is None
+
+
+def _drop_seed(rows, seeds, unknowns):
+    return rows, seeds[:-1], unknowns
+
+
+def _repeat_seed(rows, seeds, unknowns):
+    return rows, seeds[:-1] + seeds[:1], unknowns
+
+
+def _alter_coefficient(rows, seeds, unknowns):
+    # a row of two unknowns only ties one to the other, so doubling one of
+    # its coefficients can leave a system of the same rank
+    at = next(i for i, row in enumerate(rows) if len(row) >= 3)
+    row = dict(rows[at])
+    row[next(iter(row))] *= 2
+    return rows[:at] + [row] + rows[at + 1 :], seeds, unknowns
+
+
+@pytest.mark.parametrize("fault", [_drop_seed, _repeat_seed, _alter_coefficient],
+                         ids=["dropped-seed", "repeated-seed", "altered-coefficient"])
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 3), (5, 3)])
+def test_a_broken_certificate_falls_back_to_the_elimination(monkeypatch, fault, n, r):
+    system = vf._tower_system
+    monkeypatch.setattr(vf, "_tower_system", lambda n, r: fault(*system(n, r)))
+    assert vf._peel(*vf._tower_system(n, r)) is None
+    calls = _count_eliminations(monkeypatch)
+    for ring in FIELDS:
+        assert vf.centraliser_dimension(n, r, ring) == _elimination_oracle(n, r, ring)
+    assert len(calls) == len(FIELDS)
+
+
 def test_r_is_bounded_when_n_is_at_most_one():
     for n in (0, 1):
         with pytest.raises(ValueError, match="r must be at most 1000000"):
@@ -260,7 +350,8 @@ def test_timings_cover_every_stage_and_stay_out_of_json():
     doc = report.to_json()
     assert "timings" not in doc
     assert not set(report.timings) & set(doc)
-    assert set(vf.verify_duality(2, 1, Z6, samples=1).timings) == {"total"}
+    assert set(vf.verify_duality(2, 1, Z6, samples=1).timings) == {"extend", "express", "total"}
+    assert vf.verify_duality(2, 0, Z6).timings["extend"] == 0
 
 
 def test_stage_timings_read_the_monotonic_clock(monkeypatch):
@@ -269,7 +360,8 @@ def test_stage_timings_read_the_monotonic_clock(monkeypatch):
     monkeypatch.setattr(vf, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
     report = vf.verify_duality(3, 2, Q)
     assert report.timings == {"span": 1, "centraliser": 1, "psi": 1, "total": 5}
-    assert vf.verify_duality(3, 2, Z6).timings == {"total": 1}
+    # three reads per sample, around extend and express, for the 5 samples
+    assert vf.verify_duality(3, 2, Z6).timings == {"extend": 5, "express": 5, "total": 16}
     assert vf.verify_half(3, 1, Q).timings == {"total": 1}
 
 
