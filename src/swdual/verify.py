@@ -10,24 +10,24 @@ and a special tag's off the place masks of ``is_special``.  Each n x n
 minor gives its slice-sum differences but one, which the others imply,
 since its row sums and its column sums add up to the same total.
 
-Its dimension comes with no elimination, from a certificate on the tower
-system (:func:`_tower_system`): the live orbit variables of every degree
-k = 0..r, and one row per line of each last-place minor at degree k,
-saying that the line sums to its context's value one degree down, zero
-at a mismatch.  The proof has three steps.  First, seeded with the d
-tower coordinates, the scalar and the orbits of the entries of F(n, k),
-a peel forces every unknown from rows with one unknown left, of
-coefficient +-1, so a solution is an integer combination of its seeds,
-over every ring: the seeds inject.  Second, every row the peel did not
-use vanishes over Z on those combinations, so every assignment of the
-seeds extends to a solution, over every ring.  Third, restriction keeps
-invariance, so an invariant and its restrictions solve the system, and
-the top degree of a solution is an invariant whose restrictions are the
-lower degrees: the lower levels cut nothing out of E(n, r).  So E(n, r)
-is free of rank d over every ring (:func:`_peel`).  If a seed repeats,
-the peel stalls or a row fails, the dimension is the nullity of the
-slice equations by elimination instead.  Neither route reads the span or
-the closed form.
+From degree 3 on, its dimension comes with no elimination, from a
+certificate on the tower system (:func:`_tower_system`): the live orbit
+variables of every degree k = 0..r, and one row per line of each
+last-place minor at degree k, saying that the line sums to its context's
+value one degree down, zero at a mismatch.  The proof has three steps.
+First, seeded with the d tower coordinates, the scalar and the orbits of
+the entries of F(n, k), a peel forces every unknown from rows with one
+unknown left, of coefficient +-1, so a solution is an integer
+combination of its seeds, over every ring: the seeds inject.  Second,
+every row the peel did not use vanishes over Z on those combinations, so
+every assignment of the seeds extends to a solution, over every ring.
+Third, restriction keeps invariance, so an invariant and its
+restrictions solve the system, and the top degree of a solution is an
+invariant whose restrictions are the lower degrees: the lower levels cut
+nothing out of E(n, r).  So E(n, r) is free of rank d over every ring
+(:func:`_peel`).  Below degree 3, and if a seed repeats, the peel stalls
+or a row fails, the dimension is the nullity of the slice equations by
+elimination instead.  Neither route reads the span or the closed form.
 
 The span dimension is the rank of the permutation powers phi(w) on their
 d = dim E(n, r) tower coordinates, each a 0/1 read, walking W_n by number
@@ -209,25 +209,20 @@ def _tower_system(n, r):
 
 
 def _signed(row, sign):
-    """The variables of ``sign`` times ``row`` with a positive coefficient,
-    and those with a negative one, each listed |coefficient| times."""
-    plus, minus = [], []
-    for var, c in row.items():
-        if c == sign:
-            plus.append(var)
-        elif c == -sign:
-            minus.append(var)
-        else:
-            (plus if sign * c > 0 else minus).extend([var] * abs(c))
-    return plus, minus
+    """The variables of ``sign`` times ``row`` with coefficient 1, and
+    those with coefficient -1."""
+    return ([var for var, c in row.items() if c == sign],
+            [var for var, c in row.items() if c == -sign])
 
 
 def _peel(rows, seeds, unknowns):
     """d = len(seeds) when the rows certify that their solutions over
     every ring are fixed by, and free on, the seeded unknowns; else None.
 
-    The peel forces an unknown from a row in which it is the only one left
-    and has coefficient +-1, rows in the order they become ready, until
+    Every coefficient must be +-1, as in the tower system, where the
+    entries of a line lie in distinct orbits and its context's variable is
+    one degree down.  The peel forces an unknown from a row in which it is
+    the only one left, rows in the order they become ready, until
     every unknown is forced: then each is an integer combination of the
     seeds, and a solution is fixed by them.  Every assignment of the seeds
     is a solution when each row not used to force vanishes over Z on the
@@ -239,6 +234,8 @@ def _peel(rows, seeds, unknowns):
     peel, so a row vanishes exactly when its packed sum is 0.
     """
     if None in seeds or len(set(seeds)) != len(seeds):
+        return None
+    if any(c not in (1, -1) for row in rows for c in row.values()):
         return None
     left = list(map(len, rows))
     rows_of = [[] for _ in range(unknowns)]
@@ -262,7 +259,7 @@ def _peel(rows, seeds, unknowns):
     for i in ready:  # grows as it is read, so the peel runs breadth first
         row = rows[i]
         var = next((v for v in row if not known[v]), None)
-        if var is None or row[var] not in (1, -1):
+        if var is None:
             continue
         # -row[var] times the row has var at -1: var is what is left
         plus, minus = _signed(row, -row[var])
@@ -289,15 +286,17 @@ def _peel(rows, seeds, unknowns):
 def centraliser_dimension(n, r, ring, with_basis=False, unsafe_large=False):
     """dim over a field of the full diagram-action centraliser.
 
-    Without a basis, at n >= 2, it is d from the tower certificate
-    (at n = 1 the slice equations have no rows), which proves in
+    Without a basis, at n >= 2 and r >= 3, it is d from the tower
+    certificate (at n = 1 the slice equations have no rows, and at r <= 2
+    they eliminate with little fill: see ``_PEEL_FROM_R``), which proves in
     three steps that E(n, r) is free of rank d over every ring: the peel
     forces every unknown of the tower system from +-1 rows, so the d
     seeds inject; every row left over vanishes over Z, so every
     assignment of them extends; and restriction keeps invariance, so the
     lower degrees of the system cut nothing out of E(n, r)
-    (:func:`_peel`).  Where the certificate does not close, and with a
-    basis, it is the nullity of the slice equations by elimination.
+    (:func:`_peel`).  Where the certificate does not run or does not
+    close, and with a basis, it is the nullity of the slice equations by
+    elimination.
 
     Optionally returns a basis in reduced echelon form (a list of
     TensorMatrix values, one per free variable of the commutant system).
@@ -311,19 +310,30 @@ def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
     return _invariant_dimension(n, r, ring, tag or (n, n), False, unsafe_large)
 
 
+# The least degree at which the tower certificate runs.  Its check makes
+# d / _RUN_INPUTS passes over the whole tower system, after building
+# F(n, k) for its seeds, and d grows with n like the number of unknowns.
+# Below degree 3 the slice equations eliminate with little fill (at r = 1
+# they are 2n - 2 rows), so elimination is the cheaper route there from
+# n of about 12 at r = 2 and 64 at r = 1.  From degree 3 on elimination
+# fills: at no cell measured inside the cap is it cheaper by more than
+# 0.04 s, and at (7,3) it takes 4.2 s against the certificate's 0.3 s.
+# At n = 1 each line is its one entry, so the slice equations are no
+# rows at all, while the tower would walk r + 1 degrees.
+_PEEL_FROM_R = 3
+
+
 def _invariant_dimension(n, r, ring, tag, with_basis, unsafe_large):
-    """With no tag and no basis, at n >= 2, the tower certificate's d,
-    where it closes; else the nullity of the slice equations on the tag's live
-    orbits, and with no tag optionally a basis, numbered as
-    :func:`extension._from_live`."""
+    """With no tag and no basis, at n >= 2 and r >= 3, the tower
+    certificate's d, where it closes; else the nullity of the slice
+    equations on the tag's live orbits, and with no tag optionally a
+    basis, numbered as :func:`extension._from_live`."""
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     if r == 0:
         return (1, [tn.TensorMatrix.scalar(n, ring, ring.one)]) if with_basis else 1
     _check_cap(n, r, unsafe_large)
-    # at n = 1 each line is its one entry, so the slice equations are no
-    # rows at all, while the tower would walk r + 1 degrees
-    if tag is None and not with_basis and n > 1:
+    if tag is None and not with_basis and n > 1 and r >= _PEEL_FROM_R:
         d = _peel(*_tower_system(n, r))
         if d is not None:
             return d

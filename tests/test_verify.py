@@ -269,14 +269,19 @@ def _count_eliminations(monkeypatch):
 
 @pytest.mark.parametrize("n,r", CERTIFIED_CELLS)
 def test_the_tower_certificate_closes_and_equals_the_elimination(monkeypatch, n, r):
+    d = vf._peel(*vf._tower_system(n, r))
     calls = _count_eliminations(monkeypatch)
     got = [vf.centraliser_dimension(n, r, ring) for ring in FIELDS]
-    assert calls == []  # no fallback on any ring
-    assert vf._peel(*vf._tower_system(n, r)) == got[0]
-    # the (7,3) elimination takes about 5 s a ring, so it runs over Q only
-    rings = [Q] if (n, r) == (7, 3) else FIELDS
-    assert got[: len(rings)] == [_elimination_oracle(n, r, ring) for ring in rings]
-    assert got == got[:1] * len(FIELDS)
+    assert got == [d] * len(FIELDS)
+    if r < vf._PEEL_FROM_R:
+        # below degree 3 each ring eliminates, so got is the oracle's
+        assert len(calls) == len(FIELDS)
+        return
+    assert calls == []  # the certificate closes, with no fallback on any ring
+    # the larger eliminations run over Q and one prime, and (7,3)'s, about
+    # 4 s a ring, over Q only
+    rings = {(7, 3): [Q], (6, 3): [Q, F3], (5, 4): [Q, F3], (4, 5): [Q, F3]}.get((n, r), FIELDS)
+    assert [_elimination_oracle(n, r, ring) for ring in rings] == [d] * len(rings)
 
 
 @pytest.mark.parametrize("r", [1, 2, 6, 1000])
@@ -312,18 +317,22 @@ def _repeat_seed(rows, seeds, unknowns):
     return rows, seeds[:-1] + seeds[:1], unknowns
 
 
-def _alter_coefficient(rows, seeds, unknowns):
-    # a row of two unknowns only ties one to the other, so doubling one of
-    # its coefficients can leave a system of the same rank
-    at = next(i for i, row in enumerate(rows) if len(row) >= 3)
-    row = dict(rows[at])
-    row[next(iter(row))] *= 2
-    return rows[:at] + [row] + rows[at + 1 :], seeds, unknowns
+def _scale_coefficient(factor):
+    def alter(rows, seeds, unknowns):
+        # a row of two unknowns only ties one to the other, so altering one
+        # of its coefficients can leave a system of the same rank
+        at = next(i for i, row in enumerate(rows) if len(row) >= 3)
+        row = dict(rows[at])
+        row[next(iter(row))] *= factor
+        return rows[:at] + [row] + rows[at + 1 :], seeds, unknowns
+    return alter
 
 
-@pytest.mark.parametrize("fault", [_drop_seed, _repeat_seed, _alter_coefficient],
-                         ids=["dropped-seed", "repeated-seed", "altered-coefficient"])
-@pytest.mark.parametrize("n,r", [(3, 2), (4, 3), (5, 3)])
+@pytest.mark.parametrize("fault", [_drop_seed, _repeat_seed, _scale_coefficient(2),
+                                   _scale_coefficient(-1)],
+                         ids=["dropped-seed", "repeated-seed", "altered-coefficient",
+                              "flipped-sign"])
+@pytest.mark.parametrize("n,r", [(3, 3), (4, 3), (5, 3)])
 def test_a_broken_certificate_falls_back_to_the_elimination(monkeypatch, fault, n, r):
     system = vf._tower_system
     monkeypatch.setattr(vf, "_tower_system", lambda n, r: fault(*system(n, r)))
