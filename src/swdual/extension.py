@@ -40,10 +40,11 @@ Every public construction is verified before it is returned.  ``extend``
 checks its output's membership, restriction and free values; ``decompose``
 checks what it builds, the excisions one rank down, one membership check
 each, then that their inflations add up and the free values, since theta
-carries E(n-1, r) onto the special invariants of its tag.  A verified
-output is unique, so a fault in an operator or in a read-off position
-surfaces as :class:`ConstructionFailure`, never as a wrong answer; a
-failed build names the operation and the (n, r).  A non-invariant input
+carries E(n-1, r) onto the special invariants of its tag; in another
+block row or column only the input is relabelled, and theta inflates each
+excision straight into the basis.  A verified output is unique, so a
+fault in an operator or in a read-off position surfaces as
+:class:`ConstructionFailure`, never as a wrong answer; a failed build names the operation and the (n, r).  A non-invariant input
 is user error: ``express_in_permutation_span`` refuses it with
 :class:`NotInSpanError` from its one reconstruction check, the other
 public entries with :class:`NotInvariantError` from the invariance gate
@@ -508,28 +509,32 @@ def decompose(a, f=None, basis="last-row"):
     if a.ring.kind == "q":
         den, a, f = _on_integers(a, f, gate=True)
     require_invariant(a)
-    f = {based.key(key): v for key, v in f.items()}
-    summands = based.summands(_decompose_last_row(based.matrix(a), f))
+    summands = _decompose_in(a, f, based)
     return summands if den is None else [_over(den, s) for s in summands]
 
 
-def _decompose_last_row(a, f):
-    n, r = a.n, a.r
+def _decompose_in(a, f, based):
+    """The verified summands of a in the basis ``based``: the excisions
+    of ``based.matrix(a)`` along its last block row, each inflated
+    straight into the basis and checked against ``a`` and ``f``."""
+    n = a.n
     if n == 1:  # the one summand, special with tag (1, 1), is a itself
         return [a]
-    parts = _parts(a, f)
+    parts = _parts(based.matrix(a), {based.key(key): v for key, v in f.items()})
     # theta(c, n, j) is special, in E(n, r) exactly when c is in E(n-1, r),
-    # and, once the summands add up to a, restricts to block (n, j) of a
+    # and, once the summands add up to a, restricts to block (n, j) of a;
+    # carried to the basis, it keeps all three with the basis tag
     for j, c in enumerate(parts, start=1):
         if not is_invariant(c):
             raise ConstructionFailure("excision %d fails membership" % j)
-    summands = [theta(c, n, j) for j, c in enumerate(parts, start=1)]
+    summands = [theta(parts[j - 1], n, j, based.tau, based.transpose)
+                for j in map(based.value, range(1, n + 1))]
     if matrix_sum(summands) != a:
         raise ConstructionFailure("decomposition summands do not add up")
-    for (j, p, q), value in f.items():
-        if summands[j - 1].get(p, q) != value:
+    for (k, p, q), value in f.items():
+        if summands[k - 1].get(p, q) != value:
             raise ConstructionFailure(
-                "decomposition free entry %r not returned verbatim" % ((j, p, q),)
+                "decomposition free entry %r not returned verbatim" % ((k, p, q),)
             )
     return summands
 

@@ -21,8 +21,12 @@ check of that size, and on C-level list operations: H on a byte mask of
 the value-type mismatches, S on the position of each entry's orbit
 leader, and G on the one slice-sum kernel (:func:`_context_sums`), which
 reads a context's n rows against every q at once; another place alpha is
-read through a table that moves place alpha last.  The excision, inflation and specialness
-maps work on precomputed rank tables instead of tuples.
+read through a table that moves place alpha last.  Once S holds, G reads
+only the sorted contexts: permuting places 1..r-1 carries a minor to an
+equal one, and the sorted context is the least of its orbit, so the
+verdict and witness are those of the full walk.  The excision, inflation
+and specialness maps work on precomputed rank tables instead of tuples;
+:func:`theta` also inflates straight into any block row or column.
 
 One invariance gate, :func:`require_invariant`, refuses a non-invariant
 with :class:`NotInvariantError` naming the first violation of
@@ -38,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations_with_replacement, compress
 
 from . import indices as ix
 from .rings import Ring, clear_denominators
@@ -134,20 +138,25 @@ def check_membership(a, stop_early=False):
     ``stop_early`` the report is returned at the first failing predicate.
 
     H reads ``data`` through the cached byte mask of the mismatches (raw
-    zeros are the only falsy values), and S compares ``data`` with its
-    gather through the cached table of orbit leaders, both on the values
-    as they are.  G runs one kernel
-    at the last place (:func:`_first_bad_minor`).  When S holds, the place
-    permutation moving place alpha to the end carries every entry of the
-    (alpha, p, q) minor to the equal entry of the (r, p, q) minor, so the
-    two minors have the same slice sums: place r decides G at every place,
-    and the first failing slice is (1, p, q) for the first bad (p, q) at
-    place r.  When S fails the kernel runs at every place, on the matrix
-    gathered through the table that moves place alpha last.  Over Q, G
-    reads L a, L a common denominator, once H holds, and the values as
-    they are otherwise; a common denominator too large to clear is a
-    ``ValueError`` when S holds, and leaves the values as they are when
-    S fails.
+    zeros are the only falsy values), on the values as they are.  Over Q,
+    S and G then read L a, L one common denominator
+    (:func:`.rings.clear_denominators`): S compares entries with each
+    other and G is homogeneous, so the report and its witness are those of
+    a, and no ``Fraction`` is compared.  A common denominator too large to
+    clear leaves the values as they are, and is a ``ValueError`` once H
+    and S hold.  S compares ``data`` with its gather through the cached
+    table of orbit leaders.  G runs one kernel at the last place
+    (:func:`_first_bad_minor`).  When S holds, the place permutation
+    moving place alpha to the end carries every entry of the (alpha, p, q)
+    minor to the equal entry of the (r, p, q) minor, so the two minors
+    have the same slice sums: place r decides G at every place, and the
+    first failing slice is (1, p, q) for the first bad (p, q) at place r.
+    A permutation sigma of places 1..r-1 carries the (r, p, q) minor to
+    the equal (r, sigma p, sigma q) minor, so the contexts with
+    non-decreasing values decide G (:func:`_sorted_contexts`), and the
+    first bad context is sorted, the least of its orbit.  When S fails the
+    kernel runs at every place and context, on the matrix gathered
+    through the table that moves place alpha last.
     """
     require_positive_n(a)
     n, r, data = a.n, a.r, a.data
@@ -162,6 +171,15 @@ def check_membership(a, stop_early=False):
         if stop_early:
             return report
 
+    too_large = None
+    if a.ring.kind == "q":
+        try:
+            data = clear_denominators(data)[1]
+        except ValueError as error:
+            too_large = error
+        else:
+            a = TensorMatrix(n, r, Ring.integers(), data)
+
     # S: constancy on simultaneous place-permutation orbits
     led = list(map(data.__getitem__, _orbit_leads(n, r)))
     if led != data:
@@ -173,20 +191,16 @@ def check_membership(a, stop_early=False):
             return report
 
     # G: all slice sums for a context pair agree, at every place; under S
-    # place r decides every place, and the first bad slice is at place 1
+    # place r and its sorted contexts decide every place, and the first bad
+    # slice is at place 1
     if r == 0:
         return report
-    if a.ring.kind == "q" and report.in_H:  # G is homogeneous
-        try:
-            ints = clear_denominators(data)[1]
-        except ValueError:
-            if report.in_S:
-                raise
-        else:
-            a = TensorMatrix(n, r, Ring.integers(), ints)
+    if too_large is not None and report.in_H and report.in_S:
+        raise too_large
+    contexts = _sorted_contexts(n, r) if report.in_S else range(n ** (r - 1))
     for alpha in (r,) if report.in_S else range(1, r + 1):
         table = _place_last(n, r, alpha)
-        bad = _first_bad_minor(a if alpha == r else gather(a, n, table, table))
+        bad = _first_bad_minor(a if alpha == r else gather(a, n, table, table), contexts)
         if bad is not None:
             report.in_G = False
             if report.first_violation is None:
@@ -244,11 +258,22 @@ def _minor_sums(rows, cols, q, n):
     return [row[q] for row in rows] + cols[q * n : q * n + n]
 
 
-def _first_bad_minor(a):
+@lru_cache(maxsize=None)
+def _sorted_contexts(n, r):
+    """Ranks, in increasing order, of the contexts p in I(n,r-1) whose
+    values do not decrease: the least p of each orbit of the permutations
+    of places 1..r-1, which decide G once S holds."""
+    return tuple(
+        ix.index_rank(n, p) for p in combinations_with_replacement(range(1, n + 1), r - 1)
+    )
+
+
+def _first_bad_minor(a, contexts):
     """Ranks (p, q), in that order, of the first minor at the last place
-    whose 2n slice sums disagree, or None."""
+    whose 2n slice sums disagree, or None, reading only the contexts p in
+    ``contexts``, increasing ranks."""
     n = a.n
-    for p in range(a.size // n):
+    for p in contexts:
         rows, cols = _context_sums(a, p)
         first = rows[0]
         if rows.count(first) == n and all(cols[t::n] == first for t in range(n)):
@@ -377,32 +402,42 @@ def eta(a, p, q):
 
 
 @lru_cache(maxsize=64)
-def _theta_rows(n, r, p, q):
-    """Gather tables of the inflation with tag (p, q) into I(n,r).
+def _theta_rows(n, r, p, q, tau=None, transpose=False):
+    """Gather tables of the inflation with tag (p, q) into I(n,r), carried
+    by ``tau`` and ``transpose`` as in :func:`theta`.
 
-    One entry per row u, in lexicographic order: ``(k, start, width,
-    columns)``.  The row of u is read from the window ``[zero] +
-    rho^k(c).data[start : start + width]`` (the row of u-bar in the k-th
-    restriction), and ``columns[v]`` is 1 + the rank of v-bar when v holds
-    q at exactly the places where u holds p, else 0 (the leading zero).
-    Column tables are shared between rows with the same place mask.
+    One entry per output row u, in lexicographic order: ``(k, window,
+    columns)``.  The row of u is read from ``[zero] +
+    rho^k(c).data[window]``, the row (transposed: the column) of u-bar in
+    the k-th restriction, and ``columns[v]`` is 1 + the rank of v-bar when
+    the places of the column value in v are the places of the row value in
+    u, else 0 (the leading zero).  Column tables are shared between rows
+    with the same place mask; relabelled, row u reads the codes of
+    tau^-1 u and column v those of tau^-1 v.
     """
+    row_codes = _split_ranks(n, r, q if transpose else p)
+    col_codes = _split_ranks(n, r, p if transpose else q)
+    if tau is not None:
+        moved = ix.act_ranks(ix.perm_inverse(tau), r)
+        row_codes = [row_codes[k] for k in moved]
+        col_codes = [col_codes[k] for k in moved]
     n1 = n - 1
-    q_codes = _split_ranks(n, r, q)
     columns = {}
     rows = []
-    for mask, u_bar in _split_ranks(n, r, p):
+    for mask, u_bar in row_codes:
         if mask not in columns:
             columns[mask] = tuple(
-                v_bar + 1 if q_mask == mask else 0 for q_mask, v_bar in q_codes
+                v_bar + 1 if v_mask == mask else 0 for v_mask, v_bar in col_codes
             )
         k = mask.bit_count()
         width = n1 ** (r - k)
-        rows.append((k, u_bar * width, width, columns[mask]))
+        start = u_bar if transpose else u_bar * width
+        window = slice(start, None, width) if transpose else slice(start, start + width)
+        rows.append((k, window, columns[mask]))
     return tuple(rows)
 
 
-def theta(c, p, q):
+def theta(c, p, q, tau=None, transpose=False):
     """Inflate an invariant of rank n-1 to a special invariant with tag
     (p, q) at rank n.
 
@@ -410,6 +445,12 @@ def theta(c, p, q):
     places of q in v; stripping those k common places leaves a pair of
     indices over the remaining values, looked up in the restriction tower
     rho^k(c) after renumbering.
+
+    With ``tau``, a permutation of 1..n, its entry at (u, v) moves to
+    (tau.u, tau.v), and with ``transpose`` it is then transposed, as
+    :class:`.patterns.Basis` carries a decomposition summand to another
+    block row or column; each row is still one gather, a transposed one
+    reading a column of rho^k(c), one strided slice.
     """
     n1, r, ring = c.n, c.r, c.ring
     towers = [c]
@@ -417,7 +458,7 @@ def theta(c, p, q):
         towers.append(_restrict(towers[-1]))
     zero = [ring.zero]
     data = []
-    for k, start, width, columns in _theta_rows(n1 + 1, r, p, q):
-        window = zero + towers[k].data[start : start + width]
+    for k, window, columns in _theta_rows(n1 + 1, r, p, q, tau, transpose):
+        window = zero + towers[k].data[window]
         data.extend(map(window.__getitem__, columns))
     return TensorMatrix(n1 + 1, r, ring, data)

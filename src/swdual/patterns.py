@@ -309,6 +309,7 @@ class Basis:
     are commuting involutions, so each map below carries an object from
     this basis to the last block row and also back.  For the last block
     row no map relabels or copies a matrix, a line or a pattern.
+    ``invariants.theta`` builds decomposition summands in the basis.
     """
 
     n: int
@@ -344,12 +345,6 @@ class Basis:
         if self.tau is not None:
             a = relabel(a, self.tau)
         return a.transpose() if self.transpose else a
-
-    def summands(self, parts):
-        """The summands of a decomposition along the last block row,
-        carried to this basis and put in order: the k-th one is special
-        with tag ``tags()[k - 1]``."""
-        return [self.matrix(parts[self.value(k) - 1]) for k in range(1, self.n + 1)]
 
     def tags(self):
         return [

@@ -5,7 +5,10 @@ before its construction path moved onto flat rank tables, and is kept as
 an independent oracle for the differential tests: nothing in this file
 calls a rank table of swdual but :func:`span_rows`, the live-orbit rows
 that the span side ranked before it read tower coordinates, kept as they
-were as the oracle of the tower rows.  The duality oracles' rows are kept
+were as the oracle of the tower rows, and :func:`decompose_by_relabel`,
+the path ``decompose`` took to another block row or column before its
+summands were inflated straight into the basis: the last-row summands of
+the relabelled input, each relabelled back.  The duality oracles' rows are kept
 the same way: psi rows by scanning every entry of the full psi matrices
 or by testing every class against every diagram, the psi side's rank by
 eliminating the rows of every diagram, slice equations at
@@ -206,6 +209,15 @@ def theta(c, p, q):
             v_bar = collapse_index(tuple(x for x in v if x != q), q)
             out.data[ri * out.size + rj] = get(towers[len(lam_p)], u_bar, v_bar)
     return out
+
+
+def decompose_by_relabel(a, f, basis):
+    """The summands of ``decompose(a, f, basis)`` by relabelling: decompose
+    ``a`` carried to the last block row, then carry the summand of block
+    column tau(k) back to the basis as its k-th summand."""
+    based = pt.parse_basis(basis, a.n)
+    parts = ex.decompose(based.matrix(a), {based.key(key): v for key, v in f.items()})
+    return [based.matrix(parts[based.value(k) - 1]) for k in range(1, a.n + 1)]
 
 
 def _insert(ctx, alpha, t):

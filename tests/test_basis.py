@@ -3,15 +3,20 @@
 The keys that ``swd free-pattern --basis B`` emits must be exactly the keys
 that ``decompose(..., basis=B)`` and ``extend_with_prescription(...,
 basis=B)`` read, in every basis; the basis maps must agree with the
-matmul conjugation of ``reference`` and be involutions; malformed basis
-names must be rejected in the library and by the command line.
+matmul conjugation of ``reference`` and be involutions; the summands
+that ``decompose`` inflates straight into a basis must be the relabelled
+last-row summands of ``reference``, and a fault in their tables must fail
+the sum check; malformed basis names must be rejected in the library and
+by the command line.
 """
 
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -23,8 +28,10 @@ import reference as ref
 from swdual import cli
 from swdual import extension as ex
 from swdual import indices as ix
+from swdual import invariants as iv
 from swdual import patterns as pt
 from swdual import tensor as tn
+from swdual import verify as vf
 from swdual.rings import Ring
 
 RINGS = [Ring.parse(name) for name in ("q", "z/6")]
@@ -117,6 +124,50 @@ def test_decomposition_keys_are_read_back(n, r, basis, ring, data):
     column, line = line_of(basis, n)
     for k, part in enumerate(parts, start=1):
         assert ref.is_special(part, *((k, line) if column else (line, k)))
+
+
+INFLATION_CELLS = [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (3, 4)]
+INFLATION_RINGS = [Ring.parse(name) for name in ("z/6", "z", "q")]
+
+
+@pytest.mark.parametrize("ring", INFLATION_RINGS, ids=lambda ring: ring.name)
+@pytest.mark.parametrize("n, r", INFLATION_CELLS)
+def test_summands_inflated_into_the_basis_are_the_relabelled_ones(n, r, ring):
+    rng = random.Random(1000 * n + r)
+    a = vf.random_invariant(n, r, ring, rng)
+    if ring.kind == "q":  # entries over 1, 2, 3 and 6
+        b = vf.random_invariant(n, r, ring, rng)
+        a = a.add(tn.TensorMatrix(n, r, ring, [x * Fraction(1, 6) for x in b.data]))
+    for basis in bases(n)[1:]:
+        keys = pt.parse_basis(basis, n).pattern(pt.build_d(n, r)).entries
+        f = {key: ring.from_int(rng.randint(-4, 4)) for key in keys}
+        for values in ({}, f):
+            assert ex.decompose(a, values, basis=basis) == ref.decompose_by_relabel(
+                a, values, basis), (basis, len(values))
+
+
+def test_a_corrupted_column_table_fails_the_sum_check(monkeypatch):
+    n, r, basis = 4, 3, "col:2"
+    ring = Ring.parse("z/6")
+    a = vf.random_invariant(n, r, ring, random.Random(7))
+    based = pt.parse_basis(basis, n)
+    summands = ex.decompose(a, basis=basis)  # builds every operator and table
+    # summand k = 1 comes from block column tau(1) of the last block row;
+    # its first nonzero entry (u, v) reads pointer columns[v] of row u
+    key = (n, r, n, based.value(1), based.tau, True)
+    rows = iv._theta_rows(*key)
+    pos = next(pos for pos, x in enumerate(summands[0].data) if x != ring.zero)
+    u, v = divmod(pos, a.size)
+    columns = rows[u][2]
+    assert columns[v] != 0
+    bad = columns[:v] + (0,) + columns[v + 1 :]  # reads the leading zero
+    corrupted = tuple((k, window, bad if cols is columns else cols)
+                      for k, window, cols in rows)
+    theta_rows = iv._theta_rows
+    monkeypatch.setattr(iv, "_theta_rows",
+                        lambda *args: corrupted if args == key else theta_rows(*args))
+    with pytest.raises(ex.ConstructionFailure, match="do not add up"):
+        ex.decompose(a, basis=basis)
 
 
 def to_last_row_key(key, basis, n):

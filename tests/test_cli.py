@@ -994,6 +994,25 @@ def test_decompose_of_the_q_fixture_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DECOMPOSE_DIGEST
 
 
+# the digests the CI step "Installed swd command" pins for the same file
+# decomposed along block column 1 and block row 1, whose summands are
+# inflated straight into the basis
+FIXTURE_DECOMPOSE_BASIS_DIGESTS = {
+    "col:1": "184a7ecb33579d65915718e37fe403b56d04cf2818adc4bf7d89d724685296d7",
+    "row:1": "ea8b121495fd25065a2e779678eb7d0ae2217f31d6c9ead2b25becf50aa7833e",
+}
+
+
+@pytest.mark.parametrize("basis", sorted(FIXTURE_DECOMPOSE_BASIS_DIGESTS))
+def test_decompose_of_the_q_fixture_in_another_basis_is_pinned(capsys, basis):
+    from swdual import cli
+
+    fixture = Path(__file__).parent / "fixtures" / "decompose_q32.json"
+    assert cli.main(["decompose", "--in", str(fixture), "--basis", basis]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DECOMPOSE_BASIS_DIGESTS[basis]
+
+
 # the digests the CI step "Installed swd command" pins for the same files:
 # extend from degree zero, and from degree one at n = 4 over Z/6; and
 # extend from degree zero at n = 200, which that step runs under a timeout

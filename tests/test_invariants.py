@@ -1,5 +1,8 @@
+import itertools
+import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +116,73 @@ def test_g_check_inserts_at_every_place():
     report = iv.check_membership(a.add(ref.kronecker(tn.TensorMatrix.identity(2, 1, Z), m)))
     assert report.in_H and report.in_S and not report.in_G
     assert report.first_violation == {"kind": "G", "alpha": 1, "p": "1", "q": "1"}
+
+
+# -- G on the sorted contexts ---------------------------------------------------
+
+SORTED_CELLS = [(2, 4), (3, 3), (3, 4), (4, 3), (4, 4), (5, 3)]
+G_RINGS = [Z, Z6, Q]
+
+
+def orbit_shifted(a, u, v, delta):
+    """``a`` plus ``delta`` on every pair of the place-permutation orbit of
+    (u, v): H and S still hold when u and v have one value type."""
+    orbit = {
+        (tuple(u[k] for k in s), tuple(v[k] for k in s))
+        for s in itertools.permutations(range(a.r))
+    }
+    data = list(a.data)
+    for x, y in orbit:
+        pos = ix.index_rank(a.n, x) * a.size + ix.index_rank(a.n, y)
+        data[pos] = a.ring.add(data[pos], delta)
+    return tn.TensorMatrix(a.n, a.r, a.ring, data)
+
+
+@pytest.mark.parametrize("ring", G_RINGS, ids=lambda ring: ring.name)
+@pytest.mark.parametrize("n, r", SORTED_CELLS)
+def test_g_on_the_sorted_contexts_finds_the_first_bad_minor(n, r, ring):
+    rng = random.Random(97 * n + r)
+    a = vf.random_invariant(n, r, ring, rng)
+    contexts = iv._sorted_contexts(n, r)
+    assert len(contexts) == math.comb(n + r - 2, r - 1) < n ** (r - 1)
+    idxs = ix.all_indices(n, r)
+    broken = 0
+    for _ in range(10):
+        u = rng.choice(idxs)
+        v = rng.choice([x for x in idxs if ix.value_type(x) == ix.value_type(u)])
+        delta = Fraction(rng.randint(1, 5), 3) if ring is Q else ring.from_int(rng.randint(1, 5))
+        b = orbit_shifted(a, u, v, delta)
+        full = iv._first_bad_minor(b, range(n ** (r - 1)))
+        assert iv._first_bad_minor(b, contexts) == full
+        report = iv.check_membership(b)
+        assert report.in_H and report.in_S and report.in_G == (full is None)
+        if full is not None:
+            broken += 1
+            assert report.first_violation == {
+                "kind": "G",
+                "alpha": 1,
+                "p": ix.format_index(ix.index_from_rank(n, r - 1, full[0])),
+                "q": ix.format_index(ix.index_from_rank(n, r - 1, full[1])),
+            }
+    assert broken >= 5
+
+
+@pytest.mark.parametrize("ring", G_RINGS, ids=lambda ring: ring.name)
+def test_g_walks_every_context_when_s_fails(ring):
+    # one more at (321, 321): the context of its minor is (2,1), (3,1) or
+    # (3,2) at places 1, 2, 3, never sorted, so H holds, S fails, and only
+    # the walk over every context sees G fail
+    n, r = 3, 3
+    a = vf.random_invariant(n, r, ring, random.Random(5))
+    data = list(a.data)
+    pos = ix.index_rank(n, (3, 2, 1)) * (a.size + 1)
+    data[pos] = ring.add(data[pos], ring.one)
+    b = tn.TensorMatrix(n, r, ring, data)
+    assert iv._first_bad_minor(b, iv._sorted_contexts(n, r)) is None
+    assert iv._first_bad_minor(b, range(n ** (r - 1))) == (ix.index_rank(n, (3, 2)),) * 2
+    report = iv.check_membership(b)
+    assert report.in_H and not report.in_S and not report.in_G
+    assert ref.membership(b)[:3] == (False, True, False)
 
 
 # -- slices, common_b, restriction --------------------------------------------

@@ -249,7 +249,7 @@ def test_verify_refuses_n_zero_on_every_ring(name):
 
 
 @pytest.mark.parametrize("predicate", ["H", "S"])
-def test_membership_clears_one_denominator_for_g_once_h_holds(monkeypatch, predicate):
+def test_membership_clears_one_denominator_after_h(monkeypatch, predicate):
     n, r = 3, 2
     a = ref.reconstruct(n, r, Q, {w: Fraction(k + 1, k + 2)
                                   for k, w in enumerate(ix.all_permutations(n))})
@@ -260,14 +260,44 @@ def test_membership_clears_one_denominator_for_g_once_h_holds(monkeypatch, predi
     calls = []
     monkeypatch.setattr(iv, "clear_denominators",
                         lambda values: calls.append(1) or clear_denominators(values))
+    reports = []
     for stop_early in (True, False):
         calls.clear()
         report = iv.check_membership(tn.TensorMatrix(n, r, Q, data), stop_early=stop_early)
         assert not report.in_E and report.first_violation["kind"] == predicate
-        # G runs only without stop_early, and on L a only where H holds
-        assert calls == ([1] if predicate == "S" and not stop_early else [])
+        # H reads the values as they are; S and G read L a, so only a
+        # report that stops at H clears nothing
+        assert calls == ([] if predicate == "H" and stop_early else [1])
+        reports.append(report.to_json())
     calls.clear()
-    assert iv.check_membership(a).in_E and calls == [1]  # a member clears once, for G
+    assert iv.check_membership(a).in_E and calls == [1]  # a member clears once
+    # past the bound, a non-member is reported from its values as they are
+    monkeypatch.setattr(iv, "clear_denominators", _past_the_bound)
+    assert [iv.check_membership(tn.TensorMatrix(n, r, Q, data), stop_early=stop_early).to_json()
+            for stop_early in (True, False)] == reports
+
+
+def test_membership_compares_no_fraction(monkeypatch):
+    # a library-built member holds a distinct Fraction object per entry;
+    # S compares L a, so Fraction.__eq__ never runs
+    n, r = 4, 3
+    a = ref.reconstruct(n, r, Q, {w: Fraction(k % 5 + 1, k % 7 + 2)
+                                  for k, w in enumerate(ix.all_permutations(n))})
+    equal = Fraction.__eq__
+    calls = []
+    monkeypatch.setattr(Fraction, "__eq__",
+                        lambda x, y: calls.append(1) or equal(x, y))
+    report = iv.check_membership(a)
+    monkeypatch.undo()
+    assert report.in_E and calls == []
+    data = list(a.data)
+    data[1] += Fraction(1, 3)  # entry (111, 112): a value-type mismatch
+    monkeypatch.setattr(Fraction, "__eq__",
+                        lambda x, y: calls.append(1) or equal(x, y))
+    report = iv.check_membership(tn.TensorMatrix(n, r, Q, data))
+    monkeypatch.undo()
+    assert report.first_violation == {"kind": "H", "row": "111", "col": "112"}
+    assert calls == []
 
 
 def _past_the_bound(values):

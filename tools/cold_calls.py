@@ -4,7 +4,9 @@
 
 Each measurement is a new Python process that imports swdual from the
 given ``src`` directory, makes the input (the identity over Z/6, of
-degree r - 1 for ``extend`` and r for ``decompose`` and ``express``),
+degree r - 1 for ``extend`` and r for ``decompose`` and ``express``;
+``decompose_col1`` decomposes along block column 1, whose summands are
+inflated through tables of their own),
 times one public call with verification, then a second identical call,
 and reports both times and the process's peak RSS.  This is what each
 ``swd extend`` or ``swd decompose`` invocation pays: every table and
@@ -27,7 +29,8 @@ CASES = [
     (op, n, r)
     for n, r in ((4, 3), (5, 2), (5, 3), (5, 4))
     for op in ("extend", "decompose", "express")
-] + [("extend", 4, 5), ("decompose", 4, 5), ("decompose", 3, 6), ("extend", 8, 2)]
+] + [("decompose_col1", 5, 3), ("extend", 4, 5), ("decompose", 4, 5), ("decompose_col1", 4, 5),
+      ("decompose", 3, 6), ("decompose_col1", 3, 6), ("extend", 8, 2)]
 
 CHILD = r"""
 import json, resource, sys, time
@@ -38,9 +41,10 @@ ring = rings.Ring.modular(6)
 if op == "extend":
     a = tn.TensorMatrix.identity(n, r - 1, ring)
     call = lambda: ex.extend(a)
-elif op == "decompose":
+elif op.startswith("decompose"):
     a = tn.TensorMatrix.identity(n, r, ring)
-    call = lambda: ex.decompose(a)
+    basis = "col:1" if op == "decompose_col1" else "last-row"
+    call = lambda: ex.decompose(a, basis=basis)
 else:
     a = tn.TensorMatrix.identity(n, r, ring)
     call = lambda: ex.express_in_permutation_span(a)
