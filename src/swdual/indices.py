@@ -178,22 +178,29 @@ def orbit_table(n, r):
     least pair, in order of orbit id.
 
     An orbit is a multiset of r place columns (i_a, j_a), each a code c_a =
-    (i_a - 1) n + j_a - 1 among N = n^2.  Its key packs the power sums p_k
-    = sum of (c_a + 1)^k, k = 1..m with m = min(r, N - 1), into fields of
-    W bits (:func:`_key_rows`).  With the size r known, p_1..p_m fix the
-    multiset (Newton's identities, or the Vandermonde system on the N
-    multiplicities), and every p_k is at most r N^m < 2^W, so no field
-    carries into the next.  A key has m W bits, and at n = 1, where m = 0,
-    every key is 0.  Orbit ids follow the first appearance of their keys
-    in row-major order, where each orbit's least pair comes first.  The
-    last degree is read one row at a time, so only the keys one degree
-    down are held in full.
+    (i_a - 1) n + j_a - 1 among N = n^2, and its key is whichever of two
+    injective keys has fewer bits at (n, r) (:func:`_key_rows` adds them up
+    column by column).  One is the sum of (r + 1)^c_a, whose base-(r + 1)
+    digits are the multiplicities, each at most r: N log2(r + 1) bits,
+    short at small n.  The other packs the power sums p_k = sum of (c_a +
+    1)^k, k = 1..m with m = min(r, N - 1), into fields of W bits: with the
+    size r known, p_1..p_m fix the multiset (Newton's identities, or the
+    Vandermonde system on the N multiplicities), and every p_k is at most
+    r N^m < 2^W, so no field carries into the next.  That key has m W bits,
+    short at small r, and at n = 1, where m = 0, every key is 0.  Orbit ids
+    follow the first appearance of their keys in row-major order, where
+    each orbit's least pair comes first, so the tables do not depend on the
+    key.  The last degree is read one row at a time, so only the keys one
+    degree down are held in full.
     """
     codes = n * n
     m = min(r, codes - 1)
     width = (r * codes**m).bit_length()
-    power = [sum((c + 1) ** k << width * (k - 1) for k in range(1, m + 1))
-             for c in range(codes)]
+    if (r + 1) ** codes > 1 << (m * width):
+        power = [sum((c + 1) ** k << width * (k - 1) for k in range(1, m + 1))
+                 for c in range(codes)]
+    else:
+        power = [(r + 1) ** c for c in range(codes)]
     rows = [[0]]  # degree 0: the one pair, with the empty multiset
     for degree in range(r):
         rows = _key_rows(list(itertools.chain.from_iterable(rows)), n**degree, n, power)

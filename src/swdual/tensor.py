@@ -227,10 +227,15 @@ def phi_sum(coeffs, n, r, ring):
 
 
 def matrix_to_json(m):
-    fmt = m.ring.format_value
-    rows = []
-    for i in range(m.size):
-        rows.append([fmt(v) for v in m.data[i * m.size : (i + 1) * m.size]])
+    """The JSON document of a matrix, its entries as strings row by row.
+    Each distinct value object is formatted once, through one table keyed
+    by ``id``: the objects stay alive in ``m.data`` while it is read, and
+    the entries of a matrix often share a few value objects."""
+    size, ids = m.size, list(map(id, m.data))
+    text = dict(zip(ids, m.data))
+    text.update(zip(text, map(m.ring.format_value, text.values())))
+    entries = list(map(text.__getitem__, ids))
+    rows = [entries[i * size : (i + 1) * size] for i in range(size)]
     return {"n": m.n, "r": m.r, "ring": m.ring.name, "rows": rows}
 
 

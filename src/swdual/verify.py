@@ -14,7 +14,11 @@ From degree 3 on, its dimension comes with no elimination, from a
 certificate on the tower system (:func:`_tower_system`): the live orbit
 variables of every degree k = 0..r, and one row per line of each
 last-place minor at degree k, saying that the line sums to its context's
-value one degree down, zero at a mismatch.  The proof has three steps.
+value one degree down, zero at a mismatch.  The system depends on (n, r)
+alone, so it is built once per cell and kept, each row a pair of sorted
+tuples of unknowns, the line's and its context's; the peel reads those
+rows on every call, and no certified dimension is kept.  The proof has
+three steps.
 First, seeded with the d tower coordinates, the scalar and the orbits of
 the entries of F(n, k), a peel forces every unknown from rows with one
 unknown left, of coefficient +-1, so a solution is an integer
@@ -110,25 +114,29 @@ def _live_orbits(n, r, special_tag=None):
     return orbit_of, leads, live
 
 
-def _minor_lines(n, r, orbit_of, live):
+def _minor_lines(n, r, num):
     """The lines of each last-place minor at degree r, one context per
     orbit of :func:`indices.orbit_table` one degree down, in order of
     orbit id (at n = 1 the one context (0, 0)): its n column lines, then
-    its n row lines, each the live variable of every entry, or None at a
-    mismatch.
+    its n row lines, each a slice of ``num``, the variable of each entry
+    position in row-major order, or None at a mismatch.
 
     Inserting at the last place turns the context rank p into the n
-    consecutive ranks p*n, ..., p*n + n - 1.  Within a line the entries lie
-    in distinct orbits: a place permutation keeps the multiset of the
-    values of each index, and the entries of a line differ in one value.
+    consecutive ranks p*n, ..., p*n + n - 1, so the minor of context (p, q)
+    starts at position base = p n^(r+1) + q n: row s is the n positions
+    from base + s n^r, and column t every n^r-th position from base + t.
+    Within a line the entries lie in distinct orbits: a place permutation
+    keeps the multiset of the values of each index, and the entries of a
+    line differ in one value.
     """
     size = n**r
     lower = n ** (r - 1)
+    span = (n - 1) * size + 1
     for lead in ix.orbit_table(n, r - 1)[1] if n > 1 else [0]:
         p, q = divmod(lead, lower)
-        minor = [[live.get(orbit_of[i * size + j]) for j in range(q * n, q * n + n)]
-                 for i in range(p * n, p * n + n)]
-        yield [*zip(*minor), *minor]
+        base = p * n * size + q * n
+        yield [*(num[t : t + span : size] for t in range(base, base + n)),
+               *(num[s : s + n] for s in range(base, base + n * size, size))]
 
 
 def _line_sum(line, vec):
@@ -158,7 +166,7 @@ def _slice_equations(n, r, orbit_of, live):
     every ring.
     """
     rows = set()
-    for lines in _minor_lines(n, r, orbit_of, live):
+    for lines in _minor_lines(n, r, list(map(live.get, orbit_of))):
         sums = [_line_sum(line, {}) for line in lines]
         ref = sums[0]
         for vec in sums[1:-1]:
@@ -174,74 +182,77 @@ def _slice_equations(n, r, orbit_of, live):
     return [dict(row) for row in sorted(rows)]
 
 
+@lru_cache(maxsize=None)
 def _tower_system(n, r):
-    """The tower system at (n, r): sparse rows on the live orbit variables
-    of every degree k = 0..r, numbered degree by degree from the scalar 0,
-    its seeds, and its number of unknowns.
+    """The tower system at (n, r), built once per cell: its rows on the live
+    orbit variables of every degree k = 0..r, numbered degree by degree
+    from the scalar 0, its seeds, and its number of unknowns.
 
     At each degree k >= 1 every line of every minor of
-    :func:`_minor_lines` gives one row, its sum minus the variable of its
-    context's orbit one degree down, or minus nothing where that orbit is
-    a mismatch; rows that repeat or are empty are kept once or not at
-    all.  The seeds are the scalar and, at each degree k, the orbit of
-    each entry of F(n, k) (:func:`_tower_reads`), so d = dim E(n, r) of
-    them; a seed off the live orbits is None.
+    :func:`_minor_lines` gives one row ``(plus, minus)``, two sorted tuples
+    of unknowns saying that the sum of ``plus``, the line's entries, is the
+    sum of ``minus``, its context's variable one degree down, or nothing
+    where that orbit is a mismatch.  The rows are kept once each, sorted,
+    and none is empty.  The seeds are the scalar and, at each degree k, the
+    orbit of each entry of F(n, k) (:func:`_tower_reads`), so d = dim
+    E(n, r) of them; a seed off the live orbits is None.
     """
     tables = [_live_orbits(n, k) for k in range(r + 1)]
     starts = list(itertools.accumulate((len(live) for _, _, live in tables), initial=0))
-    rows = {}
+    rows = set()
     for k in range(1, r + 1):
-        orbit_of, _, live = tables[k]
-        numbered = {orbit: starts[k] + var for orbit, var in live.items()}
+        orbit_of, leads, live = tables[k]
+        var_of = [None] * len(leads)
+        for orbit, var in live.items():
+            var_of[orbit] = starts[k] + var
         below = tables[k - 1][2]
-        for context, lines in enumerate(_minor_lines(n, k, orbit_of, numbered)):
+        num = list(map(var_of.__getitem__, orbit_of))
+        for context, lines in enumerate(_minor_lines(n, k, num)):
             var = below.get(context)
-            tail = {} if var is None else {starts[k - 1] + var: -1}
-            for line in lines:
-                row = _line_sum(line, dict(tail))
-                if row:
-                    rows.setdefault(frozenset(row.items()), row)
+            minus = () if var is None else (starts[k - 1] + var,)
+            # from degree 1 on every variable is at least 1, so filter drops only None
+            plus = map(tuple, map(sorted, map(filter, itertools.repeat(None), lines)))
+            rows.update(zip(plus, itertools.repeat(minus)))
+    rows.discard(((), ()))
     seeds = [0]
     for k, _, _, at in _tower_reads(n, r):
         orbit_of, _, live = tables[k]
         seeds += (starts[k] + live[orbit_of[p]] if orbit_of[p] in live else None for p in at)
-    return list(rows.values()), seeds, starts[-1]
-
-
-def _signed(row, sign):
-    """The variables of ``sign`` times ``row`` with coefficient 1, and
-    those with coefficient -1."""
-    return ([var for var, c in row.items() if c == sign],
-            [var for var, c in row.items() if c == -sign])
+    return tuple(sorted(rows)), tuple(seeds), starts[-1]
 
 
 def _peel(rows, seeds, unknowns):
     """d = len(seeds) when the rows certify that their solutions over
     every ring are fixed by, and free on, the seeded unknowns; else None.
 
-    Every coefficient must be +-1, as in the tower system, where the
-    entries of a line lie in distinct orbits and its context's variable is
-    one degree down.  The peel forces an unknown from a row in which it is
-    the only one left, rows in the order they become ready, until
-    every unknown is forced: then each is an integer combination of the
-    seeds, and a solution is fixed by them.  Every assignment of the seeds
-    is a solution when each row not used to force vanishes over Z on the
-    forced values.  That is checked on all seeds at once, _RUN_INPUTS at a
-    time, seed k of a run set to 2^(w k) (Kronecker substitution): every
-    combination is then the sum of its integer coefficients times those
-    powers.  The digit width w covers the bound on every forced value and
-    every row sum at each unit assignment, the seeds' 1 summed along the
-    peel, so a row vanishes exactly when its packed sum is 0.
+    Each row ``(plus, minus)`` says that the unknowns of ``plus`` sum to
+    those of ``minus``, and must name each unknown at most once, so every
+    coefficient is +-1, as in the tower system, where the entries of a line
+    lie in distinct orbits and its context's variable is one degree down.
+    The peel forces an unknown from a row in which it is the only one left,
+    rows in the order they become ready, until every unknown is forced:
+    then each is an integer combination of the seeds, and a solution is
+    fixed by them.  Every assignment of the seeds is a solution when each
+    row not used to force vanishes over Z on the forced values.  That is
+    checked on all seeds at once, _RUN_INPUTS at a time, seed k of a run
+    set to 2^(w k) (Kronecker substitution): every combination is then the
+    sum of its integer coefficients times those powers.  The digit width w
+    covers the bound on every forced value at each unit assignment, the
+    seeds' 1 summed along the peel, times the length of the longest row,
+    which bounds every row sum, so a row vanishes exactly when its packed
+    sum is 0.
     """
     if None in seeds or len(set(seeds)) != len(seeds):
         return None
-    if any(c not in (1, -1) for row in rows for c in row.values()):
-        return None
-    left = list(map(len, rows))
-    rows_of = [[] for _ in range(unknowns)]
-    for i, row in enumerate(rows):
-        for var in row:
+    left, rows_of = [], [[] for _ in range(unknowns)]
+    for i, (plus, minus) in enumerate(rows):
+        named = plus + minus
+        if len(set(named)) != len(named):
+            return None
+        left.append(len(named))
+        for var in named:
             rows_of[var].append(i)
+    longest = max(left, default=1)
     known, bound, ready, steps, used = bytearray(unknowns), [0] * unknowns, [], [], set()
 
     def know(var, size):
@@ -251,26 +262,32 @@ def _peel(rows, seeds, unknowns):
             if left[i] == 1:
                 ready.append(i)
 
-    def reach(plus, minus):  # bounds the sum at every unit assignment
-        return sum(map(bound.__getitem__, plus)) + sum(map(bound.__getitem__, minus))
-
     for var in seeds:
         know(var, 1)
+    get = bound.__getitem__
     for i in ready:  # grows as it is read, so the peel runs breadth first
-        row = rows[i]
-        var = next((v for v in row if not known[v]), None)
-        if var is None:
-            continue
-        # -row[var] times the row has var at -1: var is what is left
-        plus, minus = _signed(row, -row[var])
-        minus.remove(var)
+        # the row solved for the one unknown left: the other side less the
+        # rest of its own
+        plus, minus = rows[i]
+        for var in plus:
+            if not known[var]:
+                plus, minus = minus, plus
+                break
+        else:
+            for var in minus:
+                if not known[var]:
+                    break
+            else:
+                continue
+        minus = [v for v in minus if v != var]
         steps.append((var, plus, minus))
         used.add(i)
-        know(var, reach(plus, minus))
+        know(var, sum(map(get, plus)) + sum(map(get, minus)))
     if not all(known):
         return None
-    checks = [_signed(row, 1) for i, row in enumerate(rows) if i not in used]
-    width = max([*bound, *(reach(*check) for check in checks)]).bit_length() + 1
+    pluses = [plus for i, (plus, _) in enumerate(rows) if i not in used]
+    minuses = [minus for i, (_, minus) in enumerate(rows) if i not in used]
+    width = (max(bound) * longest).bit_length() + 1
     for start in range(0, len(seeds), ext._RUN_INPUTS):
         values = [0] * unknowns
         for k, var in enumerate(seeds[start : start + ext._RUN_INPUTS]):
@@ -278,7 +295,8 @@ def _peel(rows, seeds, unknowns):
         get = values.__getitem__
         for var, plus, minus in steps:
             values[var] = sum(map(get, plus)) - sum(map(get, minus))
-        if any(sum(map(get, plus)) != sum(map(get, minus)) for plus, minus in checks):
+        side = itertools.repeat(get)
+        if [*map(sum, map(map, side, pluses))] != [*map(sum, map(map, side, minuses))]:
             return None
     return len(seeds)
 
@@ -311,15 +329,19 @@ def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
 
 
 # The least degree at which the tower certificate runs.  Its check makes
-# d / _RUN_INPUTS passes over the whole tower system, after building
-# F(n, k) for its seeds, and d grows with n like the number of unknowns.
-# Below degree 3 the slice equations eliminate with little fill (at r = 1
-# they are 2n - 2 rows), so elimination is the cheaper route there from
-# n of about 12 at r = 2 and 64 at r = 1.  From degree 3 on elimination
-# fills: at no cell measured inside the cap is it cheaper by more than
-# 0.04 s, and at (7,3) it takes 4.2 s against the certificate's 0.3 s.
-# At n = 1 each line is its one entry, so the slice equations are no
-# rows at all, while the tower would walk r + 1 degrees.
+# d / _RUN_INPUTS passes over the whole tower system, and its first call
+# at a cell builds that system and F(n, k) for its seeds; d grows with n
+# like the number of unknowns.  Below degree 3 the slice equations
+# eliminate with little fill (at r = 1 they are 2n - 2 rows), so on a
+# first call in a fresh process elimination is the cheaper route there
+# from n of about 12 at r = 2 (1.7 s against 2.8 s at (16,2)) and 48 at
+# r = 1, though a later call, which pays the peel alone, would still
+# take the certificate (0.6 ms against 3.9 ms at (5,2)).  From degree 3
+# on elimination fills: at no cell measured inside the cap is it cheaper
+# on a first call by more than 0.005 s, and at (7,3) it takes 4.1 s
+# against the certificate's 0.25 s.  At n = 1 each line is its one entry,
+# so the slice equations are no rows at all, while the tower would walk
+# r + 1 degrees.
 _PEEL_FROM_R = 3
 
 

@@ -5,10 +5,13 @@ before its construction path moved onto flat rank tables, and is kept as
 an independent oracle for the differential tests: nothing in this file
 calls a rank table of swdual but :func:`span_rows`, the live-orbit rows
 that the span side ranked before it read tower coordinates, kept as they
-were as the oracle of the tower rows, and :func:`decompose_by_relabel`,
+were as the oracle of the tower rows; :func:`decompose_by_relabel`,
 the path ``decompose`` took to another block row or column before its
 summands were inflated straight into the basis: the last-row summands of
-the relabelled input, each relabelled back.  The duality oracles' rows are kept
+the relabelled input, each relabelled back; and
+:func:`tower_system_dict_rows`, the tower system as it was built on the
+package's own live orbits and F(n, k) reads before its rows became
+tuples read off slices.  The duality oracles' rows are kept
 the same way: psi rows by scanning every entry of the full psi matrices
 or by testing every class against every diagram, the psi side's rank by
 eliminating the rows of every diagram, slice equations at
@@ -445,6 +448,38 @@ def slice_equations_all_contexts(n, r, orbit_of, live):
     return [dict(row) for row in sorted(rows)]
 
 
+def tower_system_dict_rows(n, r):
+    """:func:`swdual.verify._tower_system` as it was before its rows became
+    ``(plus, minus)`` tuples read off slices: each row a dict of +-1
+    coefficients, its line's entries at 1 and its context's variable one
+    degree down at -1, built in order of first appearance by looking up
+    every entry of each minor; and the seeds as a list."""
+    tables = [vf._live_orbits(n, k) for k in range(r + 1)]
+    starts = list(itertools.accumulate((len(live) for _, _, live in tables), initial=0))
+    rows = {}
+    for k in range(1, r + 1):
+        orbit_of, _, live = tables[k]
+        size, lower = n**k, n ** (k - 1)
+        below = tables[k - 1][2]
+        for context, lead in enumerate(ix.orbit_table(n, k - 1)[1] if n > 1 else [0]):
+            p, q = divmod(lead, lower)
+            minor = [[live.get(orbit_of[i * size + j]) for j in range(q * n, q * n + n)]
+                     for i in range(p * n, p * n + n)]
+            var = below.get(context)
+            for line in [*zip(*minor), *minor]:
+                row = {} if var is None else {starts[k - 1] + var: -1}
+                for entry in line:
+                    if entry is not None:
+                        row[starts[k] + entry] = row.get(starts[k] + entry, 0) + 1
+                if row:
+                    rows.setdefault(frozenset(row.items()), row)
+    seeds = [0]
+    for k, _, _, at in vf._tower_reads(n, r):
+        orbit_of, _, live = tables[k]
+        seeds += (starts[k] + live[orbit_of[p]] if orbit_of[p] in live else None for p in at)
+    return list(rows.values()), seeds, starts[-1]
+
+
 def span_rows(n, r, perms, orbit_of, live):
     """The row of phi(w) on the live orbit variables for each w: its
     nonzero entries sit at the ranks (w.j, j), and w.j has the value type
@@ -513,9 +548,10 @@ def omega_orbits(n, r):
 
 
 def orbit_table_base_keys(n, r):
-    """:func:`swdual.indices.orbit_table` keyed as it was before its keys
-    packed power sums: the key of a multiset of codes c = (i - 1) n + j - 1
-    is the sum of (r + 1)^c, an integer of up to n^2 log2(r + 1) bits."""
+    """:func:`swdual.indices.orbit_table` keyed at every cell as it was
+    before its keys could pack power sums, entry by entry: the key of a
+    multiset of codes c = (i - 1) n + j - 1 is the sum of (r + 1)^c, an
+    integer of up to n^2 log2(r + 1) bits."""
     keys = [0]
     for degree in range(r):
         lower, width = keys, n**degree

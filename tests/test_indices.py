@@ -139,9 +139,11 @@ def test_value_type_count_matches_bounded_set_partitions():
 
 
 # at n = 1 every key is 0; at n = 2 from r = 4 on there are more columns
-# than codes, so the power sums stop at p_3
+# than codes, so the power sums stop at p_3; the sums of (r + 1)^code are
+# the shorter key at (2, 4), (2, 8), (3, 5), (3, 6), (4, 3), (4, 4) and (4, 5)
 @pytest.mark.parametrize("n,r", [(1, 0), (1, 1), (1, 200), (2, 1), (2, 4), (2, 8), (3, 1),
-                                 (3, 5), (4, 3), (4, 4), (5, 3), (8, 2), (12, 1)])
+                                 (3, 5), (3, 6), (4, 3), (4, 4), (4, 5), (5, 3), (8, 2),
+                                 (12, 1)])
 def test_orbit_table_keys_equal_the_former_keys(n, r):
     orbit_of, leads = ix.orbit_table(n, r)
     assert (list(orbit_of), list(leads)) == ref.orbit_table_base_keys(n, r)

@@ -296,17 +296,62 @@ def test_at_n_one_nothing_is_eliminated_and_the_tower_closes(monkeypatch, r):
 
 
 def test_the_peel_forces_by_units_and_counts_distinct_seeds():
-    assert vf._peel([{0: 1, 1: -1}], [0], 2) == 1
-    # x0 + 2 x1 = 0 fixes x1 over Q but not over Z/2
-    assert vf._peel([{0: 1, 1: 2}], [0], 2) is None
+    # each row (plus, minus): the unknowns of plus sum to those of minus
+    assert vf._peel([((0,), (1,))], [0], 2) == 1
+    # x0 + 2 x1 = 0 fixes x1 over Q but not over Z/2: x1 named twice
+    assert vf._peel([((0, 1, 1), ())], [0], 2) is None
     # one unknown and no rows: free of rank 1, though seeded twice
     assert vf._peel([], [0], 1) == 1
     assert vf._peel([], [0, 0], 1) is None
     # x1 = x0 and x1 = 2 x0 hold together only at x0 = 0
-    assert vf._peel([{0: 1, 1: -1}, {0: 2, 1: -1}], [0], 2) is None
+    assert vf._peel([((0,), (1,)), ((0, 0), (1,))], [0], 2) is None
+    # so do x1 = x0 and x0 + x1 = 0, with every coefficient +-1: the
+    # second row is left over and fails at x0 = 1
+    assert vf._peel([((0,), (1,)), ((0, 1), ())], [0], 2) is None
     # 2 x0 = x1 cuts the seeds down, though packed at a digit width of one
     # bit its sum 2 * 1 - 1 * 2^1 would read 0
-    assert vf._peel([{0: 2, 1: -1}], [0, 1], 2) is None
+    assert vf._peel([((0, 0), (1,))], [0, 1], 2) is None
+    # so does x1 = x2 + x3 with x2 = x3 = x0, whose sum would read 0 at a
+    # width of one bit as well
+    assert vf._peel([((2,), (0,)), ((3,), (0,)), ((1,), (2, 3))], [0, 1], 4) is None
+    # an unknown on both sides is named twice
+    assert vf._peel([((0, 1), (1,))], [0], 2) is None
+    # no row reaches x1: the peel stalls
+    assert vf._peel([((0,), ())], [0], 2) is None
+
+
+@pytest.mark.parametrize("n,r", CERTIFIED_CELLS)
+def test_the_tower_rows_are_the_dict_rows_as_sorted_tuples(n, r):
+    rows, seeds, unknowns = vf._tower_system(n, r)
+    want_rows, want_seeds, want_unknowns = ref.tower_system_dict_rows(n, r)
+    assert (list(seeds), unknowns) == (want_seeds, want_unknowns)
+    assert list(rows) == sorted(set(rows))
+    for plus, minus in rows:
+        assert plus == tuple(sorted(plus)) and minus == tuple(sorted(minus))
+        assert len(set(plus + minus)) == len(plus) + len(minus) > 0
+    signed = [frozenset([*((var, 1) for var in plus), *((var, -1) for var in minus)])
+              for plus, minus in rows]
+    assert sorted(signed, key=sorted) == sorted(map(frozenset, map(dict.items, want_rows)),
+                                                key=sorted)
+
+
+def test_each_tower_system_is_built_once_and_peeled_on_every_call(monkeypatch):
+    vf._tower_system.cache_clear()
+    peel, peeled = vf._peel, []
+    monkeypatch.setattr(vf, "_peel", lambda *system: peeled.append(system) or peel(*system))
+    cells = [(3, 3), (4, 3), (3, 3), (4, 3)]
+    assert [vf.centraliser_dimension(n, r, ring) for n, r in cells for ring in FIELDS] == \
+        [vf.closed_form_centraliser_dimension(n, r) for n, r in cells for _ in FIELDS]
+    assert vf._tower_system.cache_info().misses == 2
+    assert len(peeled) == len(cells) * len(FIELDS)
+    # every peel of a cell reads the rows kept for it
+    assert [system[0] is vf._tower_system(n, r)[0] for (n, r), system in
+            zip([cell for cell in cells for _ in FIELDS], peeled)] == [True] * len(peeled)
+    # a peel that fails is run again, and falls back, on the next call
+    monkeypatch.setattr(vf, "_peel", lambda *system: peeled.append(system) and None)
+    calls = _count_eliminations(monkeypatch)
+    assert [vf.centraliser_dimension(3, 3, Q) for _ in range(2)] == [6, 6]
+    assert len(peeled) == len(cells) * len(FIELDS) + 2 and len(calls) == 2
 
 
 def _drop_seed(rows, seeds, unknowns):
@@ -317,21 +362,22 @@ def _repeat_seed(rows, seeds, unknowns):
     return rows, seeds[:-1] + seeds[:1], unknowns
 
 
-def _scale_coefficient(factor):
+def _alter_row(change):
     def alter(rows, seeds, unknowns):
         # a row of two unknowns only ties one to the other, so altering one
         # of its coefficients can leave a system of the same rank
-        at = next(i for i, row in enumerate(rows) if len(row) >= 3)
-        row = dict(rows[at])
-        row[next(iter(row))] *= factor
-        return rows[:at] + [row] + rows[at + 1 :], seeds, unknowns
+        at = next(i for i, (plus, minus) in enumerate(rows) if len(plus) >= 2 and minus)
+        return rows[:at] + (change(*rows[at]),) + rows[at + 1 :], seeds, unknowns
     return alter
 
 
-@pytest.mark.parametrize("fault", [_drop_seed, _repeat_seed, _scale_coefficient(2),
-                                   _scale_coefficient(-1)],
-                         ids=["dropped-seed", "repeated-seed", "altered-coefficient",
-                              "flipped-sign"])
+@pytest.mark.parametrize("fault", [
+    _drop_seed, _repeat_seed,
+    # coefficient 2 at the first entry of a line: named twice
+    _alter_row(lambda plus, minus: (plus + plus[:1], minus)),
+    # the sign of its context's variable flipped: moved to the other side
+    _alter_row(lambda plus, minus: (tuple(sorted(plus + minus[:1])), minus[1:])),
+], ids=["dropped-seed", "repeated-seed", "altered-coefficient", "flipped-sign"])
 @pytest.mark.parametrize("n,r", [(3, 3), (4, 3), (5, 3)])
 def test_a_broken_certificate_falls_back_to_the_elimination(monkeypatch, fault, n, r):
     system = vf._tower_system
@@ -341,6 +387,8 @@ def test_a_broken_certificate_falls_back_to_the_elimination(monkeypatch, fault, 
     for ring in FIELDS:
         assert vf.centraliser_dimension(n, r, ring) == _elimination_oracle(n, r, ring)
     assert len(calls) == len(FIELDS)
+    # the fault altered a copy: the system kept for the cell still closes
+    assert vf._peel(*system(n, r)) == vf.closed_form_centraliser_dimension(n, r)
 
 
 def test_r_is_bounded_when_n_is_at_most_one():
