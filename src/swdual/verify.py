@@ -264,7 +264,7 @@ def _peel(rows, seeds, unknowns):
 
     for var in seeds:
         know(var, 1)
-    get = bound.__getitem__
+    reach = bound.__getitem__
     for i in ready:  # grows as it is read, so the peel runs breadth first
         # the row solved for the one unknown left: the other side less the
         # rest of its own
@@ -282,7 +282,7 @@ def _peel(rows, seeds, unknowns):
         minus = [v for v in minus if v != var]
         steps.append((var, plus, minus))
         used.add(i)
-        know(var, sum(map(get, plus)) + sum(map(get, minus)))
+        know(var, sum(map(reach, plus)) + sum(map(reach, minus)))
     if not all(known):
         return None
     pluses = [plus for i, (plus, _) in enumerate(rows) if i not in used]
@@ -295,8 +295,8 @@ def _peel(rows, seeds, unknowns):
         get = values.__getitem__
         for var, plus, minus in steps:
             values[var] = sum(map(get, plus)) - sum(map(get, minus))
-        side = itertools.repeat(get)
-        if [*map(sum, map(map, side, pluses))] != [*map(sum, map(map, side, minuses))]:
+        if ([*map(sum, map(map, itertools.repeat(get), pluses))]
+                != [*map(sum, map(map, itertools.repeat(get), minuses))]):
             return None
     return len(seeds)
 
@@ -334,12 +334,12 @@ def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
 # like the number of unknowns.  Below degree 3 the slice equations
 # eliminate with little fill (at r = 1 they are 2n - 2 rows), so on a
 # first call in a fresh process elimination is the cheaper route there
-# from n of about 12 at r = 2 (1.7 s against 2.8 s at (16,2)) and 48 at
+# from n of about 12 at r = 2 (1.7 s against 3.0 s at (16,2)) and 50 at
 # r = 1, though a later call, which pays the peel alone, would still
-# take the certificate (0.6 ms against 3.9 ms at (5,2)).  From degree 3
+# take the certificate (0.6 ms against 4.0 ms at (5,2)).  From degree 3
 # on elimination fills: at no cell measured inside the cap is it cheaper
-# on a first call by more than 0.005 s, and at (7,3) it takes 4.1 s
-# against the certificate's 0.25 s.  At n = 1 each line is its one entry,
+# on a first call by more than 0.005 s, and at (7,3) it takes 4.0 s
+# against the certificate's 0.27 s.  At n = 1 each line is its one entry,
 # so the slice equations are no rows at all, while the tower would walk
 # r + 1 degrees.
 _PEEL_FROM_R = 3
