@@ -15,9 +15,12 @@ ring values; free values left unspecified default to zero.
 Since only addition and subtraction occur, ``extend``, ``decompose`` and
 ``express_in_permutation_span`` are fixed Z-linear maps for each (n, r).
 Where they recurse, they are built once per (n, r) as sparse integer
-operators, one row ``(cols, coefs)`` per output (:func:`_apply`).  Their
-inputs are tower coordinates (:func:`_tower`), each one strided sum over
-a row (:func:`_tower_slices`): the scalar rho^r(a) and the entries of
+operators, one row ``(cols, coefs)`` per output, which a call applies
+to its columns, packed into one integer each once per process (Kronecker
+substitution), or row by row to inputs too large for the packed digits
+(:func:`_apply`).  Their inputs are tower coordinates (:func:`_tower`),
+each one strided sum over a row (:func:`_tower_slices`): the scalar
+rho^r(a) and the entries of
 each restriction rho^(r-k)(a) on the free pattern F(n, k), k = 1..r,
 which fix an invariant a because E(n,k) = E(n,k-1) + F(n,k); then the
 free values.  Only the extension and decomposition operators are built
@@ -30,7 +33,8 @@ operator is the extension operator's rows at the read-off positions at
 r = n - 1, and below that the sparse product of the decomposition
 operator and the express operator one rank down (:func:`_blockwise`).
 A public call applies the operator to integers or residues and reduces
-once.  Where nothing recurses there is no operator: extension at n <= r
+once; the packed inputs of a build take the row loop and pack nothing.
+Where nothing recurses there is no operator: extension at n <= r
 and decomposition at n <= r + 1 only copy, and from degree n - 1 on the
 coefficients of the permutation span are read off.  A process pays each build on its first
 call at an (n, r), so a process that makes one call pays all of them;
@@ -70,7 +74,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, partial
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import mul
 
 from . import indices as ix
@@ -175,8 +179,73 @@ def _from_live(ring, n, r, values):
     return TensorMatrix(n, r, ring, list(map(per_orbit.__getitem__, orbit_of)))
 
 
+# A call applies an operator to its packed columns: column c is the integer
+# sum of coef(k, c) 2^(32 k) over the rows k, so sum(x_c column_c) holds
+# output k as its k-th signed base 2^32 digit whenever every output lies
+# within 2^31 of zero, which max |x_c| times the largest row L1 norm bounds
+# (Kronecker substitution).  The columns are packed on the second call
+# within that bound, so a process that applies an operator once pays
+# nothing, and kept; larger inputs, such as a build's packed ones, take
+# the row loop.  At (5,3) the extension operator applies in 0.19 ms
+# packed against 1.48 ms row by row; 16-bit digits would halve that, but
+# only for inputs under 178 in absolute value.  An operator less than
+# 1/_SPARSE full is never packed: at (8,2) the extension operator, 2%
+# full, applies in 1.9 ms packed against 2.1 ms, and packing it takes
+# 16.5 ms and 3.5 MB (BENCH_packed_apply.json, apply_ms).
+_PACK = 32
+_SPARSE = 32
+
+
+class _Operator(tuple):
+    """An operator's rows ``(cols, coefs)``, with its largest row L1 norm,
+    whether it is full enough to pack, its calls within the digit bound
+    and, from the second, its packed columns (:func:`_apply`)."""
+
+    def __init__(self, rows):
+        self.norm = max((sum(map(abs, coefs)) for _, coefs in self), default=0)
+        self.width = 1 + max((max(cols) for cols, _ in self if cols), default=-1)
+        self.dense = len(self) * self.width <= _SPARSE * sum(len(cols) for cols, _ in self)
+        self.calls = 0
+        self.packed = None
+
+    def pack(self):
+        """``(columns, bias)``, made in O(nnz + rows cols): the digits of
+        each column, biased by 2^31 to be nonnegative, are read as one
+        integer by ``int.from_bytes``, and the bias is taken off."""
+        height, half = len(self), 1 << (_PACK - 1)
+        digits = array("I", [half]) * (self.width * height)
+        for k, (cols, coefs) in enumerate(self):
+            for c, a in zip(cols, coefs):
+                digits[c * height + k] = half + a
+        if sys.byteorder == "big":
+            digits.byteswap()
+        # 2^31 in each of the height digits
+        bias = ((1 << _PACK * height) - 1) // ((1 << _PACK) - 1) << (_PACK - 1)
+        raw, step = memoryview(digits).cast("B"), height * _PACK // 8
+        columns = [int.from_bytes(raw[c : c + step], "little") - bias
+                   for c in range(0, self.width * step, step)]
+        self.packed = columns, bias
+        return self.packed
+
+
 def _apply(rows, xs):
-    """Output k is the sum of coefs[t] * xs[cols[t]] over row k, (cols, coefs)."""
+    """Output k is the sum of coefs[t] * xs[cols[t]] over row k, (cols, coefs):
+    by the packed columns of an :class:`_Operator` full enough to pack,
+    from its second call on whose inputs are integers, not all zero, and
+    whose outputs all lie within 2^31 of zero, else row by row.  A build
+    makes all-zero inputs (at (8,2), 29 of them), which pack nothing."""
+    if (isinstance(rows, _Operator) and rows.dense and set(map(type, xs)) <= {int}
+            and 0 < max(map(abs, xs), default=0) * rows.norm < 1 << (_PACK - 1)):
+        rows.calls += 1
+        if rows.calls > 1:
+            columns, bias = rows.packed or rows.pack()
+            # the biased digits are nonnegative; flipping the bias bit back
+            # leaves each one in two's complement
+            total = sum(map(mul, xs, columns)) + bias
+            digits = array("i", (total ^ bias).to_bytes(len(rows) * _PACK // 8, "little"))
+            if sys.byteorder == "big":
+                digits.byteswap()
+            return digits
     get = xs.__getitem__
     return [sum(map(mul, coefs, map(get, cols))) for cols, coefs in rows]
 
@@ -220,7 +289,7 @@ def _build(name, n, r, width, run):
                     digits.byteswap()
                 cols.extend(compress(range(start, start + batch), digits))
                 coefs.extend(compress(digits, digits))
-    return tuple(rows)
+    return _Operator(rows)
 
 
 def _synthesise(ring, n, r, xs):
@@ -279,7 +348,7 @@ def _express_operator(n, r):
     if r == n - 1:
         orbit_of, _ = ix.orbit_table(n, r)
         slot, rows = _live_table(n, r)[1], _extend_operator(n, r)
-        return tuple(rows[slot[orbit_of[p]] - 1] for p in _read_off_positions(n, r))
+        return _Operator(rows[slot[orbit_of[p]] - 1] for p in _read_off_positions(n, r))
     return _blockwise(_express_operator(n - 1, r), _decompose_operator(n, r), n,
                       len(_tower_slices(n - 1, r)), len(_tower_slices(n, r)))
 
@@ -298,7 +367,7 @@ def _blockwise(inner, outer, blocks, width, cut):
                         acc[c] += x * y
             live = [c for c in range(cut) if acc[c]]
             rows.append((array("I", live), array("i", map(acc.__getitem__, live))))
-    return tuple(rows)
+    return _Operator(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +786,43 @@ def _read_off_positions(n, r):
     ))
 
 
-def _check_reconstruction(a, coeffs):
-    """Rebuild the sum of x_w phi(w) and compare it with ``a``."""
-    if phi_sum(coeffs, a.n, a.r, a.ring).data != a.data:
+@lru_cache(maxsize=None)
+def _live_reads(n, r):
+    """For 1 <= r < n - 1: for each live orbit of :func:`_live_table`, with
+    lead (i, j), the indices in :func:`_express_order` of the w with
+    w.j = i, whose phi(w) holds a one at (i, j)."""
+    size, reads = n**r, []
+    by_column = {}  # lead column -> {lead row: live orbit}
+    for k, p in enumerate(_live_table(n, r)[0]):
+        reads.append(array("I"))
+        by_column.setdefault(p % size, {})[p // size] = k
+    for t, w in enumerate(_express_order(n, r)):
+        image = ix.act_ranks(w, r)
+        for j, orbits in by_column.items():
+            k = orbits.get(image[j])
+            if k is not None:
+                reads[k].append(t)
+    return tuple(reads)
+
+
+def _check_reconstruction(a, values):
+    """Rebuild the sum of x_w phi(w), x_w = values[t] for w the t-th
+    permutation of :func:`_express_order`, and compare it with ``a``.
+
+    Below degree n - 1 the sum is rebuilt on the live orbits: every phi(w)
+    is zero at a value-type mismatch and commutes with the place
+    permutations, so the sum is the matrix of :func:`_from_live` whose
+    value on an orbit is its entry at the lead, the sum of x_w over the w
+    of :func:`_live_reads`.  Elsewhere it is :func:`.tensor.phi_sum`."""
+    n, r, ring = a.n, a.r, a.ring
+    if 1 <= r < n - 1:
+        get = values.__getitem__
+        rebuilt = _from_live(ring, n, r, ring.sums(map(map, repeat(get), _live_reads(n, r))))
+    else:
+        zero = ring.zero
+        rebuilt = phi_sum({w: x for w, x in zip(_express_order(n, r), values) if x != zero},
+                          n, r, ring)
+    if rebuilt.data != a.data:
         raise NotInSpanError("matrix is not the claimed permutation combination")
 
 
@@ -747,8 +850,10 @@ def express_in_permutation_span(a):
     lift, and :func:`_express_operator` applies that map.  No ring
     division occurs.  The coefficients are nonzero and listed in the order
     of :func:`_express_order`.  Either way one exact reconstruction checks
-    them: a matrix outside the span raises :class:`NotInSpanError`, an
-    invariant that fails raises :class:`ConstructionFailure`.
+    them (:func:`_check_reconstruction`, on the live orbits where the
+    operator applies): a matrix outside the span raises
+    :class:`NotInSpanError`, an invariant that fails raises
+    :class:`ConstructionFailure`.
     """
     require_positive_n(a)
     if a.ring.kind == "q":
@@ -757,12 +862,12 @@ def express_in_permutation_span(a):
         return dict(zip(coeffs, over_denominator(den, coeffs.values())))
     n, r, ring = a.n, a.r, a.ring
     if r == 0 or r >= n - 1:
-        values = map(a.data.__getitem__, _read_off_positions(n, r))
+        values = list(map(a.data.__getitem__, _read_off_positions(n, r)))
     else:
         values = ring.reduce(_apply(_express_operator(n, r), _tower(a)))
     coeffs = {w: x for w, x in zip(_express_order(n, r), values) if x != ring.zero}
     try:
-        _check_reconstruction(a, coeffs)
+        _check_reconstruction(a, values)
     except NotInSpanError:
         if is_invariant(a):
             raise ConstructionFailure(

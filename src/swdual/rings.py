@@ -211,12 +211,23 @@ def clear_denominators(values):
     """``(L, [L * v for v in values])``, L the lcm of the denominators of
     the rationals or ints ``values`` (a sequence or a dict view).  So that
     memory stays linear, L may have at most 2**28 // len(values) bits; a
-    larger L is a ``ValueError`` before any value is scaled."""
-    den, cap = 1, (1 << 28) // max(len(values), 1)
-    for d in {v.denominator for v in values}:
+    larger L is a ``ValueError`` before any value is scaled.  Integers,
+    such as the rows of the duality oracles, are copied as they are.
+    Otherwise each distinct value object is read once, through one table
+    keyed by ``id``: the objects stay alive in ``values`` while it is
+    read, and a parsed matrix's entries share a few value objects; where
+    every entry is its own object the table costs more than it saves
+    (``BENCH_packed_apply.json``, ``warm_calls``)."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
+    ids = list(map(id, values))
+    table = dict(zip(ids, values))
+    den, cap = 1, (1 << 28) // max(len(ids), 1)
+    for d in {v.denominator for v in table.values()}:
         if (den := lcm(den, d)).bit_length() > cap:
-            raise ValueError("common denominator of %d values over %d bits" % (len(values), cap))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+            raise ValueError("common denominator of %d values over %d bits" % (len(ids), cap))
+    scaled = dict(zip(table, [v.numerator * (den // v.denominator) for v in table.values()]))
+    return den, list(map(scaled.__getitem__, ids))
 
 
 def over_denominator(den, ints):

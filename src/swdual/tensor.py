@@ -228,13 +228,16 @@ def phi_sum(coeffs, n, r, ring):
 
 def matrix_to_json(m):
     """The JSON document of a matrix, its entries as strings row by row.
-    Each distinct value object is formatted once, through one table keyed
-    by ``id``: the objects stay alive in ``m.data`` while it is read, and
-    the entries of a matrix often share a few value objects."""
-    size, ids = m.size, list(map(id, m.data))
-    text = dict(zip(ids, m.data))
+    Each distinct value is formatted once, through one table: keyed by the
+    value over Z and Z/m, whose ints hash in C, and over Q by ``id``,
+    since a ``Fraction`` hashes in Python; the objects stay alive in
+    ``m.data`` while it is read, and the entries of a matrix often share
+    a few value objects."""
+    size = m.size
+    keys = list(map(id, m.data)) if m.ring.kind == "q" else m.data
+    text = dict(zip(keys, m.data))
     text.update(zip(text, map(m.ring.format_value, text.values())))
-    entries = list(map(text.__getitem__, ids))
+    entries = list(map(text.__getitem__, keys))
     rows = [entries[i * size : (i + 1) * size] for i in range(size)]
     return {"n": m.n, "r": m.r, "ring": m.ring.name, "rows": rows}
 

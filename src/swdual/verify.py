@@ -221,6 +221,18 @@ def _tower_system(n, r):
     return tuple(sorted(rows)), tuple(seeds), starts[-1]
 
 
+# Seeds per run of the peel's check.  A run holds one integer of about
+# _PEEL_RUN w bits per unknown, w the digit width, and makes one pass over
+# the steps and the rows left over, so a longer run makes fewer passes
+# over longer integers and holds more.  In fresh processes, against 128
+# seeds per run (BENCH_packed_apply.json, peel_run), 256 takes the peel at
+# (8,3) from 1.47-1.59 s to 1.06-1.11 s and at (7,3) from 0.27-0.30 s to
+# 0.21-0.24 s; 512 takes (8,3) to 0.93-0.95 s, but the peak RSS at (6,4),
+# where d = 719 and no run width is clearly faster, from 68 MB to 101 MB,
+# against 79 MB at 256.
+_PEEL_RUN = 256
+
+
 def _peel(rows, seeds, unknowns):
     """d = len(seeds) when the rows certify that their solutions over
     every ring are fixed by, and free on, the seeded unknowns; else None.
@@ -234,7 +246,7 @@ def _peel(rows, seeds, unknowns):
     then each is an integer combination of the seeds, and a solution is
     fixed by them.  Every assignment of the seeds is a solution when each
     row not used to force vanishes over Z on the forced values.  That is
-    checked on all seeds at once, _RUN_INPUTS at a time, seed k of a run
+    checked on all seeds at once, _PEEL_RUN at a time, seed k of a run
     set to 2^(w k) (Kronecker substitution): every combination is then the
     sum of its integer coefficients times those powers.  The digit width w
     covers the bound on every forced value at each unit assignment, the
@@ -288,9 +300,9 @@ def _peel(rows, seeds, unknowns):
     pluses = [plus for i, (plus, _) in enumerate(rows) if i not in used]
     minuses = [minus for i, (_, minus) in enumerate(rows) if i not in used]
     width = (max(bound) * longest).bit_length() + 1
-    for start in range(0, len(seeds), ext._RUN_INPUTS):
+    for start in range(0, len(seeds), _PEEL_RUN):
         values = [0] * unknowns
-        for k, var in enumerate(seeds[start : start + ext._RUN_INPUTS]):
+        for k, var in enumerate(seeds[start : start + _PEEL_RUN]):
             values[var] = 1 << (width * k)
         get = values.__getitem__
         for var, plus, minus in steps:
@@ -329,7 +341,7 @@ def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
 
 
 # The least degree at which the tower certificate runs.  Its check makes
-# d / _RUN_INPUTS passes over the whole tower system, and its first call
+# d / _PEEL_RUN passes over the whole tower system, and its first call
 # at a cell builds that system and F(n, k) for its seeds; d grows with n
 # like the number of unknowns.  Below degree 3 the slice equations
 # eliminate with little fill (at r = 1 they are 2n - 2 rows), so on a

@@ -994,6 +994,23 @@ def test_decompose_of_the_q_fixture_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DECOMPOSE_DIGEST
 
 
+# the digest the CI step "Installed swd command" pins for a (5,3) invariant
+# over Z with values of about 2^41, past the packed columns' digit bound,
+# so every operator the call applies takes the row loop
+FIXTURE_DECOMPOSE_Z53_DIGEST = "cc442bf30f6740c9ac05ddbd9a0bb7177047a8762d2889ce1d41a809853585d2"
+
+
+def test_decompose_of_the_z_fixture_past_the_digit_bound_is_pinned(capsys):
+    from swdual import cli
+
+    fixture = Path(__file__).parent / "fixtures" / "decompose_z53.json"
+    a = tn.matrix_from_json(json.loads(fixture.read_text())["matrix"])
+    assert max(map(abs, ex._tower(a))) * ex._decompose_operator(5, 3).norm >= 1 << 31
+    assert cli.main(["decompose", "--in", str(fixture)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DECOMPOSE_Z53_DIGEST
+
+
 # the digests the CI step "Installed swd command" pins for the same file
 # decomposed along block column 1 and block row 1, whose summands are
 # inflated straight into the basis

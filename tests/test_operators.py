@@ -12,13 +12,16 @@ hold over random moduli, that every operator is built once per (n, r)
 without going through the public ``extend``, that a failed build is
 remembered, that the tower slices read the restriction chain and count
 dim E(n, r), that every operator at n <= 5 keeps its rows
-(``fixtures/operator_digests.json``), and that self-verification still
-catches a corrupted coefficient or a corrupted read-off position.
+(``fixtures/operator_digests.json``), that their packed columns apply as
+the row loop on either side of the digit bound and that a build packs
+nothing, and that self-verification still catches a corrupted
+coefficient, by either route, or a corrupted read-off position.
 ``construction_golden`` pins the outputs of the whole recursion.
 """
 
 import hashlib
 import json
+import random
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -232,7 +235,7 @@ def corrupted(rows):
     cols, coefs = rows[k]
     coefs = array(coefs.typecode, coefs)
     coefs[list(cols).index(0)] += 1
-    return rows[:k] + ((cols, coefs),) + rows[k + 1 :]
+    return ex._Operator(rows[:k] + ((cols, coefs),) + rows[k + 1 :])
 
 
 @pytest.mark.parametrize("name,call", [
@@ -244,8 +247,10 @@ def test_a_corrupted_coefficient_fails_verification(monkeypatch, name, call):
     call()
     bad = corrupted(getattr(ex, name)(5, 2))
     monkeypatch.setattr(ex, name, lambda n, r: bad)
-    with pytest.raises(ex.ConstructionFailure):
-        call()
+    for _ in range(2):  # by the row loop, then by the packed columns
+        with pytest.raises(ex.ConstructionFailure):
+            call()
+    assert bad.packed is not None
 
 
 def test_a_corrupted_read_off_position_fails_verification(monkeypatch):
@@ -289,7 +294,8 @@ def operator_text(rows):
     return "\n".join(" ".join("%d:%d" % term for term in zip(*row)) for row in rows)
 
 
-def test_every_operator_keeps_its_rows():
+def pinned_operators():
+    """The 26 operators at n <= 5, keyed as in operator_digests.json."""
     got = {}
     for n in range(1, 6):
         for r in range(1, n):
@@ -298,8 +304,74 @@ def test_every_operator_keeps_its_rows():
                 got["decompose %d %d" % (n, r)] = ex._decompose_operator(n, r)
             got["express %d %d" % (n, r)] = ex._express_operator(n, r)
     assert len(got) == 26
+    return got
+
+
+def test_every_operator_keeps_its_rows():
+    got = pinned_operators()
     assert {key: hashlib.sha256(operator_text(rows).encode()).hexdigest()
             for key, rows in got.items()} == OPERATOR_DIGESTS
+
+
+def row_loop(rows, xs):
+    return [sum(c * xs[t] for t, c in zip(cols, coefs)) for cols, coefs in rows]
+
+
+@pytest.mark.parametrize("inputs", ["small", "under", "past", "negative", "huge"])
+def test_the_packed_apply_equals_the_row_loop(inputs):
+    rng = random.Random(inputs)
+    for rows in pinned_operators().values():
+        # the largest |x| whose outputs all lie within 2^31 of zero
+        under = ((1 << 31) - 1) // rows.norm
+        top = {"small": 5, "under": under, "past": under + 1, "negative": under,
+               "huge": 10**30}[inputs]
+        sign = -1 if inputs == "negative" else 1
+        widest = next(row for row in rows if sum(map(abs, row[1])) == rows.norm)
+        assert rows.dense
+        for _ in range(4):
+            xs = [rng.randint(-top, top) for _ in range(rows.width)]
+            # the widest row's output at its extreme, +-top times the norm
+            for c, a in zip(*widest):
+                xs[c] = sign * top * (1 if a > 0 else -1)
+            got = ex._apply(rows, xs)
+            assert list(got) == row_loop(rows, xs)
+        # packed columns within the digit bound, from the second call on
+        # (the operators are cached, so this is at least the fourth), and
+        # the row loop past it
+        assert isinstance(got, array) == (inputs in ("small", "under", "negative"))
+
+
+def test_a_sparse_operator_is_never_packed():
+    rows = ex._extend_operator(8, 2)  # 2% of its rows x columns are nonzero
+    assert not rows.dense
+    xs = [k % 6 for k in range(rows.width)]
+    for _ in range(3):
+        assert ex._apply(rows, xs) == row_loop(rows, xs)
+    assert rows.packed is None
+
+
+def test_a_cold_build_keeps_no_packing_at_a_build_width(monkeypatch):
+    packed = []
+    pack = ex._Operator.pack
+    monkeypatch.setattr(ex._Operator, "pack", lambda rows: packed.append(rows) or pack(rows))
+    clear_operators()
+    try:
+        rows = ex._extend_operator(5, 3)
+        # every operator the build applied saw its packed inputs, past the
+        # digit bound, so it took the row loop and packed nothing; at (8,2)
+        # the build also applies operators to all-zero inputs, which pack
+        # nothing either
+        ex._extend_operator(8, 2)
+        assert packed == []
+        b = tn.TensorMatrix.identity(5, 2, Z6)
+        a = ex.extend(b)  # one call packs nothing either
+        assert packed == []
+        assert ex.extend(b) == a  # the second packs the columns at 32 bits
+        assert packed == [rows]
+        assert len(rows.packed[0]) == rows.width
+        assert all(column.bit_length() <= 32 * len(rows) for column in rows.packed[0])
+    finally:
+        clear_operators()
 
 
 def test_a_failing_build_names_the_operation_and_the_cell():

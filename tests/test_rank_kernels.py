@@ -31,6 +31,8 @@ CELLS = [(2, 2), (3, 2), (3, 3), (4, 2)]
 MEMBERSHIP_CELLS = CELLS + [(1, 1), (1, 2), (2, 0), (2, 1), (3, 1)]
 RINGS = [Ring.parse(name) for name in ("z/6", "z", "q")]
 SUM_RINGS = RINGS + [Ring.parse("z/4")]
+# the reconstruction check rebuilds on the live orbits below degree n - 1
+RECONSTRUCTION_CELLS = CELLS + [(3, 1), (4, 1), (5, 2), (5, 3)]
 # cells (n, r) of the initialised matrix, one degree above its input
 INITIALISE_CELLS = CELLS + [(1, 1), (2, 3), (4, 4)]
 
@@ -172,17 +174,18 @@ def test_relabel_matches_matmul_conjugation(data):
 @PROPERTY
 @given(st.data())
 def test_reconstruction_check_matches_phi_sum(data):
-    n, r = data.draw(st.sampled_from(CELLS))
+    n, r = data.draw(st.sampled_from(RECONSTRUCTION_CELLS))
     ring = data.draw(st.sampled_from(RINGS))
     perms = data.draw(st.lists(st.permutations(range(1, n + 1)), max_size=4))
     coeffs = {tuple(w): ring.from_int(data.draw(st.integers(-3, 3))) for w in perms}
+    values = [coeffs.get(w, ring.zero) for w in ex._express_order(n, r)]
     a = ref.reconstruct(n, r, ring, coeffs)
-    ex._check_reconstruction(a, coeffs)  # the exact sum is accepted
+    ex._check_reconstruction(a, values)  # the exact sum is accepted
     pos = data.draw(st.integers(0, len(a.data) - 1))
     data_off = list(a.data)
     data_off[pos] = ring.add(data_off[pos], ring.one)
     with pytest.raises(ex.NotInSpanError):
-        ex._check_reconstruction(type(a)(n, r, ring, data_off), coeffs)
+        ex._check_reconstruction(type(a)(n, r, ring, data_off), values)
 
 
 def expected_report(a, stop_early):
