@@ -173,12 +173,13 @@ def base_pattern_f_n1(n):
 def per_block_labels(n, r, j):
     """The per-block pattern theta^n_j F(n-1, r), labelled: a pair
     (image, source) for each source entry of F(n-1, r).  Rows embed
-    avoiding n and columns avoiding j; both embeddings keep the order, so
-    the images come sorted."""
-    return tuple(
-        ((ix.embed_index(row, n), ix.embed_index(col, j)), (row, col))
-        for row, col in build_f(n - 1, r).entries
-    )
+    avoiding n and columns avoiding j, each distinct one once, so that the
+    images share their rows and columns; both embeddings keep the order, so
+    the images come sorted.  Each source is the entry of F(n-1, r) itself."""
+    entries = build_f(n - 1, r).entries
+    rows = {row: ix.embed_index(row, n) for row in {row for row, _ in entries}}
+    cols = {col: ix.embed_index(col, j) for col in {col for _, col in entries}}
+    return tuple(((rows[entry[0]], cols[entry[1]]), entry) for entry in entries)
 
 
 def per_block_entries(n, r, j):

@@ -10,15 +10,16 @@ and a special tag's off the place masks of ``is_special``.  Each n x n
 minor gives its slice-sum differences but one, which the others imply,
 since its row sums and its column sums add up to the same total.
 
-From degree 3 on, its dimension comes with no elimination, from a
-certificate on the tower system (:func:`_tower_system`): the live orbit
-variables of every degree k = 0..r, and one row per line of each
-last-place minor at degree k, saying that the line sums to its context's
-value one degree down, zero at a mismatch.  The system depends on (n, r)
-alone, so it is built once per cell and kept, each row a pair of sorted
-tuples of unknowns, the line's and its context's; the peel reads those
-rows on every call, and no certified dimension is kept.  The proof has
-three steps.
+From degree 3 on, and below it wherever d = dim E(n, r) is at most
+_PEEL_RUN, its dimension comes with no elimination, from a certificate
+on the tower system (:func:`_tower_system`): the live orbit variables of
+every degree k = 0..r, and one row per line of each last-place minor at
+degree k, saying that the line sums to its context's value one degree
+down, zero at a mismatch.  The system depends on (n, r) alone, so it is
+built once per cell and kept, each row a pair of sorted tuples of
+unknowns, the line's and its context's; the peel reads those rows on
+every call, and no certified dimension is kept.  The proof has three
+steps.
 First, seeded with the d tower coordinates, the scalar and the orbits of
 the entries of F(n, k), a peel forces every unknown from rows with one
 unknown left, of coefficient +-1, so a solution is an integer
@@ -29,9 +30,11 @@ Third, restriction keeps invariance, so an invariant and its
 restrictions solve the system, and the top degree of a solution is an
 invariant whose restrictions are the lower degrees: the lower levels cut
 nothing out of E(n, r).  So E(n, r) is free of rank d over every ring
-(:func:`_peel`).  Below degree 3, and if a seed repeats, the peel stalls
-or a row fails, the dimension is the nullity of the slice equations by
-elimination instead.  Neither route reads the span or the closed form.
+(:func:`_peel`).  Below degree 3 where d passes _PEEL_RUN, and if a seed
+repeats, the peel stalls or a row fails, the dimension is the nullity of
+the slice equations by elimination instead.  The closed form picks the
+route below degree 3, but neither route reads it, or the span, for its
+answer.
 
 The span dimension is the rank of the permutation powers phi(w) on their
 d = dim E(n, r) tower coordinates, each a 0/1 read, walking W_n by number
@@ -229,7 +232,8 @@ def _tower_system(n, r):
 # (8,3) from 1.47-1.59 s to 1.06-1.11 s and at (7,3) from 0.27-0.30 s to
 # 0.21-0.24 s; 512 takes (8,3) to 0.93-0.95 s, but the peak RSS at (6,4),
 # where d = 719 and no run width is clearly faster, from 68 MB to 101 MB,
-# against 79 MB at 256.
+# against 79 MB at 256.  It also bounds the route below degree 3
+# (_PEEL_FROM_R): there the certificate runs only where d fits one run.
 _PEEL_RUN = 256
 
 
@@ -316,17 +320,19 @@ def _peel(rows, seeds, unknowns):
 def centraliser_dimension(n, r, ring, with_basis=False, unsafe_large=False):
     """dim over a field of the full diagram-action centraliser.
 
-    Without a basis, at n >= 2 and r >= 3, it is d from the tower
-    certificate (at n = 1 the slice equations have no rows, and at r <= 2
-    they eliminate with little fill: see ``_PEEL_FROM_R``), which proves in
-    three steps that E(n, r) is free of rank d over every ring: the peel
-    forces every unknown of the tower system from +-1 rows, so the d
-    seeds inject; every row left over vanishes over Z, so every
-    assignment of them extends; and restriction keeps invariance, so the
-    lower degrees of the system cut nothing out of E(n, r)
-    (:func:`_peel`).  Where the certificate does not run or does not
-    close, and with a basis, it is the nullity of the slice equations by
-    elimination.
+    Without a basis, at n >= 2, it is d from the tower certificate when
+    r >= 3 or d = dim E(n, r) is at most ``_PEEL_RUN``, so that the
+    certificate's check is one packed run (r = 2 for n <= 6, r = 1 for
+    n <= 16; at n = 1 the slice equations have no rows, and past that d
+    below degree 3 they eliminate with little fill: see ``_PEEL_FROM_R``).
+    The certificate proves in three steps that E(n, r) is free of rank d
+    over every ring: the peel forces every unknown of the tower system
+    from +-1 rows, so the d seeds inject; every row left over vanishes
+    over Z, so every assignment of them extends; and restriction keeps
+    invariance, so the lower degrees of the system cut nothing out of
+    E(n, r) (:func:`_peel`).  Where the certificate does not run or does
+    not close, and with a basis, it is the nullity of the slice equations
+    by elimination.
 
     Optionally returns a basis in reduced echelon form (a list of
     TensorMatrix values, one per free variable of the commutant system).
@@ -340,34 +346,40 @@ def special_invariant_dimension(n, r, ring, tag=None, unsafe_large=False):
     return _invariant_dimension(n, r, ring, tag or (n, n), False, unsafe_large)
 
 
-# The least degree at which the tower certificate runs.  Its check makes
-# d / _PEEL_RUN passes over the whole tower system, and its first call
-# at a cell builds that system and F(n, k) for its seeds; d grows with n
-# like the number of unknowns.  Below degree 3 the slice equations
-# eliminate with little fill (at r = 1 they are 2n - 2 rows), so on a
-# first call in a fresh process elimination is the cheaper route there
-# from n of about 12 at r = 2 (1.7 s against 3.0 s at (16,2)) and 50 at
-# r = 1, though a later call, which pays the peel alone, would still
-# take the certificate (0.6 ms against 4.0 ms at (5,2)).  From degree 3
-# on elimination fills: at no cell measured inside the cap is it cheaper
-# on a first call by more than 0.005 s, and at (7,3) it takes 4.0 s
-# against the certificate's 0.27 s.  At n = 1 each line is its one entry,
-# so the slice equations are no rows at all, while the tower would walk
-# r + 1 degrees.
+# The least degree from which the tower certificate runs at every cell;
+# below it, it runs where d <= _PEEL_RUN, so that its check is one packed
+# pass over the kept system: at r = 2 for n <= 6 and at r = 1 for
+# n <= 16.  There it is the cheaper route on a first call in a fresh
+# process, and by far on a later one, which pays the peel alone: over Q
+# 2.8 ms against 5.4 ms eliminated on a first call and 0.7 ms against
+# 4.6 ms later at (5,2), 8.5 ms against 20 ms and 2.3 ms against 17.5 ms
+# at (6,2) (BENCH_route_degree_two.json).  Past d = _PEEL_RUN below
+# degree 3 the slice equations, which eliminate with little fill (at
+# r = 1 they are 2n - 2 rows), run instead: the check makes d / _PEEL_RUN
+# passes over the whole system, and the first call at a cell builds the
+# system and F(n, k) for its seeds, so that at (20,2) the certificate's
+# first call takes 10.3 s and 500 MB against 5.5 s and 430 MB
+# eliminated.  From degree 3 on elimination fills: at no cell measured
+# inside the cap is it cheaper on a first call by more than 0.005 s, and
+# at (7,3) it takes 4.0 s against the certificate's 0.27 s.  At n = 1
+# each line is its one entry, so the slice equations are no rows at all,
+# while the tower would walk r + 1 degrees.
 _PEEL_FROM_R = 3
 
 
 def _invariant_dimension(n, r, ring, tag, with_basis, unsafe_large):
-    """With no tag and no basis, at n >= 2 and r >= 3, the tower
-    certificate's d, where it closes; else the nullity of the slice
-    equations on the tag's live orbits, and with no tag optionally a
-    basis, numbered as :func:`extension._from_live`."""
+    """With no tag and no basis, at n >= 2, when r >= 3 or the closed form
+    d is at most _PEEL_RUN, the tower certificate's d, where it closes;
+    else the nullity of the slice equations on the tag's live orbits, and
+    with no tag optionally a basis, numbered as
+    :func:`extension._from_live`."""
     if not ring.is_field():
         raise ValueError("dimension requires a field")
     if r == 0:
         return (1, [tn.TensorMatrix.scalar(n, ring, ring.one)]) if with_basis else 1
     _check_cap(n, r, unsafe_large)
-    if tag is None and not with_basis and n > 1 and r >= _PEEL_FROM_R:
+    if tag is None and not with_basis and n > 1 and (
+            r >= _PEEL_FROM_R or closed_form_centraliser_dimension(n, r) <= _PEEL_RUN):
         d = _peel(*_tower_system(n, r))
         if d is not None:
             return d

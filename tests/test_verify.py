@@ -273,8 +273,9 @@ def test_the_tower_certificate_closes_and_equals_the_elimination(monkeypatch, n,
     calls = _count_eliminations(monkeypatch)
     got = [vf.centraliser_dimension(n, r, ring) for ring in FIELDS]
     assert got == [d] * len(FIELDS)
-    if r < vf._PEEL_FROM_R:
-        # below degree 3 each ring eliminates, so got is the oracle's
+    if r < vf._PEEL_FROM_R and vf.closed_form_centraliser_dimension(n, r) > vf._PEEL_RUN:
+        # below degree 3 past d = _PEEL_RUN each ring eliminates, so got is
+        # the oracle's
         assert len(calls) == len(FIELDS)
         return
     assert calls == []  # the certificate closes, with no fallback on any ring
@@ -282,6 +283,21 @@ def test_the_tower_certificate_closes_and_equals_the_elimination(monkeypatch, n,
     # 4 s a ring, over Q only
     rings = {(7, 3): [Q], (6, 3): [Q, F3], (5, 4): [Q, F3], (4, 5): [Q, F3]}.get((n, r), FIELDS)
     assert [_elimination_oracle(n, r, ring) for ring in rings] == [d] * len(rings)
+
+
+def test_below_degree_three_the_certificate_runs_while_d_is_one_packed_run(monkeypatch):
+    # d = 207 at (6,2) and 226 at (16,1) fit one run of the peel's check;
+    # d = 458 at (7,2) and 257 at (17,1) do not, and eliminate
+    cells = {(6, 2): 207, (16, 1): 226, (7, 2): 458, (17, 1): 257}
+    assert {cell: vf.closed_form_centraliser_dimension(*cell) for cell in cells} == cells
+    peel, peeled = vf._peel, []
+    monkeypatch.setattr(vf, "_peel", lambda *system: peeled.append(system) or peel(*system))
+    calls = _count_eliminations(monkeypatch)
+    for (n, r), d in cells.items():
+        peeled.clear()
+        calls.clear()
+        assert vf.centraliser_dimension(n, r, Q) == d
+        assert (len(peeled), len(calls)) == ((1, 0) if d <= vf._PEEL_RUN else (0, 1))
 
 
 @pytest.mark.parametrize("r", [1, 2, 6, 1000])

@@ -1,6 +1,7 @@
-"""Time construction calls made one per fresh interpreter.
+"""Time construction and centraliser calls made one per fresh interpreter.
 
     python3 tools/cold_calls.py --src src [--src OTHER/src] [--runs 5]
+    python3 tools/cold_calls.py --src src --routes 5,2 7,2 [--runs 5]
 
 Each measurement is a new Python process that imports swdual from the
 given ``src`` directory, makes the input (the identity over Z/6, of
@@ -14,6 +15,17 @@ operator the call needs is built inside it.  With two sources the
 processes alternate between them, the first source first in odd rounds.
 The output is one JSON line per (source, operation, cell) with the
 median and quartiles of each quantity over the runs.
+
+With ``--routes`` the operations are instead the two routes of the
+centraliser dimension over Q at each given cell, then the call itself:
+``peel`` builds the tower system and peels it (``verify._tower_system``
+and ``verify._peel``; the system is kept, so a second call pays the peel
+alone), ``elim`` eliminates the slice equations (``verify._live_orbits``,
+``verify._slice_equations`` and ``verify._sparse_rank``), and
+``centraliser`` calls ``verify.centraliser_dimension``, recording how
+many eliminations it ran, 0 where the certificate closed.  Each line also
+gives the dimension, and the run fails unless every route returns the
+hook-length closed form.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 op, n, r = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
 from swdual import extension as ex, rings, tensor as tn
-ring = rings.Ring.modular(6)
+ring, ranks = rings.Ring.modular(6), []
 if op == "extend":
     a = tn.TensorMatrix.identity(n, r - 1, ring)
     call = lambda: ex.extend(a)
@@ -45,16 +57,34 @@ elif op.startswith("decompose"):
     a = tn.TensorMatrix.identity(n, r, ring)
     basis = "col:1" if op == "decompose_col1" else "last-row"
     call = lambda: ex.decompose(a, basis=basis)
-else:
+elif op == "express":
     a = tn.TensorMatrix.identity(n, r, ring)
     call = lambda: ex.express_in_permutation_span(a)
+else:
+    from swdual import verify as vf
+    q, rank = rings.Ring.rationals(), vf._sparse_rank
+    if op == "peel":
+        call = lambda: vf._peel(*vf._tower_system(n, r))
+    elif op == "elim":
+        def call():
+            orbit_of, _, live = vf._live_orbits(n, r)
+            return len(live) - rank(q, vf._slice_equations(n, r, orbit_of, live))
+    else:
+        vf._sparse_rank = lambda *args: ranks.append(1) or rank(*args)
+        call = lambda: vf.centraliser_dimension(n, r, q)
 t0 = time.perf_counter()
-call()
+got = call()
 t1 = time.perf_counter()
+eliminations = len(ranks)
 call()
 t2 = time.perf_counter()
-print(json.dumps({"first_s": t1 - t0, "second_s": t2 - t1,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+out = {"first_s": t1 - t0, "second_s": t2 - t1,
+       "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+if op in ("peel", "elim", "centraliser"):
+    out.update(d=got, closed_form=vf.closed_form_centraliser_dimension(n, r))
+if op == "centraliser":
+    out.update(eliminations=eliminations)
+print(json.dumps(out))
 """
 
 
@@ -62,6 +92,11 @@ def one(src, op, n, r):
     out = subprocess.run([sys.executable, "-c", CHILD, src, op, str(n), str(r)],
                          check=True, capture_output=True, text=True).stdout
     return json.loads(out)
+
+
+def cell(text):
+    n, r = map(int, text.split(","))
+    return n, r
 
 
 def quartiles(xs):
@@ -75,8 +110,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", required=True)
     parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--routes", nargs="+", metavar="N,R", type=cell,
+                        help="time the centraliser's routes at these cells instead")
     args = parser.parse_args(argv)
-    for op, n, r in CASES:
+    cases = CASES if args.routes is None else [
+        (op, n, r) for n, r in args.routes for op in ("peel", "elim", "centraliser")]
+    wrong = []
+    for op, n, r in cases:
         got = {src: [] for src in args.src}
         for k in range(args.runs):
             order = args.src if k % 2 == 0 else args.src[::-1]
@@ -86,8 +126,14 @@ def main(argv=None):
             row = {"src": src, "op": op, "cell": [n, r], "runs": args.runs}
             for key in ("first_s", "second_s", "peak_rss_mb"):
                 q1, med, q3 = quartiles([m[key] for m in got[src]])
-                row[key] = {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+                row[key] = {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+            for key in ("d", "eliminations"):
+                if key in got[src][0]:
+                    row[key] = sorted({m[key] for m in got[src]})
+            wrong += [row for m in got[src] if m.get("d") != m.get("closed_form")]
             print(json.dumps(row), flush=True)
+    if wrong:
+        sys.exit("dimension other than the closed form: %s" % json.dumps(wrong))
 
 
 if __name__ == "__main__":
